@@ -75,10 +75,12 @@ def train_with_loss(
             x, None, config.batch_size, rng, shuffle=True, extras=extras
         ):
             loss = loss_builder(model, batch)
-            model.zero_grad()
+            # the optimiser holds model.parameters() in the same order;
+            # going through it skips two reflective module-tree walks a step
+            optimizer.zero_grad()
             loss.backward()
             if config.max_grad_norm is not None:
-                clip_grad_norm(model.parameters(), config.max_grad_norm)
+                clip_grad_norm(optimizer.params, config.max_grad_norm)
             optimizer.step()
             last_epoch_losses.append(loss.item())
     if prof is not None:

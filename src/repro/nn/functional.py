@@ -61,10 +61,52 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` for 2-D ``x``."""
-    out = x @ weight.T
+    """Affine map ``x @ weight.T + bias`` for 2-D ``x``, as one graph node.
+
+    The backward pass forms ``dW = grad.T @ x`` directly in the weight's
+    ``(out, in)`` layout and computes ``dx = grad @ W`` only when ``x``
+    takes a gradient (the first layer's input batch never does).
+    """
+    if x.ndim != 2 or weight.ndim != 2:
+        raise ValueError(
+            f"linear expects 2-D input/weight, got {x.shape} and {weight.shape}"
+        )
+    prof = _profile.ACTIVE
+    start = time.perf_counter() if prof is not None else 0.0
+
+    out_data = x.data @ weight.data.T
     if bias is not None:
-        out = out + bias
+        np.add(out_data, bias.data, out=out_data)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    if not requires:
+        out = Tensor(out_data)
+    else:
+
+        def backward(grad: np.ndarray) -> None:
+            if weight.requires_grad:
+                weight._accumulate(grad.T @ x.data, True)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(grad.sum(axis=0), True)
+            if x.requires_grad:
+                x._accumulate(grad @ weight.data, True)
+
+        out = Tensor(
+            out_data, requires_grad=True, _parents=parents, _backward=backward
+        )
+
+    if prof is not None:
+        # booked under the matmul names: 2*n*k*m multiply-adds per product
+        # (forward, dW, dx when computed) plus the bias add and its sum
+        product = 2.0 * x.data.size * weight.shape[0]
+        bias_flops = float(out_data.size) if bias is not None else 0.0
+        prof.record(
+            "matmul", time.perf_counter() - start, product + bias_flops,
+            out_data.nbytes,
+        )
+        live = weight.requires_grad + x.requires_grad
+        _profile.wrap_backward(out, "matmul", live * product + 2.0 * bias_flops)
     return out
 
 
@@ -166,13 +208,13 @@ def conv2d(
             grad_mat = grad.reshape(n, c_out, out_h * out_w)
             if weight.requires_grad:
                 dw = np.einsum("nop,nkp->ok", grad_mat, cols, optimize=True)
-                weight._accumulate(dw.reshape(weight.shape))
+                weight._accumulate(dw.reshape(weight.shape), True)
             if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=(0, 2, 3)))
+                bias._accumulate(grad.sum(axis=(0, 2, 3)), True)
             if x.requires_grad:
                 dcols = np.einsum("ok,nop->nkp", w_mat, grad_mat, optimize=True)
                 dx = _col2im(dcols, (n, c, h, w), kh, kw, stride, out_h, out_w)
-                x._accumulate(dx)
+                x._accumulate(dx, True)
 
         out = Tensor(
             out_data, requires_grad=True, _parents=parents, _backward=backward
@@ -213,7 +255,7 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
             dx = _col2im(
                 dcols, (n * c, 1, h, w), kernel_size, kernel_size, stride, out_h, out_w
             )
-            x._accumulate(dx.reshape(n, c, h, w))
+            x._accumulate(dx.reshape(n, c, h, w), True)
 
         out = Tensor(
             out_data, requires_grad=True, _parents=(x,), _backward=backward
@@ -251,7 +293,7 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
             dx = _col2im(
                 dcols, (n * c, 1, h, w), kernel_size, kernel_size, stride, out_h, out_w
             )
-            x._accumulate(dx.reshape(n, c, h, w))
+            x._accumulate(dx.reshape(n, c, h, w), True)
 
         out = Tensor(
             out_data, requires_grad=True, _parents=(x,), _backward=backward

@@ -88,6 +88,17 @@ class Optimizer:
         if "scheduled_base_lr" in state:
             self.scheduled_base_lr = float(state["scheduled_base_lr"])
 
+    def _scratch(self) -> np.ndarray:
+        """A flat work buffer as long as the largest parameter.
+
+        Allocated per ``step()`` call and dropped on return: the update
+        rules route every intermediate through such buffers with ``out=``
+        instead of allocating one array per arithmetic operator per
+        parameter.
+        """
+        size = max(p.data.size for p in self.params)
+        return np.empty(size, dtype=np.float64)
+
     def _check_buffer_count(self, name: str, buffers) -> None:
         if len(buffers) != len(self.params):
             raise ValueError(
@@ -113,18 +124,25 @@ class SGD(Optimizer):
 
     @_profiled_step("sgd.step", 4.0)
     def step(self) -> None:
+        flat = self._scratch()
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
+            work = flat[: p.data.size].reshape(p.data.shape)
             grad = p.grad
             if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
+                # grad + weight_decay * p.data
+                np.multiply(p.data, self.weight_decay, out=work)
+                grad = np.add(grad, work, out=work)
             if self.momentum:
                 if self._velocity[i] is None:
                     self._velocity[i] = np.zeros_like(p.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            p.data = p.data - self.lr * grad
+                velocity = self._velocity[i]
+                # velocity = momentum * velocity + grad
+                np.multiply(velocity, self.momentum, out=velocity)
+                grad = np.add(velocity, grad, out=velocity)
+            # rebound, not written in place: graphs may alias the old array
+            p.data = p.data - np.multiply(grad, self.lr, out=work)
 
     def state_dict(self) -> dict:
         state = super().state_dict()
@@ -168,17 +186,36 @@ class Adam(Optimizer):
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
+        flat_a, flat_b = self._scratch(), self._scratch()
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
+            a = flat_a[: p.data.size].reshape(p.data.shape)
+            b = flat_b[: p.data.size].reshape(p.data.shape)
+            m, v = self._m[i], self._v[i]
             grad = p.grad
             if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad**2
-            m_hat = self._m[i] / bias1
-            v_hat = self._v[i] / bias2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                # grad + weight_decay * p.data
+                np.multiply(p.data, self.weight_decay, out=a)
+                grad = np.add(grad, a, out=a)
+            # m = beta1 * m + (1 - beta1) * grad
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(grad, 1 - self.beta1, out=b)
+            np.add(m, b, out=m)
+            # v = beta2 * v + (1 - beta2) * grad**2
+            np.multiply(v, self.beta2, out=v)
+            np.square(grad, out=b)
+            np.multiply(b, 1 - self.beta2, out=b)
+            np.add(v, b, out=v)
+            # p.data - (lr * (m / bias1)) / (sqrt(v / bias2) + eps)
+            np.divide(m, bias1, out=a)
+            np.multiply(a, self.lr, out=a)
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, self.eps, out=b)
+            np.divide(a, b, out=a)
+            # rebound, not written in place: graphs may alias the old array
+            p.data = p.data - a
 
     def state_dict(self) -> dict:
         state = super().state_dict()

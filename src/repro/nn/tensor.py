@@ -82,7 +82,10 @@ def _prof_op(op: str, flops="out"):
     ``flops`` selects the estimator: ``"out"`` (one op per output
     element — elementwise math), ``"in"`` (one per input element —
     reductions), a constant (``0`` for pure memory-movement ops), or a
-    callable ``(self, out) -> float`` for shape-dependent kernels.
+    callable ``(self, out) -> float`` for shape-dependent kernels.  The
+    backward pass is booked at twice that, except for binary ops, whose
+    closures skip a parent with ``requires_grad=False``: they are booked
+    once per parent that gets a gradient.
     """
 
     def decorate(fn):
@@ -105,7 +108,9 @@ def _prof_op(op: str, flops="out"):
             else:
                 nflops = float(flops)
             prof.record(op, seconds, nflops, out.data.nbytes)
-            _profile.wrap_backward(out, op, 2.0 * nflops)
+            parents = out._parents
+            live = sum(p.requires_grad for p in parents) if len(parents) == 2 else 2
+            _profile.wrap_backward(out, op, float(live) * nflops)
             return out
 
         return wrapper
@@ -210,14 +215,44 @@ class Tensor:
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned=True`` is the caller's promise that it allocated ``grad``
+        itself and hands it to nobody else; a first gradient of the
+        buffer's own shape and layout is then adopted instead of copied.
+        Pass-through gradients and views (``add.bwd``, ``reshape``,
+        ``transpose``, slices) must stay ``owned=False``, or two tensors'
+        ``.grad`` would share memory.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            if (
+                owned
+                and isinstance(grad, np.ndarray)  # 0-d math yields scalars
+                and grad.shape == self.data.shape
+                and grad.flags.c_contiguous
+                and self.data.flags.c_contiguous
+            ):
+                self.grad = grad
+            else:
+                # same layout and values as zero-fill-then-add, in one pass
+                buf = np.empty_like(self.data)
+                np.add(grad, 0.0, out=buf)
+                self.grad = buf
+            return
         # lint: disable=ag-inplace-tensor-mutation — this IS the gradient
-        # accumulator; the buffer is allocated above and never aliased.
+        # accumulator; the buffer is adopted or allocated above, never aliased.
         self.grad += grad
+
+    def _accumulate_unbroadcast(self, grad: np.ndarray, owned: bool) -> None:
+        """:meth:`_accumulate` for an operand numpy may have broadcast."""
+        if not self.requires_grad:
+            return
+        reduced = _unbroadcast(grad, self.shape)
+        # any reduction allocates, so only the untouched array can alias
+        self._accumulate(reduced, owned or reduced is not grad)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -228,8 +263,8 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(grad, other.shape))
+            self._accumulate_unbroadcast(grad, False)
+            other._accumulate_unbroadcast(grad, False)
 
         return self._make(out_data, (self, other), backward)
 
@@ -238,7 +273,7 @@ class Tensor:
     @_prof_op("neg")
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, True)
 
         return self._make(-self.data, (self,), backward)
 
@@ -254,8 +289,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.shape))
+            if self.requires_grad:
+                self._accumulate_unbroadcast(grad * other.data, True)
+            if other.requires_grad:
+                other._accumulate_unbroadcast(grad * self.data, True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -267,10 +304,12 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.shape))
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data**2), other.shape)
-            )
+            if self.requires_grad:
+                self._accumulate_unbroadcast(grad / other.data, True)
+            if other.requires_grad:
+                other._accumulate_unbroadcast(
+                    -grad * self.data / (other.data**2), True
+                )
 
         return self._make(out_data, (self, other), backward)
 
@@ -284,7 +323,7 @@ class Tensor:
         out_data = self.data**exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1), True)
 
         return self._make(out_data, (self,), backward)
 
@@ -298,8 +337,10 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad @ other.data.T)
-            other._accumulate(self.data.T @ grad)
+            if self.requires_grad:
+                self._accumulate(grad @ other.data.T, True)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ grad, True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -311,7 +352,7 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
+            self._accumulate(grad * out_data, True)
 
         return self._make(out_data, (self,), backward)
 
@@ -320,7 +361,7 @@ class Tensor:
         out_data = np.log(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, True)
 
         return self._make(out_data, (self,), backward)
 
@@ -332,7 +373,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data**2))
+            self._accumulate(grad * (1.0 - out_data**2), True)
 
         return self._make(out_data, (self,), backward)
 
@@ -341,7 +382,7 @@ class Tensor:
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
+            self._accumulate(grad * out_data * (1.0 - out_data), True)
 
         return self._make(out_data, (self,), backward)
 
@@ -351,7 +392,7 @@ class Tensor:
         out_data = self.data * mask
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, True)
 
         return self._make(out_data, (self,), backward)
 
@@ -362,7 +403,7 @@ class Tensor:
         out_data = self.data * scale
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * scale)
+            self._accumulate(grad * scale, True)
 
         return self._make(out_data, (self,), backward)
 
@@ -372,7 +413,7 @@ class Tensor:
         out_data = np.abs(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * sign)
+            self._accumulate(grad * sign, True)
 
         return self._make(out_data, (self,), backward)
 
@@ -382,7 +423,7 @@ class Tensor:
         out_data = np.clip(self.data, low, high)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, True)
 
         return self._make(out_data, (self,), backward)
 
@@ -401,7 +442,7 @@ class Tensor:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 axes = tuple(a % self.ndim for a in axes)
                 g = np.expand_dims(g, axes)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape).copy(), True)
 
         return self._make(out_data, (self,), backward)
 
@@ -425,13 +466,13 @@ class Tensor:
             if axis is None:
                 mask = self.data == out_data
                 # split ties evenly so the gradient check is deterministic
-                self._accumulate(grad * mask / mask.sum())
+                self._accumulate(grad * mask / mask.sum(), True)
             else:
                 expanded = out_data if keepdims else np.expand_dims(out_data, axis)
                 g = grad if keepdims else np.expand_dims(grad, axis)
                 mask = self.data == expanded
                 counts = mask.sum(axis=axis, keepdims=True)
-                self._accumulate(g * mask / counts)
+                self._accumulate(g * mask / counts, True)
 
         return self._make(out_data, (self,), backward)
 
@@ -475,7 +516,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
-            self._accumulate(full)
+            self._accumulate(full, True)
 
         return self._make(out_data, (self,), backward)
 

@@ -100,6 +100,13 @@ class TestClipGradNorm:
         assert clip_grad_norm([p], max_norm=1.0) == 0.0
 
 
+#: optimisers that update moment buffers in place, with their state keys
+STATEFUL = [
+    (lambda p: Adam([p], lr=0.1), ("m", "v")),
+    (lambda p: SGD([p], lr=0.1, momentum=0.9), ("velocity",)),
+]
+
+
 class TestStateDict:
     """state_dict/load_state_dict round-trips: a restored optimiser must
     continue bit-identically (momentum buffers, Adam moments and step)."""
@@ -158,10 +165,32 @@ class TestStateDict:
             opt.load_state_dict(state)
 
     def test_state_dict_is_a_snapshot(self):
+        """The moment buffers are updated in place; a snapshot must not be."""
+        for make, keys in STATEFUL:
+            p = quadratic_param()
+            opt = make(p)
+            step_quadratic(opt, p, 1)
+            state = opt.state_dict()
+            before = {key: state[key][0].copy() for key in keys}
+            step_quadratic(opt, p, 3)
+            for key in keys:
+                np.testing.assert_array_equal(state[key][0], before[key])
+
+    @pytest.mark.parametrize("make,keys", STATEFUL)
+    def test_load_state_dict_does_not_alias_the_callers_arrays(self, make, keys):
         p = quadratic_param()
-        opt = Adam([p], lr=0.1)
-        step_quadratic(opt, p, 1)
+        opt = make(p)
+        step_quadratic(opt, p, 2)
         state = opt.state_dict()
-        before = state["m"][0].copy()
-        step_quadratic(opt, p, 3)
-        np.testing.assert_array_equal(state["m"][0], before)
+        before = {key: state[key][0].copy() for key in keys}
+
+        q = self._clone_into(p)
+        restored = make(q)
+        restored.load_state_dict(state)
+        step_quadratic(restored, q, 3)  # in-place updates stay in the optimiser
+        for key in keys:
+            np.testing.assert_array_equal(state[key][0], before[key])
+            state[key][0][...] = 123.0  # and the caller's writes stay outside it
+        after = restored.state_dict()
+        for key in keys:
+            assert not np.any(after[key][0] == 123.0)

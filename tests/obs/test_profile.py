@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor
-from repro.nn.functional import conv2d
+from repro.nn.functional import conv2d, linear
 from repro.nn.optim import SGD
 from repro.obs import MetricsRegistry, OpProfiler, Tracer, activate
 from repro.obs.profile import ACTIVE, UNATTRIBUTED, wrap_backward
@@ -121,6 +121,36 @@ class TestActivation:
         row = next(r for r in prof.rows() if r["op"] == "matmul")
         # 2 * n * k * m = 2 * 4 * 3 * 2
         assert row["flops"] == pytest.approx(48.0)
+
+    def test_backward_books_only_the_products_computed(self):
+        """A parent with requires_grad=False gets no gradient product."""
+        flops = {}
+        for live in (True, False):
+            prof = OpProfiler()
+            with activate(prof):
+                a = Tensor(np.ones((4, 3)), requires_grad=live)
+                b = Tensor(np.ones((3, 2)), requires_grad=True)
+                (a @ b).sum().backward()
+            flops[live] = next(
+                r["flops"] for r in prof.rows() if r["op"] == "matmul.bwd"
+            )
+        assert flops[True] == pytest.approx(96.0)  # dA and dB: 2 * 48
+        assert flops[False] == pytest.approx(48.0)  # dB only
+
+    def test_linear_is_one_node_booked_as_matmul(self):
+        prof = OpProfiler()
+        with activate(prof):
+            x = Tensor(np.ones((4, 3)))  # an input batch: no dx
+            w = Tensor(np.ones((2, 3)), requires_grad=True)
+            b = Tensor(np.ones(2), requires_grad=True)
+            linear(x, w, b).sum().backward()
+        rows = {r["op"]: r for r in prof.rows()}
+        assert not {"transpose", "add", "add.bwd", "transpose.bwd"} & set(rows)
+        assert rows["matmul"]["calls"] == rows["matmul.bwd"]["calls"] == 1
+        # 2*n*k*m + n*m bias adds; backward: dW only, + 2*n*m for the bias
+        assert rows["matmul"]["flops"] == pytest.approx(48.0 + 8.0)
+        assert rows["matmul.bwd"]["flops"] == pytest.approx(48.0 + 16.0)
+        assert x.grad is None
 
     def test_conv2d_flops_estimate(self):
         prof = OpProfiler()
