@@ -62,7 +62,7 @@ from repro.nn import functional as F
 
 def bench(fn, min_seconds=0.5, min_reps=3):
     """Repeat ``fn`` until both floors are met; return timing stats."""
-    fn()  # warm-up (first conv pays the einsum-path planning cost)
+    fn()  # warm-up (cold caches, first-touch allocations)
     reps = 0
     start = time.perf_counter()
     elapsed = 0.0

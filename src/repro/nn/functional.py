@@ -1,9 +1,9 @@
 """Functional neural-network operations built on :class:`repro.nn.Tensor`.
 
 Includes the composite ops the layers need — softmax/log-softmax,
-im2col-based 2-D convolution, pooling, dropout — each registered in the
-autograd graph with a hand-written backward pass where a composition of
-Tensor primitives would be too slow.
+im2col-based 2-D convolution, batch normalisation, pooling, dropout — each
+registered in the autograd graph with a hand-written backward pass where a
+composition of Tensor primitives would be too slow.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "log_softmax",
     "one_hot",
     "conv2d",
+    "batch_norm",
     "max_pool2d",
     "avg_pool2d",
     "global_avg_pool2d",
@@ -110,44 +111,145 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
-# ----------------------------------------------------------------------
-# im2col helpers
-# ----------------------------------------------------------------------
-def _im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int
-) -> Tuple[np.ndarray, int, int]:
-    """Rearrange NCHW input into column matrix for convolution.
+def batch_norm(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    training: bool,
+    momentum: float = 0.1,
+    eps: float = 1e-5,
+) -> Tensor:
+    """Batch normalisation over axis 1 of ``(N, C)`` or ``(N, C, H, W)``
+    input, as one graph node.
 
-    Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N, C*kh*kw, out_h*out_w)``.
+    In training mode the batch mean and biased variance normalise ``x`` and
+    are folded into ``running_mean``/``running_var`` in place; otherwise the
+    running statistics normalise it.  The backward pass keeps only the
+    normalised activations ``x_hat`` and the per-channel ``std``.
+    """
+    if x.ndim not in (2, 4):
+        raise ValueError(f"batch_norm expects (N, C) or (N, C, H, W) input, got {x.shape}")
+    prof = _profile.ACTIVE
+    start = time.perf_counter() if prof is not None else 0.0
+
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    count = x.size // x.shape[1]
+    # explicit buffers: C-contiguous whatever layout ``x`` arrives in
+    x_hat = np.empty(x.shape, dtype=np.float64)
+    out_data = np.empty(x.shape, dtype=np.float64)
+    if training:
+        mean = x.data.sum(axis=axes, keepdims=True) / count
+        np.subtract(x.data, mean, out=x_hat)
+        np.multiply(x_hat, x_hat, out=out_data)
+        var = out_data.sum(axis=axes, keepdims=True) / count
+        running_mean[...] = (1 - momentum) * running_mean + momentum * mean.reshape(-1)
+        running_var[...] = (1 - momentum) * running_var + momentum * var.reshape(-1)
+    else:
+        var = running_var.reshape(shape)
+        np.subtract(x.data, running_mean.reshape(shape), out=x_hat)
+    std = (var + eps) ** 0.5
+    np.divide(x_hat, std, out=x_hat)
+    # a view of weight.data, kept for backward: optimisers rebind
+    # ``p.data``, never write into it
+    w = weight.data.reshape(shape)
+    np.multiply(x_hat, w, out=out_data)
+    np.add(out_data, bias.data.reshape(shape), out=out_data)
+
+    parents = (x, weight, bias)
+    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    # the batch statistics depend on x, so dx needs both per-channel sums
+    through_stats = training and x.requires_grad
+    need_sum = bias.requires_grad or through_stats
+    need_dot = weight.requires_grad or through_stats
+    if not requires:
+        out = Tensor(out_data)
+    else:
+
+        def backward(grad: np.ndarray) -> None:
+            if need_sum:
+                grad_sum = grad.sum(axis=axes)
+            if need_dot:
+                scratch = np.multiply(grad, x_hat, out=np.empty_like(x_hat))
+                grad_dot = scratch.sum(axis=axes)
+            if x.requires_grad:
+                scale = w / std
+                if training:
+                    # (g - mean(g) - x_hat * mean(g * x_hat)) * w / std
+                    dx = np.multiply(x_hat, grad_dot.reshape(shape) / count, out=scratch)
+                    np.subtract(grad, dx, out=dx)
+                    np.subtract(dx, grad_sum.reshape(shape) / count, out=dx)
+                    np.multiply(dx, scale, out=dx)
+                else:
+                    dx = np.multiply(grad, scale, out=np.empty_like(x_hat))
+                x._accumulate(dx, True)
+            if weight.requires_grad:
+                weight._accumulate(grad_dot, True)
+            if bias.requires_grad:
+                bias._accumulate(grad_sum, True)
+
+        out = Tensor(
+            out_data, requires_grad=True, _parents=parents, _backward=backward
+        )
+
+    if prof is not None:
+        # per element: two reductions, centre, square, divide, scale, shift
+        # in training; centre, divide, scale, shift in eval
+        prof.record(
+            "batch_norm", time.perf_counter() - start,
+            (7.0 if training else 4.0) * x.size, out_data.nbytes,
+        )
+        # backward: one per element for the sum of g, two for the sum of
+        # g * x_hat, four (training) or one (eval) for dx, each if computed
+        per_element = need_sum + 2 * need_dot + x.requires_grad * (4 if training else 1)
+        _profile.wrap_backward(out, "batch_norm", float(per_element * x.size))
+    return out
+
+
+# ----------------------------------------------------------------------
+# sliding-window helpers
+# ----------------------------------------------------------------------
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Read-only ``(N, C, kh, kw, out_h, out_w)`` view of every window.
+
+    Element ``[n, c, i, j, p, q]`` is ``x[n, c, p*stride + i, q*stride + j]``;
+    no memory is copied until a caller gathers the view into a buffer.
     """
     n, c, h, w = x.shape
     out_h = (h - kh) // stride + 1
     out_w = (w - kw) // stride + 1
     s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+        shape=(n, c, kh, kw, out_h, out_w),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
         writeable=False,
     )
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
-    return np.ascontiguousarray(cols), out_h, out_w
+
+
+def _im2col(
+    x: np.ndarray, kh: int, kw: int, stride: int
+) -> Tuple[np.ndarray, int, int]:
+    """Rearrange NCHW input into the pooling ops' column matrix.
+
+    Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
+    ``(N, C*kh*kw, out_h*out_w)``.
+    """
+    windows = _windows(x, kh, kw, stride)
+    n, c, _, _, out_h, out_w = windows.shape
+    # reshaping the strided view is the one gathering copy
+    return windows.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
 
 
 def _col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    out_h: int,
-    out_w: int,
+    cols6: np.ndarray, x_shape: Tuple[int, int, int, int], stride: int
 ) -> np.ndarray:
-    """Inverse of :func:`_im2col`: scatter-add columns back to NCHW."""
-    n, c, h, w = x_shape
-    dx = np.zeros(x_shape, dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
+    """Inverse of the window gather: scatter-add a
+    ``(N, C, kh, kw, out_h, out_w)`` array (any strides) back to NCHW."""
+    _, _, kh, kw, out_h, out_w = cols6.shape
+    dx = np.zeros(x_shape, dtype=cols6.dtype)
     for i in range(kh):
         for j in range(kw):
             dx[:, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += cols6[
@@ -163,7 +265,13 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D convolution over NCHW input.
+    """2-D convolution over NCHW input, as three plain GEMMs.
+
+    The patches are gathered once into a ``(C_in*kH*kW, N*out_h*out_w)``
+    matrix owned by this call; forward is ``W_mat @ cols`` and backward
+    reuses the same matrix for ``dW = G @ cols.T`` and forms
+    ``dcols = W_mat.T @ G`` only when ``x`` takes a gradient.  Output and
+    gradients are C-contiguous NCHW.
 
     Parameters
     ----------
@@ -191,12 +299,19 @@ def conv2d(
     prof = _profile.ACTIVE
     start = time.perf_counter() if prof is not None else 0.0
 
-    cols, out_h, out_w = _im2col(x.data, kh, kw, stride)
+    windows = _windows(x.data, kh, kw, stride)
+    out_h, out_w = windows.shape[4:]
+    # gathered per call, never cached by shape: the same shape recurs in
+    # consecutive blocks of one forward pass and every backward closure
+    # needs its own patches
+    cols = windows.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * out_h * out_w)
+    # a view of weight.data: optimisers rebind ``p.data``, never write into it
     w_mat = weight.data.reshape(c_out, -1)
-    out_data = np.einsum("ok,nkp->nop", w_mat, cols, optimize=True)
-    out_data = out_data.reshape(n, c_out, out_h, out_w)
+    out_data = np.ascontiguousarray(
+        (w_mat @ cols).reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
+    )
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+        np.add(out_data, bias.data.reshape(1, c_out, 1, 1), out=out_data)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     requires = is_grad_enabled() and any(p.requires_grad for p in parents)
@@ -205,15 +320,17 @@ def conv2d(
     else:
 
         def backward(grad: np.ndarray) -> None:
-            grad_mat = grad.reshape(n, c_out, out_h * out_w)
-            if weight.requires_grad:
-                dw = np.einsum("nop,nkp->ok", grad_mat, cols, optimize=True)
-                weight._accumulate(dw.reshape(weight.shape), True)
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2, 3)), True)
+            if not (weight.requires_grad or x.requires_grad):
+                return
+            # the output gradient in GEMM layout, shared by both products
+            grad_mat = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).reshape(c_out, -1)
+            if weight.requires_grad:
+                weight._accumulate((grad_mat @ cols.T).reshape(weight.shape), True)
             if x.requires_grad:
-                dcols = np.einsum("ok,nop->nkp", w_mat, grad_mat, optimize=True)
-                dx = _col2im(dcols, (n, c, h, w), kh, kw, stride, out_h, out_w)
+                dcols = (w_mat.T @ grad_mat).reshape(c, kh, kw, n, out_h, out_w)
+                dx = _col2im(dcols.transpose(3, 0, 1, 2, 4, 5), (n, c, h, w), stride)
                 x._accumulate(dx, True)
 
         out = Tensor(
@@ -221,12 +338,14 @@ def conv2d(
         )
 
     if prof is not None:
-        # 2 * N * C_out * out_h * out_w * C_in * kh * kw multiply-adds
+        # 2 * N * C_out * out_h * out_w * C_in * kh * kw multiply-adds per
+        # GEMM; backward runs one per parent that takes a gradient (dW, dx)
         flops = 2.0 * n * c_out * out_h * out_w * c_in * kh * kw
         prof.record(
             "conv2d", time.perf_counter() - start, flops, out_data.nbytes
         )
-        _profile.wrap_backward(out, "conv2d", 2.0 * flops)
+        live = weight.requires_grad + x.requires_grad
+        _profile.wrap_backward(out, "conv2d", live * flops)
     return out
 
 
@@ -253,7 +372,9 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
             dcols = np.zeros_like(cols)
             np.put_along_axis(dcols, arg[:, None, :], grad_flat, axis=1)
             dx = _col2im(
-                dcols, (n * c, 1, h, w), kernel_size, kernel_size, stride, out_h, out_w
+                dcols.reshape(n * c, 1, kernel_size, kernel_size, out_h, out_w),
+                (n * c, 1, h, w),
+                stride,
             )
             x._accumulate(dx.reshape(n, c, h, w), True)
 
@@ -291,7 +412,9 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
             grad_flat = grad.reshape(n * c, 1, out_h * out_w)
             dcols = np.broadcast_to(grad_flat / k2, cols.shape).copy()
             dx = _col2im(
-                dcols, (n * c, 1, h, w), kernel_size, kernel_size, stride, out_h, out_w
+                dcols.reshape(n * c, 1, kernel_size, kernel_size, out_h, out_w),
+                (n * c, 1, h, w),
+                stride,
             )
             x._accumulate(dx.reshape(n, c, h, w), True)
 

@@ -214,23 +214,11 @@ class _BatchNorm(Module):
         self.running_mean = np.zeros(num_features, dtype=np.float64)
         self.running_var = np.ones(num_features, dtype=np.float64)
 
-    def _normalize(self, x: Tensor, axes: Tuple[int, ...], shape) -> Tensor:
-        if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
-            self.running_mean[...] = (
-                (1 - self.momentum) * self.running_mean
-                + self.momentum * mean.data.reshape(-1)
-            )
-            self.running_var[...] = (
-                (1 - self.momentum) * self.running_var
-                + self.momentum * var.data.reshape(-1)
-            )
-        else:
-            mean = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
-        norm = (x - mean) / ((var + self.eps) ** 0.5)
-        return norm * self.weight.reshape(shape) + self.bias.reshape(shape)
+    def _normalize(self, x: Tensor) -> Tensor:
+        return F.batch_norm(
+            x, self.weight, self.bias, self.running_mean, self.running_var,
+            training=self.training, momentum=self.momentum, eps=self.eps,
+        )
 
 
 class BatchNorm1d(_BatchNorm):
@@ -239,7 +227,7 @@ class BatchNorm1d(_BatchNorm):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2:
             raise ValueError(f"BatchNorm1d expects (N, C) input, got {x.shape}")
-        return self._normalize(x, axes=(0,), shape=(1, self.num_features))
+        return self._normalize(x)
 
 
 class BatchNorm2d(_BatchNorm):
@@ -248,7 +236,7 @@ class BatchNorm2d(_BatchNorm):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects (N, C, H, W) input, got {x.shape}")
-        return self._normalize(x, axes=(0, 2, 3), shape=(1, self.num_features, 1, 1))
+        return self._normalize(x)
 
 
 class ReLU(Module):

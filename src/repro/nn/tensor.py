@@ -525,15 +525,16 @@ class Tensor:
         """Zero-pad the last two (spatial) axes of an NCHW tensor."""
         if padding == 0:
             return self
-        pad_width = [(0, 0)] * (self.ndim - 2) + [(padding, padding)] * 2
-        out_data = np.pad(self.data, pad_width)
+        interior = (..., slice(padding, -padding), slice(padding, -padding))
+        out_data = np.zeros(
+            self.shape[:-2]
+            + (self.shape[-2] + 2 * padding, self.shape[-1] + 2 * padding),
+            dtype=np.float64,
+        )
+        out_data[interior] = self.data
 
         def backward(grad: np.ndarray) -> None:
-            slices = [slice(None)] * (self.ndim - 2) + [
-                slice(padding, -padding),
-                slice(padding, -padding),
-            ]
-            self._accumulate(grad[tuple(slices)])
+            self._accumulate(grad[interior])
 
         return self._make(out_data, (self,), backward)
 

@@ -1,11 +1,16 @@
 """The in-place optimisers and the fused Linear node compute exactly what
-the formulas they replaced computed.
+the formulas they replaced computed; the GEMM-layout conv2d and the
+one-node batch_norm compute the same formulas with re-associated sums.
 
 The references below are the formula-literal bodies (one numpy expression
-per line of the update rule, one Tensor op per arithmetic operator) kept
-here only to be compared against.  Every comparison is ``np.array_equal``:
-a change that reorders or regroups a floating-point operation fails these
-tests and has to be declared (and the pinned history hash re-recorded).
+per line of the update rule, one Tensor op per arithmetic operator) and the
+routes the ResNet ops replaced, kept here only to be compared against.  On
+the dense (MLP) path every comparison is ``np.array_equal``: a change that
+reorders or regroups a floating-point operation fails these tests and has
+to be declared (and the pinned history hash re-recorded).  On the ResNet
+path the declared scope is float64, same formulas, reductions in another
+order: ``CONV_PATH_RTOL`` bounds it, and a second pinned hash makes the
+next conv-path change declare itself too.
 """
 
 import hashlib
@@ -15,9 +20,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms import build_algorithm
-from repro.nn import Adam, SGD, Linear, Tensor, clip_grad_norm
+from repro.nn import Adam, SGD, BatchNorm1d, BatchNorm2d, Linear, Tensor, clip_grad_norm
 from repro.nn import functional as F
 from repro.nn import losses as L
+from repro.nn.models import ResNetClassifier
 
 from ..conftest import make_tiny_federation
 
@@ -180,11 +186,19 @@ PINNED_FEDPKD_HISTORY = (
 )
 
 
-def test_tiny_fedpkd_history_hash_is_pinned(tiny_bundle):
-    fed = make_tiny_federation(tiny_bundle, server_model="mlp_small")
+#: the same for one round with ResNet clients and server: it moves when the
+#: conv / batch-norm / pad route moves an argmax, which a re-association at
+#: the 1e-14 level has not done here
+PINNED_RESNET_FEDPKD_HISTORY = (
+    "e53cf4a3bcb52a11f6d7e49ef0f527b1a60e1a5e7c40846ae4f01e8b54c72e06"
+)
+
+
+def fedpkd_history_digest(bundle, model, rounds):
+    fed = make_tiny_federation(bundle, client_models=model, server_model=model)
     try:
         history = build_algorithm("fedpkd", fed, seed=0, epoch_scale=0.1).run(
-            2, eval_every=1
+            rounds, eval_every=1
         )
     finally:
         fed.close()
@@ -196,5 +210,287 @@ def test_tiny_fedpkd_history_hash_is_pinned(tiny_bundle):
         ],
         separators=(",", ":"),
     )
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest(), canonical
+
+
+def test_tiny_fedpkd_history_hash_is_pinned(tiny_bundle):
+    digest, canonical = fedpkd_history_digest(tiny_bundle, "mlp_small", rounds=2)
     assert digest == PINNED_FEDPKD_HISTORY, canonical
+
+
+def test_tiny_resnet_fedpkd_history_hash_is_pinned(tiny_bundle):
+    digest, canonical = fedpkd_history_digest(tiny_bundle, "resnet11", rounds=1)
+    assert digest == PINNED_RESNET_FEDPKD_HISTORY, canonical
+
+
+# ----------------------------------------------------------------------
+# the ResNet path: conv2d, batch_norm, pad2d
+# ----------------------------------------------------------------------
+#: float64, same formulas, sums in another order (measured: <= 2e-14)
+CONV_PATH_RTOL = 1e-10
+#: for entries that cancel to ~0, where a relative bound means nothing
+CONV_PATH_ATOL = 1e-12
+
+
+def assert_close(actual, expected):
+    np.testing.assert_allclose(
+        actual, expected, rtol=CONV_PATH_RTOL, atol=CONV_PATH_ATOL
+    )
+
+
+def reference_conv2d(x, weight, bias=None, stride=1, padding=0):
+    """The route F.conv2d replaced: an ``(N, K, P)`` im2col matrix and three
+    ``np.einsum(..., optimize=True)`` contractions."""
+    if padding:
+        x = x.pad2d(padding)
+    c_out, _, kh, kw = weight.shape
+    n, c, h, w = x.shape
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    s0, s1, s2, s3 = x.data.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x.data,
+        shape=(n, c, out_h, out_w, kh, kw),
+        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+        writeable=False,
+    )
+    cols = np.ascontiguousarray(
+        windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
+    )
+    w_mat = weight.data.reshape(c_out, -1)
+    out_data = np.einsum("ok,nkp->nop", w_mat, cols, optimize=True)
+    out_data = out_data.reshape(n, c_out, out_h, out_w)
+    if bias is not None:
+        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+
+    def backward(grad):
+        grad_mat = grad.reshape(n, c_out, out_h * out_w)
+        if weight.requires_grad:
+            dw = np.einsum("nop,nkp->ok", grad_mat, cols, optimize=True)
+            weight._accumulate(dw.reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            dcols = np.einsum("ok,nop->nkp", w_mat, grad_mat, optimize=True)
+            dx = np.zeros((n, c, h, w))
+            cols6 = dcols.reshape(n, c, kh, kw, out_h, out_w)
+            for i in range(kh):
+                for j in range(kw):
+                    dx[:, :, i : i + out_h * stride : stride,
+                       j : j + out_w * stride : stride] += cols6[:, :, i, j]
+            x._accumulate(dx)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor(out_data, requires_grad=True, _parents=parents, _backward=backward)
+
+
+def reference_batch_norm(
+    x, weight, bias, running_mean, running_var, training, momentum=0.1, eps=1e-5
+):
+    """The chain of sixteen Tensor ops F.batch_norm replaced."""
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    if training:
+        mean = x.mean(axis=axes, keepdims=True)
+        var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
+        running_mean[...] = (
+            (1 - momentum) * running_mean + momentum * mean.data.reshape(-1)
+        )
+        running_var[...] = (
+            (1 - momentum) * running_var + momentum * var.data.reshape(-1)
+        )
+    else:
+        mean = Tensor(running_mean.reshape(shape))
+        var = Tensor(running_var.reshape(shape))
+    norm = (x - mean) / ((var + eps) ** 0.5)
+    return norm * weight.reshape(shape) + bias.reshape(shape)
+
+
+CONV_CASES = {
+    # name: (x shape, C_out, x takes a gradient)
+    "batch": ((3, 2, 6, 5), 4, True),
+    "batch_of_one": ((1, 2, 6, 5), 4, True),
+    "one_input_channel": ((3, 1, 6, 5), 4, True),
+    "one_output_channel": ((3, 2, 6, 5), 1, True),
+    "constant_input": ((3, 2, 6, 5), 4, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_CASES))
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("kernel", [1, 3])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_matches_the_einsum_route(case, use_bias, kernel, padding, stride):
+    x_shape, c_out, x_live = CONV_CASES[case]
+    rng = np.random.default_rng(7)
+    x_data = rng.normal(size=x_shape)
+    w_data = rng.normal(size=(c_out, x_shape[1], kernel, kernel))
+    b_data = rng.normal(size=c_out)
+    results = []
+    for conv in (F.conv2d, reference_conv2d):
+        x = Tensor(x_data, requires_grad=x_live)
+        weight = Tensor(w_data, requires_grad=True)
+        bias = Tensor(b_data, requires_grad=True) if use_bias else None
+        out = conv(x, weight, bias, stride=stride, padding=padding)
+        seed = np.random.default_rng(8).normal(size=out.shape)
+        out.backward(seed)
+        results.append((out, x, weight, bias))
+    (out, x, weight, bias), (ref_out, ref_x, ref_weight, ref_bias) = results
+    assert_close(out.data, ref_out.data)
+    assert_close(weight.grad, ref_weight.grad)
+    if x_live:
+        assert_close(x.grad, ref_x.grad)
+        assert x.grad.flags.c_contiguous
+    else:
+        assert x.grad is None and ref_x.grad is None
+    if use_bias:
+        assert_close(bias.grad, ref_bias.grad)
+    assert out.data.flags.c_contiguous and out.grad.flags.c_contiguous
+    assert weight.grad.flags.c_contiguous and weight.grad.shape == weight.shape
+
+
+BATCH_NORM_CASES = {
+    # name: (x shape, x takes a gradient)
+    "images": ((4, 3, 5, 5), True),
+    "one_image": ((1, 3, 5, 5), True),
+    "vectors": ((6, 3), True),
+    "one_vector": ((1, 3), True),
+    "constant_input": ((4, 3, 5, 5), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_NORM_CASES))
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_matches_the_composed_chain(case, training):
+    x_shape, x_live = BATCH_NORM_CASES[case]
+    rng = np.random.default_rng(9)
+    x_data = rng.normal(loc=0.5, scale=2.0, size=x_shape)
+    channels = x_shape[1]
+    w_data = rng.normal(size=channels)
+    b_data = rng.normal(size=channels)
+    seed = rng.normal(size=x_shape)
+    results = []
+    for norm in (F.batch_norm, reference_batch_norm):
+        x = Tensor(x_data, requires_grad=x_live)
+        weight = Tensor(w_data, requires_grad=True)
+        bias = Tensor(b_data, requires_grad=True)
+        running_mean = np.linspace(-0.5, 0.5, channels)
+        running_var = np.linspace(0.5, 1.5, channels)
+        out = norm(x, weight, bias, running_mean, running_var, training,
+                   momentum=0.1, eps=1e-5)
+        out.backward(seed)
+        results.append((out, x, weight, bias, running_mean, running_var))
+    new, ref = results
+    assert_close(new[0].data, ref[0].data)
+    if x_live:
+        assert_close(new[1].grad, ref[1].grad)
+    else:
+        assert new[1].grad is None
+    assert_close(new[2].grad, ref[2].grad)
+    assert_close(new[3].grad, ref[3].grad)
+    assert_close(new[4], ref[4])
+    assert_close(new[5], ref[5])
+    assert new[0].data.flags.c_contiguous
+    moved = not np.array_equal(new[4], np.linspace(-0.5, 0.5, channels))
+    assert moved == training
+
+
+@pytest.mark.parametrize("layer_cls, shape", [(BatchNorm2d, (4, 3, 5, 5)),
+                                              (BatchNorm1d, (6, 3))])
+def test_batch_norm_layers_route_through_the_functional(layer_cls, shape, monkeypatch):
+    x_data = np.random.default_rng(0).normal(size=shape)
+    outputs = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(F, "batch_norm", reference_batch_norm)
+        layer = layer_cls(3)
+        outputs.append((layer(Tensor(x_data)).data, layer.running_mean, layer.running_var))
+    for new, ref in zip(*outputs):
+        assert_close(new, ref)
+
+
+def small_resnet():
+    """Stem, an identity-shortcut block and a stride-2 block with a 1x1
+    conv + BatchNorm shortcut."""
+    return ResNetClassifier(
+        in_channels=3, num_classes=5, blocks_per_stage=[1, 1], widths=(4, 8),
+        feature_dim=8, rng=np.random.default_rng(2),
+    )
+
+
+def train_resnet(model):
+    optimizer = Adam(model.parameters(), lr=1e-2)
+    rng = np.random.default_rng(6)
+    for _ in range(STEPS):
+        xb, yb = rng.normal(size=(6, 3, 8, 8)), rng.integers(0, 5, size=6)
+        loss = L.cross_entropy(model(Tensor(xb)), yb)
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
+    return model.state_dict()
+
+
+def test_resnet_training_matches_the_replaced_routes(monkeypatch):
+    new = train_resnet(small_resnet())
+    monkeypatch.setattr(F, "conv2d", reference_conv2d)
+    monkeypatch.setattr(F, "batch_norm", reference_batch_norm)
+    ref = train_resnet(small_resnet())
+    assert new.keys() == ref.keys() and len(new) > 20
+    for name in new:
+        assert_close(new[name], ref[name])
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 5), (1, 1, 1, 1), (3, 4)])
+@pytest.mark.parametrize("padding", [1, 2])
+def test_pad2d_is_byte_identical_to_np_pad(shape, padding):
+    data = np.random.default_rng(0).normal(size=shape)
+    data.flat[0] = -0.0
+    x = Tensor(data, requires_grad=True)
+    out = x.pad2d(padding)
+    expected = np.pad(data, [(0, 0)] * (len(shape) - 2) + [(padding, padding)] * 2)
+    assert out.data.tobytes() == expected.tobytes() and out.shape == expected.shape
+    assert out.data.flags.c_contiguous
+    seed = np.random.default_rng(1).normal(size=out.shape)
+    out.backward(seed)
+    assert np.array_equal(x.grad, seed[..., padding:-padding, padding:-padding])
+    assert x.pad2d(0) is x
+
+
+def conv_block_step(x_data, w_data):
+    """conv -> batch_norm -> conv with the same weight (so the same shape
+    occurs twice in one graph), forward and backward."""
+    x = Tensor(x_data, requires_grad=True)
+    weight = Tensor(w_data, requires_grad=True)
+    gamma = Tensor(np.ones(2), requires_grad=True)
+    beta = Tensor(np.zeros(2), requires_grad=True)
+    stats = (np.zeros(2), np.ones(2))
+    hidden = F.batch_norm(F.conv2d(x, weight, padding=1), gamma, beta, *stats, True)
+    out = F.conv2d(hidden, weight, padding=1)
+    out.backward(np.ones(out.shape))
+    return [out.data, x.grad, weight.grad, gamma.grad, beta.grad, *stats]
+
+
+def test_identical_calls_are_byte_identical_and_share_no_state():
+    rng = np.random.default_rng(3)
+    x_data, w_data = rng.normal(size=(2, 2, 5, 5)), rng.normal(size=(2, 2, 3, 3))
+    first = conv_block_step(x_data, w_data)
+    # a same-shaped call on other data in between must leave no trace
+    conv_block_step(rng.normal(size=x_data.shape), rng.normal(size=w_data.shape))
+    second = conv_block_step(x_data, w_data)
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_interleaved_same_shape_convs_keep_their_own_patches():
+    rng = np.random.default_rng(4)
+    w_data = rng.normal(size=(2, 2, 3, 3))
+    xa, xb = rng.normal(size=(2, 2, 2, 5, 5))
+    alone = Tensor(w_data, requires_grad=True)
+    F.conv2d(Tensor(xa), alone, padding=1).backward(np.ones((2, 2, 5, 5)))
+    # the second forward happens before the first backward
+    shared = Tensor(w_data, requires_grad=True)
+    out_a = F.conv2d(Tensor(xa), shared, padding=1)
+    F.conv2d(Tensor(xb), Tensor(w_data, requires_grad=True), padding=1)
+    out_a.backward(np.ones(out_a.shape))
+    assert alone.grad.tobytes() == shared.grad.tobytes()

@@ -3,8 +3,9 @@
 ``Tensor._accumulate`` adopts a first gradient that a backward closure
 allocated instead of copying it into a zero-filled buffer.  That is only
 sound while no adopted array is reachable from anywhere else: another
-tensor's ``.grad``, a forward buffer, or the caller's seed.  These tests
-walk whole graphs and check it.
+tensor's ``.grad``, a forward buffer, an array a backward closure keeps
+(conv2d's patch matrix, batch_norm's normalised activations), a running
+statistic, or the caller's seed.  These tests walk whole graphs and check it.
 """
 
 import itertools
@@ -12,9 +13,30 @@ import itertools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import Linear, Tensor, clip_grad_norm
+from repro.nn import BatchNorm2d, Linear, Tensor, clip_grad_norm, no_grad
 from repro.nn import functional as F
 from repro.nn import losses as L
+from repro.nn.models import BasicBlock
+
+
+def as_image(t):
+    return t.reshape(1, 1, *t.shape)
+
+
+def batch_norm_op(training):
+    def op(t):
+        channels = t.shape[1]
+        return F.batch_norm(
+            t,
+            Tensor(np.full(channels, 1.5), requires_grad=True),
+            Tensor(np.zeros(channels), requires_grad=True),
+            np.zeros(channels),
+            np.ones(channels),
+            training,
+        )
+
+    return op
+
 
 OPS = {
     "add_self": lambda t: t + t,
@@ -39,6 +61,18 @@ OPS = {
         Tensor(np.zeros(2), requires_grad=True),
     ),
     "concat": lambda t: Tensor.concatenate([t, t * 2.0], axis=0),
+    "pad2d": lambda t: as_image(t).pad2d(1).reshape(t.shape[0] + 2, t.shape[1] + 2),
+    "conv2d": lambda t: F.conv2d(
+        as_image(t),
+        Tensor(np.ones((2, 1, 3, 3)), requires_grad=True),
+        Tensor(np.zeros(2), requires_grad=True),
+        padding=1,
+    ).reshape(2 * t.shape[0], t.shape[1]),
+    "conv2d_strided": lambda t: F.conv2d(
+        as_image(t), Tensor(np.ones((1, 1, 1, 1)), requires_grad=True), stride=2
+    ).reshape((t.shape[0] + 1) // 2, (t.shape[1] + 1) // 2),
+    "batch_norm": batch_norm_op(training=True),
+    "batch_norm_eval": batch_norm_op(training=False),
 }
 
 
@@ -52,13 +86,25 @@ def graph_tensors(root):
     return list(seen.values())
 
 
-def assert_grads_are_exclusively_owned(nodes):
+def closure_arrays(nodes):
+    """Every array a backward closure of the graph keeps alive: forward
+    buffers such as conv2d's patch matrix and batch_norm's ``x_hat``."""
+    kept = []
+    for node in nodes:
+        for cell in getattr(node._backward, "__closure__", None) or ():
+            if isinstance(cell.cell_contents, np.ndarray):
+                kept.append(cell.cell_contents)
+    return kept
+
+
+def assert_grads_are_exclusively_owned(nodes, extra=()):
     grads = [n.grad for n in nodes if n.grad is not None]
     for a, b in itertools.combinations(grads, 2):
         assert not np.shares_memory(a, b)
+    others = [n.data for n in nodes] + closure_arrays(nodes) + list(extra)
     for grad in grads:
-        for node in nodes:
-            assert not np.shares_memory(grad, node.data)
+        for other in others:
+            assert not np.shares_memory(grad, other)
 
 
 @given(
@@ -141,3 +187,83 @@ def test_gradients_accumulate_across_graphs_and_retained_backward():
     # 1 + 1 through ``sum`` and 1 + 2 through ``mul``
     loss.backward()
     assert np.array_equal(y.grad, [8.0, 8.0])
+
+
+def block_loss(block, x):
+    out = block(x)
+    return (out * out).sum()
+
+
+def test_basic_block_step_gradients_are_exclusively_owned():
+    rng = np.random.default_rng(2)
+    block = BasicBlock(2, 4, stride=2, rng=rng)  # 1x1 conv + BatchNorm shortcut
+    x = Tensor(rng.normal(size=(3, 2, 6, 6)), requires_grad=True)
+    loss = block_loss(block, x)
+    loss.backward()
+    nodes = graph_tensors(loss)
+    stats = [b for _, b in block.named_buffers()]
+    assert len(stats) == 6
+    assert any(a.shape == (2 * 3 * 3, 3 * 3 * 3) for a in closure_arrays(nodes))  # cols
+    assert_grads_are_exclusively_owned(nodes, extra=stats)
+    for p in block.parameters() + [x]:
+        assert p.grad.shape == p.shape and p.grad.flags.c_contiguous
+    # every interior activation of the block is ordinary memory too
+    assert all(n.data.flags.c_contiguous for n in nodes)
+
+    # a second pass over the retained graph adds into the same buffers
+    buffers = [p.grad for p in block.parameters()]
+    first = [g.copy() for g in buffers]
+    loss.backward()
+    for p, buffer, before in zip(block.parameters(), buffers, first):
+        assert p.grad is buffer and not np.array_equal(buffer, before)
+    assert_grads_are_exclusively_owned(graph_tensors(loss), extra=stats)
+
+
+def test_second_backward_on_a_retained_graph_accumulates_for_the_resnet_ops():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    gamma = Tensor(rng.normal(size=2), requires_grad=True)
+    beta = Tensor(rng.normal(size=2), requires_grad=True)
+    bias = Tensor(rng.normal(size=3), requires_grad=True)
+    for build, leaves in (
+        (lambda: F.conv2d(x, weight, bias, stride=2), [x, weight, bias]),
+        (lambda: F.batch_norm(x, gamma, beta, np.zeros(2), np.ones(2), True),
+         [x, gamma, beta]),
+        (lambda: x.pad2d(2), [x]),
+    ):
+        for leaf in leaves:
+            leaf.zero_grad()
+        out = build()
+        seed = rng.normal(size=out.shape)
+        out.backward(seed)
+        once = [leaf.grad.copy() for leaf in leaves]
+        # the root now holds seed + seed: one pass of 1 and one of 2
+        out.backward(seed)
+        for leaf, grad in zip(leaves, once):
+            np.testing.assert_allclose(leaf.grad, 3.0 * grad, rtol=1e-10, atol=1e-12)
+
+
+def test_running_statistics_move_once_per_training_forward_only():
+    rng = np.random.default_rng(4)
+    bn = BatchNorm2d(3, momentum=0.1)
+    data = rng.normal(loc=1.0, size=(4, 3, 5, 5))
+    batch_mean = data.mean(axis=(0, 2, 3))
+    batch_var = data.var(axis=(0, 2, 3))
+
+    out = bn(Tensor(data, requires_grad=True))
+    np.testing.assert_allclose(bn.running_mean, 0.1 * batch_mean, rtol=1e-12)
+    np.testing.assert_allclose(bn.running_var, 0.9 + 0.1 * batch_var, rtol=1e-12)
+    after_forward = bn.running_mean.copy(), bn.running_var.copy()
+    out.sum().backward()  # backward reads the statistics, never writes them
+
+    bn.eval()
+    bn(Tensor(data, requires_grad=True)).sum().backward()
+    with no_grad():  # the predict path
+        bn(Tensor(data))
+    assert np.array_equal(bn.running_mean, after_forward[0])
+    assert np.array_equal(bn.running_var, after_forward[1])
+
+    bn.train()
+    bn(Tensor(data))
+    np.testing.assert_allclose(bn.running_mean, 0.19 * batch_mean, rtol=1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
+from repro.nn import BatchNorm2d, Tensor
 from repro.nn.functional import conv2d, linear
 from repro.nn.optim import SGD
 from repro.obs import MetricsRegistry, OpProfiler, Tracer, activate
@@ -163,6 +163,49 @@ class TestActivation:
         assert row["flops"] == pytest.approx(972.0)
         assert row["bytes"] == 1 * 3 * 3 * 3 * 8
         assert any(r["op"] == "conv2d.bwd" for r in prof.rows())
+
+    def test_conv2d_backward_books_one_product_per_live_parent(self):
+        """The stem conv's input batch takes no gradient: dW only."""
+        flops = {}
+        for live in (True, False):
+            prof = OpProfiler()
+            with activate(prof):
+                x = Tensor(np.ones((1, 2, 5, 5)), requires_grad=live)
+                w = Tensor(np.ones((3, 2, 3, 3)), requires_grad=True)
+                conv2d(x, w, padding=1).sum().backward()
+            rows = {r["op"]: r for r in prof.rows()}
+            assert rows["conv2d"]["flops"] == pytest.approx(2700.0)  # 2*1*3*5*5*2*3*3
+            assert rows["pad2d"]["calls"] == 1
+            assert ("pad2d.bwd" in rows) == live
+            flops[live] = rows["conv2d.bwd"]["flops"]
+        assert flops[True] == pytest.approx(2 * 2700.0)  # dW and dx
+        assert flops[False] == pytest.approx(2700.0)  # dW only
+
+    @pytest.mark.parametrize(
+        "training, x_live, forward, backward",
+        [
+            (True, True, 7, 7),  # sum of g, g*x_hat and its sum, four for dx
+            (True, False, 7, 3),  # the two parameter sums only
+            (False, True, 4, 4),  # the sums, one multiply for dx
+            (False, False, 4, 3),
+        ],
+    )
+    def test_batch_norm_is_one_node_with_a_per_element_estimate(
+        self, training, x_live, forward, backward
+    ):
+        bn = BatchNorm2d(3).train(training)
+        prof = OpProfiler()
+        with activate(prof):
+            x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 4)),
+                       requires_grad=x_live)
+            out = bn(x)
+            out.backward(np.ones(out.shape))
+        rows = {r["op"]: r for r in prof.rows()}
+        assert set(rows) == {"batch_norm", "batch_norm.bwd", "backward.overhead"}
+        assert rows["batch_norm"]["calls"] == rows["batch_norm.bwd"]["calls"] == 1
+        assert rows["batch_norm"]["flops"] == pytest.approx(forward * x.size)
+        assert rows["batch_norm.bwd"]["flops"] == pytest.approx(backward * x.size)
+        assert rows["batch_norm"]["bytes"] == x.size * 8
 
     def test_optimizer_step_recorded(self):
         prof = OpProfiler()
