@@ -37,7 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, get_args, get_type_hints
 
 from .algorithms import ALGORITHMS
 from .experiments import (
@@ -56,6 +56,7 @@ from .experiments import (
     run_algorithm,
     table1_comm,
 )
+from .fl.config import RUN_KNOBS, RunKnobs
 
 EXPERIMENTS = {
     "fig1": fig1_motivation,
@@ -69,6 +70,8 @@ EXPERIMENTS = {
     "fig10": fig10_delta,
     "table1": table1_comm,
 }
+
+_METAVARS = {int: "N", float: "X", str: "PATH"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,134 +88,31 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--heterogeneous", action="store_true")
     run_p.add_argument("--rounds", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument(
-        "--clients-per-round",
-        type=int,
-        default=None,
-        metavar="K",
-        help="sample a K-client cohort per round instead of full "
-        "participation (cross-device shape; docs/SCALE.md)",
-    )
-    run_p.add_argument(
-        "--max-live-clients",
-        type=int,
-        default=None,
-        metavar="M",
-        help="carry at most M materialised clients across rounds; the rest "
-        "are lazy registry entries with mutated state spilled to disk "
-        "(default: no eviction — the eager-equivalent mode)",
-    )
-    run_p.add_argument(
-        "--eval-clients",
-        type=int,
-        default=None,
-        metavar="E",
-        help="evaluate C_acc on a seeded per-round sample of E clients "
-        "instead of the whole population",
-    )
-    run_p.add_argument(
-        "--executor",
-        choices=("serial", "parallel"),
-        default="serial",
-        help="client-execution runtime (parallel fans clients out to workers)",
-    )
-    run_p.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="worker processes for --executor parallel (default: min(clients, cores))",
-    )
-    run_p.add_argument(
-        "--task-timeout-s",
-        type=float,
-        default=None,
-        help="per-client task timeout; a timed-out client drops out of the round",
-    )
-    run_p.add_argument(
-        "--retry-backoff-s",
-        type=float,
-        default=0.0,
-        help="base seconds of the capped exponential backoff (seeded jitter) "
-        "slept between parallel-executor retry attempts (default 0: retry "
-        "immediately)",
-    )
-    run_p.add_argument(
-        "--engine",
-        choices=("sync", "async"),
-        default="sync",
-        help="round engine: 'sync' (barrier, the reference) or 'async' "
-        "(event-driven buffered aggregation with staleness discounts; "
-        "docs/ASYNC.md)",
-    )
-    run_p.add_argument(
-        "--max-staleness",
-        type=int,
-        default=0,
-        metavar="S",
-        help="async: discard contributions more than S server versions old "
-        "(default 0)",
-    )
-    run_p.add_argument(
-        "--staleness-alpha",
-        type=float,
-        default=0.5,
-        metavar="A",
-        help="async: staleness discount base — an s-versions-old "
-        "contribution weighs alpha**s (default 0.5)",
-    )
-    run_p.add_argument(
-        "--buffer-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help="async: aggregate once K contributions arrive (default: wait "
-        "for the whole pipeline — the sync-equivalent degenerate mode)",
-    )
-    run_p.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="PLAN.json",
-        help="async: JSON fault plan injecting deterministic chaos "
-        "(stragglers, crashes, flaky clients, churn; docs/ASYNC.md)",
-    )
-    run_p.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="autosave exact-resume checkpoints to this file",
-    )
-    run_p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="autosave cadence in rounds (with --checkpoint; default 1)",
-    )
+    hints = get_type_hints(RunKnobs)
+    for f in RUN_KNOBS:
+        flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+        shared = {"dest": f.name, "help": f.metadata["help"]}
+        # Optional[int] -> int; the CLI spelling of a fault plan is its path
+        kind = (get_args(hints[f.name]) or (hints[f.name],))[0]
+        if kind is bool:
+            run_p.add_argument(flag, action="store_true", **shared)
+            continue
+        choices = f.metadata["choices"]
+        run_p.add_argument(
+            flag,
+            type=kind,
+            default=f.default,
+            choices=choices,
+            metavar=None if choices else _METAVARS[kind],
+            **shared,
+        )
+    # on the command line, naming a checkpoint file means autosaving to it
+    run_p.set_defaults(checkpoint_every=1)
     run_p.add_argument(
         "--resume",
         action="store_true",
         help="resume from --checkpoint if it exists; the finished run is "
         "bit-identical to one that never stopped",
-    )
-    run_p.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a structured JSONL event trace of the run "
-        "(docs/OBSERVABILITY.md documents the schema)",
-    )
-    run_p.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="export the metrics registry to this .jsonl/.json/.csv file",
-    )
-    run_p.add_argument(
-        "--profile",
-        action="store_true",
-        help="enable the op-level profiler (repro.obs.profile); aggregates "
-        "land in the metrics export and the trace's 'profile' scope — "
-        "analyse them with `repro trace summarize`",
     )
     run_p.add_argument("--out", default=None, help="path for the history JSON")
     run_p.add_argument("--verbose", action="store_true")
@@ -344,32 +244,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.resume and not args.checkpoint:
+    if args.resume and not args.checkpoint_path:
         print("--resume requires --checkpoint", file=sys.stderr)
         return 2
+    knobs = {f.name: getattr(args, f.name) for f in RUN_KNOBS}
+    if not args.checkpoint_path:
+        knobs["checkpoint_every"] = 0
     setting = ExperimentSetting(
         dataset=args.dataset,
         partition=args.partition,
         heterogeneous=args.heterogeneous,
         scale=args.scale,
         seed=args.seed,
-        clients_per_round=args.clients_per_round,
-        max_live_clients=args.max_live_clients,
-        eval_clients=args.eval_clients,
-        executor=args.executor,
-        max_workers=args.max_workers,
-        task_timeout_s=args.task_timeout_s,
-        retry_backoff_s=args.retry_backoff_s,
-        engine=args.engine,
-        max_staleness=args.max_staleness,
-        staleness_alpha=args.staleness_alpha,
-        buffer_size=args.buffer_size,
-        fault_plan=args.fault_plan,
-        checkpoint_every=args.checkpoint_every if args.checkpoint else 0,
-        checkpoint_path=args.checkpoint,
-        trace_path=args.trace,
-        metrics_path=args.metrics_out,
-        profile=args.profile,
+        **knobs,
     )
     history = run_algorithm(
         setting, args.algorithm, rounds=args.rounds, resume=args.resume
@@ -385,10 +272,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         with open(args.out, "w") as f:
             json.dump(history.to_dict(), f, indent=2)
         print(f"history written to {args.out}")
-    if args.trace:
-        print(f"trace written to {args.trace}")
-    if args.metrics_out:
-        print(f"metrics written to {args.metrics_out}")
+    if args.trace_path:
+        print(f"trace written to {args.trace_path}")
+    if args.metrics_path:
+        print(f"metrics written to {args.metrics_path}")
     return 0
 
 

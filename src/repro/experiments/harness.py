@@ -18,7 +18,7 @@ from ..algorithms import algorithm_supports, build_algorithm
 from ..data.datasets import FederatedDataBundle, make_task
 from ..fl.async_engine import AsyncRoundEngine
 from ..fl.checkpoint import load_checkpoint, load_history, read_checkpoint_meta
-from ..fl.config import FederationConfig
+from ..fl.config import RUN_KNOBS, FederationConfig, RunKnobs, knob
 from ..fl.metrics import RunHistory
 from ..fl.simulation import build_federation
 
@@ -86,44 +86,25 @@ PARTITIONS: Dict[str, Tuple[str, dict]] = {
 
 
 @dataclass
-class ExperimentSetting:
-    """One experimental cell: dataset × partition × model setting × scale."""
+class ExperimentSetting(RunKnobs):
+    """One experimental cell: dataset × partition × model setting × scale.
 
-    dataset: str = "cifar10"
-    partition: str = "dir0.5"
-    heterogeneous: bool = False
-    scale: str = "tiny"
-    seed: int = 0
-    scale_overrides: dict = field(default_factory=dict)
-    # cohort simulation at scale (see repro.fl.registry / docs/SCALE.md):
-    # sample a sub-cohort per round, cap carried-over materialised clients,
-    # and evaluate C_acc on a seeded per-round sample
-    clients_per_round: Optional[int] = None
-    max_live_clients: Optional[int] = None
-    eval_clients: Optional[int] = None
-    # client-execution runtime (see repro.runtime)
-    executor: str = "serial"
-    max_workers: Optional[int] = None
-    task_timeout_s: Optional[float] = None
-    retry_backoff_s: float = 0.0
-    # round engine (see repro.fl.async_engine / docs/ASYNC.md); the async
-    # knobs are ignored under the default sync engine
-    engine: str = "sync"
-    max_staleness: int = 0
-    staleness_alpha: float = 0.5
-    buffer_size: Optional[int] = None
-    fault_plan: Optional[object] = None  # JSON path, dict, or FaultPlan
-    # exact-resume autosave (see repro.fl.checkpoint / docs/CHECKPOINT.md)
-    checkpoint_every: int = 0
-    checkpoint_path: Optional[str] = None
-    # observability (see repro.obs / docs/OBSERVABILITY.md)
-    trace_path: Optional[str] = None
-    metrics_path: Optional[str] = None
-    profile: bool = False
+    The run knobs (round engine, cohort, executor, checkpoint,
+    observability) are the keyword-only fields inherited from
+    :class:`~repro.fl.config.RunKnobs`; every field carries its sweep
+    run-key role.
+    """
+
+    dataset: str = knob("cifar10", "key")
+    partition: str = knob("dir0.5", "key")
+    heterogeneous: bool = knob(False, "key")
+    scale: str = knob("tiny", "key")
+    seed: int = knob(0, "key")
+    scale_overrides: dict = field(default_factory=dict, metadata={"role": "key"})
     # artifact root: relative checkpoint/trace/metrics paths resolve under
     # this directory, so a sweep (or any caller) can redirect a run's
     # artifacts without chdir tricks.  None keeps paths as given.
-    out_dir: Optional[str] = None
+    out_dir: Optional[str] = knob(None, "managed")
 
     def scale_config(self) -> ScaleConfig:
         base = SCALES[self.scale].sized_for(self.dataset)
@@ -140,6 +121,16 @@ class ExperimentSetting:
         if path is None or self.out_dir is None or os.path.isabs(path):
             return path
         return os.path.join(self.out_dir, path)
+
+    def run_knobs(self) -> Dict[str, object]:
+        """The knob values a ``FederationConfig`` takes over, with the
+        artifact paths (``*_path``) resolved under ``out_dir``."""
+        return {
+            f.name: self.resolve_artifact(getattr(self, f.name))
+            if f.name.endswith("_path")
+            else getattr(self, f.name)
+            for f in RUN_KNOBS
+        }
 
 
 def make_bundle(setting: ExperimentSetting) -> FederatedDataBundle:
@@ -217,23 +208,7 @@ def federation_for(
         client_models=roles["client_models"],
         server_model=server_model,
         seed=setting.seed,
-        clients_per_round=setting.clients_per_round,
-        max_live_clients=setting.max_live_clients,
-        eval_clients=setting.eval_clients,
-        executor=setting.executor,
-        max_workers=setting.max_workers,
-        task_timeout_s=setting.task_timeout_s,
-        retry_backoff_s=setting.retry_backoff_s,
-        engine=setting.engine,
-        max_staleness=setting.max_staleness,
-        staleness_alpha=setting.staleness_alpha,
-        buffer_size=setting.buffer_size,
-        fault_plan=setting.fault_plan,
-        checkpoint_every=setting.checkpoint_every,
-        checkpoint_path=setting.resolve_artifact(setting.checkpoint_path),
-        trace_path=setting.resolve_artifact(setting.trace_path),
-        metrics_path=setting.resolve_artifact(setting.metrics_path),
-        profile=setting.profile,
+        **setting.run_knobs(),
     )
     return build_federation(bundle, config)
 
@@ -269,13 +244,7 @@ def run_algorithm(
         # carry pipeline state the loader hands to algo.async_engine
         runner = algo
         if setting.engine == "async":
-            runner = AsyncRoundEngine(
-                algo,
-                max_staleness=setting.max_staleness,
-                staleness_alpha=setting.staleness_alpha,
-                buffer_size=setting.buffer_size,
-                fault_plan=setting.fault_plan,
-            )
+            runner = AsyncRoundEngine.from_config(algo, setting)
         history: Optional[RunHistory] = None
         rounds_done = 0
         if resume:

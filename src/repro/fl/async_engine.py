@@ -148,14 +148,14 @@ class AsyncRoundEngine:
 
     @classmethod
     def from_config(cls, algo, config) -> "AsyncRoundEngine":
-        """Build the engine a :class:`~repro.fl.config.FederationConfig`
-        describes (``engine="async"`` plus its knobs)."""
+        """Build the engine a :class:`~repro.fl.config.RunKnobs` carrier
+        (a ``FederationConfig`` or an ``ExperimentSetting``) describes."""
         return cls(
             algo,
-            max_staleness=getattr(config, "max_staleness", 0),
-            staleness_alpha=getattr(config, "staleness_alpha", 0.5),
-            buffer_size=getattr(config, "buffer_size", None),
-            fault_plan=getattr(config, "fault_plan", None),
+            max_staleness=config.max_staleness,
+            staleness_alpha=config.staleness_alpha,
+            buffer_size=config.buffer_size,
+            fault_plan=config.fault_plan,
         )
 
     # ------------------------------------------------------------------

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["TrainingConfig", "FederationConfig"]
+__all__ = [
+    "TrainingConfig",
+    "FederationConfig",
+    "RunKnobs",
+    "RUN_KNOBS",
+    "knob",
+    "field_roles",
+]
 
 
 @dataclass
@@ -32,9 +39,217 @@ class TrainingConfig:
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
 
 
+#: How the sweep run key treats a field (see docs/SWEEP.md): ``key`` fields
+#: change the recorded history and are hashed; ``runtime`` fields are
+#: execution detail the equivalence tests prove bit-neutral, so cached
+#: results are shared across them; ``managed`` fields are artifact
+#: destinations owned by the scheduler and rejected in a spec.
+ROLES = ("key", "runtime", "managed")
+
+
+def knob(default, role, help=None, *, flag=None, choices=None):
+    """Declare one dataclass field together with its run-key role.
+
+    ``help`` is the one description of the knob (the ``repro run`` flag
+    shows it), ``flag`` its CLI spelling where that is not
+    ``--<name-with-dashes>``, ``choices`` the values it accepts.
+    """
+    return field(
+        default=default,
+        metadata={"role": role, "help": help, "flag": flag, "choices": choices},
+    )
+
+
+def field_roles(cls) -> Dict[str, str]:
+    """``{field name: role}`` of a dataclass whose fields all declare one."""
+    roles = {f.name: f.metadata.get("role") for f in fields(cls)}
+    missing = [name for name, role in roles.items() if role not in ROLES]
+    if missing:
+        raise TypeError(
+            f"{cls.__name__} fields {missing} declare no run-key role; "
+            f"declare them with knob(default, role), role one of {ROLES}"
+        )
+    return roles
+
+
+@dataclass(kw_only=True)
+class RunKnobs:
+    """The pass-through run knobs, each declared exactly once.
+
+    :class:`FederationConfig` and ``ExperimentSetting`` inherit these
+    fields, ``federation_for`` forwards them, ``repro run`` builds one flag
+    per field, and the sweep run key hashes the ``key`` ones — so adding a
+    knob is adding one line here (docs/DEVELOPMENT.md).  Fields are
+    keyword-only and grouped by role.  A knob named ``*_path`` is an
+    artifact destination: a relative value resolves under
+    ``ExperimentSetting.out_dir``.
+    """
+
+    # -- key: round engine (repro.fl.async_engine, docs/ASYNC.md) and cohort
+    # sampling (docs/SCALE.md); the async knobs are ignored under "sync"
+    engine: str = knob(
+        "sync", "key",
+        "round engine: 'sync' (the barrier engine, bit-identical reference) "
+        "or 'async' (event-driven buffered aggregation with staleness "
+        "discounts; with --max-staleness 0, a full buffer and no faults it "
+        "reproduces the sync history bit-for-bit)",
+        choices=("sync", "async"),
+    )
+    max_staleness: int = knob(
+        0, "key",
+        "async: discard (and count) contributions more than this many "
+        "server versions old at arrival",
+    )
+    staleness_alpha: float = knob(
+        0.5, "key",
+        "async: staleness discount base in (0, 1] — a contribution s "
+        "versions old is folded in with weight alpha**s",
+    )
+    buffer_size: Optional[int] = knob(
+        None, "key",
+        "async: aggregate as soon as this many contributions have arrived "
+        "(default: wait for every in-flight dispatch — the sync-equivalent "
+        "degenerate mode)",
+    )
+    fault_plan: Optional[Union[str, Dict, object]] = knob(
+        None, "key",
+        "async: deterministic chaos schedule (stragglers, crashes, flaky "
+        "clients, churn) as a JSON file; the library also takes an inline "
+        "dict or a repro.fl.failures.FaultPlan",
+    )
+    clients_per_round: Optional[int] = knob(
+        None, "key",
+        "sample this many clients as the round's cohort, before dropout, "
+        "instead of the paper's full participation",
+    )
+    eval_clients: Optional[int] = knob(
+        None, "key",
+        "evaluate C_acc on a seeded per-evaluation sample of this many "
+        "clients instead of the whole population",
+    )
+
+    # -- runtime: histories are bit-identical across all of these
+    executor: str = knob(
+        "serial", "runtime",
+        "client-execution runtime: 'serial' (inline) or 'parallel' (a "
+        "process pool; see repro.runtime)",
+        choices=("serial", "parallel"),
+    )
+    max_workers: Optional[int] = knob(
+        None, "runtime",
+        "worker processes of the parallel executor (default: "
+        "min(clients, cores))",
+    )
+    task_timeout_s: Optional[float] = knob(
+        None, "runtime",
+        "per-task result deadline under the parallel executor; a client "
+        "that exhausts its retries is a runtime dropout for the round",
+    )
+    retry_backoff_s: float = knob(
+        0.0, "runtime",
+        "base seconds of the capped exponential backoff (seeded jitter) the "
+        "parallel executor sleeps between retry attempts; 0 retries "
+        "immediately",
+    )
+    max_live_clients: Optional[int] = knob(
+        None, "runtime",
+        "carry at most this many materialised clients across rounds; the "
+        "rest are lazy registry entries with mutated state spilled to disk "
+        "(repro.fl.registry; default: never evict). Incompatible with the "
+        "parallel executor, whose pool materialises every client",
+    )
+    profile: bool = knob(
+        False, "runtime",
+        "enable the op-level substrate profiler (repro.obs.profile): per-op "
+        "wall time, FLOPs and bytes as profile/* metrics and 'profile' "
+        "trace events for `repro trace summarize`; never perturbs numerics",
+    )
+
+    # -- managed: artifacts (docs/CHECKPOINT.md, docs/OBSERVABILITY.md)
+    checkpoint_path: Optional[str] = knob(
+        None, "managed",
+        "autosave exact-resume checkpoints to this file (atomic writes)",
+        flag="--checkpoint",
+    )
+    checkpoint_every: int = knob(
+        0, "managed",
+        "autosave cadence in rounds, 0 = off (the final round always saves); "
+        "needs a checkpoint path — `repro run` uses 1 once --checkpoint is "
+        "given",
+    )
+    trace_path: Optional[str] = knob(
+        None, "managed",
+        "write the structured JSONL event trace of the run here (schema in "
+        "docs/OBSERVABILITY.md)",
+        flag="--trace",
+    )
+    metrics_path: Optional[str] = knob(
+        None, "managed",
+        "export the metrics registry to this .jsonl/.json/.csv file; this "
+        "or a trace path also merges the metrics snapshot into each "
+        "RoundRecord.extras",
+        flag="--metrics-out",
+    )
+
+    def __post_init__(self) -> None:
+        for f in RUN_KNOBS:
+            choices = f.metadata["choices"]
+            if choices and getattr(self, f.name) not in choices:
+                raise ValueError(f"unknown {f.name} '{getattr(self, f.name)}'")
+        if self.max_live_clients is not None and self.max_live_clients < 1:
+            raise ValueError(
+                f"max_live_clients must be >= 1, got {self.max_live_clients}"
+            )
+        if self.eval_clients is not None and self.eval_clients < 1:
+            raise ValueError(
+                f"eval_clients must be >= 1, got {self.eval_clients}"
+            )
+        if self.max_live_clients is not None and self.executor == "parallel":
+            raise ValueError(
+                "max_live_clients is incompatible with executor='parallel': "
+                "the worker pool materialises every client at startup, "
+                "defeating the bounded registry"
+            )
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
+        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
+            raise ValueError("task_timeout_s must be positive")
+        if self.retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be >= 0")
+        if self.max_staleness < 0:
+            raise ValueError("max_staleness must be >= 0")
+        if not 0.0 < self.staleness_alpha <= 1.0:
+            raise ValueError(
+                f"staleness_alpha must be in (0, 1], got {self.staleness_alpha}"
+            )
+        if self.buffer_size is not None and self.buffer_size < 1:
+            raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
+        if self.checkpoint_every < 0:
+            raise ValueError(
+                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
+            )
+        if self.checkpoint_every > 0 and not self.checkpoint_path:
+            raise ValueError("checkpoint_every requires a checkpoint_path")
+        if self.metrics_path and not self.metrics_path.endswith(
+            (".jsonl", ".json", ".csv")
+        ):
+            raise ValueError(
+                f"metrics_path '{self.metrics_path}' must end in .jsonl, "
+                ".json or .csv"
+            )
+
+
+field_roles(RunKnobs)  # a knob declared without a role fails right here
+#: The knob fields, in declaration order — what every other layer iterates.
+RUN_KNOBS = fields(RunKnobs)
+
+
 @dataclass
-class FederationConfig:
+class FederationConfig(RunKnobs):
     """Describes how to build the federation for an experiment.
+
+    The run knobs (executor, engine, cohort, checkpoint, observability) are
+    inherited from :class:`RunKnobs`, where each carries its description.
 
     Attributes
     ----------
@@ -57,88 +272,11 @@ class FederationConfig:
     dropout_prob:
         Per-round probability that a client is unavailable (failure
         injection; 0 reproduces the paper's full-participation setting).
-    clients_per_round:
-        Sample this many clients as the round's cohort before dropout is
-        applied (cross-device participation at scale; see docs/SCALE.md).
-        ``None`` (default) keeps the paper's full-participation setting.
-    max_live_clients:
-        Carry at most this many materialised clients across rounds; the
-        rest live as lazy registry entries, with mutated state spilled to
-        an npz shard store (:mod:`repro.fl.registry`).  ``None`` (default)
-        never evicts — bit-identical to the historical eager path.
-        Incompatible with ``executor="parallel"``, whose worker pool
-        materialises every client at startup.
-    eval_clients:
-        Evaluate the personalised ``C_acc`` metric on a seeded sample of
-        this many clients per evaluation instead of the whole population
-        (keeps ``_record_if_due`` O(sample) at large N).  ``None``
-        evaluates everyone.
     spill_dir:
         Directory for the registry's spill store (``None`` = a private
         temporary directory removed on ``Federation.close()``).
-    executor:
-        Client-execution runtime: ``"serial"`` (inline, the default) or
-        ``"parallel"`` (process pool; see :mod:`repro.runtime`).  For a
-        fixed seed both produce bit-identical run histories.
-    max_workers:
-        Worker-process count for the parallel executor (``None`` sizes the
-        pool to ``min(num_clients, cpu_count)``).
-    task_timeout_s:
-        Per-task result deadline under the parallel executor; a client
-        whose task exhausts its timeout budget is recorded as a runtime
-        dropout for that round.  ``None`` disables the deadline.
     task_retries:
         Extra attempts granted to a task after a timeout or worker death.
-    retry_backoff_s:
-        Base seconds of the capped exponential backoff the parallel
-        executor sleeps between retry attempts (seeded jitter included);
-        0 retries immediately (the historical behaviour).
-    engine:
-        Round engine: ``"sync"`` (the barrier engine, bit-identical
-        reference) or ``"async"`` (event-driven streaming aggregation with
-        staleness discounts; see :mod:`repro.fl.async_engine` and
-        docs/ASYNC.md).  Async with ``max_staleness=0``, a full buffer and
-        no faults reproduces the sync history bit-for-bit.
-    max_staleness:
-        Async engine: contributions older than this many server versions
-        at arrival are discarded (and counted) instead of aggregated.
-    staleness_alpha:
-        Async engine: staleness discount base — a contribution that is
-        ``s`` versions old is folded in with weight ``alpha ** s``.
-    buffer_size:
-        Async engine: aggregate as soon as this many contributions have
-        arrived.  ``None`` (default) waits for every in-flight dispatch —
-        the full-barrier degenerate mode.
-    fault_plan:
-        Deterministic chaos schedule for the async engine: a JSON file
-        path, an inline dict, or a :class:`~repro.fl.failures.FaultPlan`
-        (stragglers, crashes, flaky clients, churn).  ``None`` injects
-        nothing.
-    checkpoint_every:
-        Autosave cadence in rounds for exact-resume checkpoints (0 = off).
-        Saves also fire on the final round, so an interrupted run can always
-        restart from its last completed multiple.
-    checkpoint_path:
-        Destination file for autosaved checkpoints (atomic writes; see
-        :mod:`repro.fl.checkpoint`).  Required when ``checkpoint_every`` is
-        set.
-    trace_path:
-        Destination for the structured JSONL event trace (run → round →
-        stage → client spans; see :mod:`repro.obs` and
-        ``docs/OBSERVABILITY.md``).  ``None`` (the default) installs the
-        no-op tracer at near-zero overhead.
-    metrics_path:
-        Destination for the metrics-registry export (``.jsonl``/``.json``
-        or ``.csv``).  Setting either this or ``trace_path`` enables the
-        metrics registry, whose snapshot is merged into each
-        ``RoundRecord.extras``.
-    profile:
-        Enable the op-level substrate profiler (:mod:`repro.obs.profile`):
-        per-op wall time / estimated FLOPs / bytes, attributed per stage
-        and model architecture, exported as ``profile/*`` metric gauges
-        and ``profile``-scope trace events.  Profiling never perturbs
-        numerics — a profiled run's history matches the unprofiled one —
-        and the default (off) adds a single predicate check per op.
     """
 
     num_clients: int = 8
@@ -148,26 +286,9 @@ class FederationConfig:
     feature_dim: int = 32
     local_test_fraction: float = 0.2
     dropout_prob: float = 0.0
-    clients_per_round: Optional[int] = None
-    max_live_clients: Optional[int] = None
-    eval_clients: Optional[int] = None
     spill_dir: Optional[str] = None
     seed: int = 0
-    executor: str = "serial"
-    max_workers: Optional[int] = None
-    task_timeout_s: Optional[float] = None
     task_retries: int = 1
-    retry_backoff_s: float = 0.0
-    engine: str = "sync"
-    max_staleness: int = 0
-    staleness_alpha: float = 0.5
-    buffer_size: Optional[int] = None
-    fault_plan: Optional[Union[str, Dict, object]] = None
-    checkpoint_every: int = 0
-    checkpoint_path: Optional[str] = None
-    trace_path: Optional[str] = None
-    metrics_path: Optional[str] = None
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
@@ -184,53 +305,9 @@ class FederationConfig:
                 f"clients_per_round must be in [1, num_clients], got "
                 f"{self.clients_per_round}"
             )
-        if self.max_live_clients is not None and self.max_live_clients < 1:
-            raise ValueError(
-                f"max_live_clients must be >= 1, got {self.max_live_clients}"
-            )
-        if self.eval_clients is not None and self.eval_clients < 1:
-            raise ValueError(
-                f"eval_clients must be >= 1, got {self.eval_clients}"
-            )
-        if self.executor not in ("serial", "parallel"):
-            raise ValueError(f"unknown executor '{self.executor}'")
-        if self.max_live_clients is not None and self.executor == "parallel":
-            raise ValueError(
-                "max_live_clients is incompatible with executor='parallel': "
-                "the worker pool materialises every client at startup, "
-                "defeating the bounded registry"
-            )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ValueError("task_timeout_s must be positive")
         if self.task_retries < 0:
             raise ValueError("task_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
-        if self.engine not in ("sync", "async"):
-            raise ValueError(f"unknown engine '{self.engine}'")
-        if self.max_staleness < 0:
-            raise ValueError("max_staleness must be >= 0")
-        if not 0.0 < self.staleness_alpha <= 1.0:
-            raise ValueError(
-                f"staleness_alpha must be in (0, 1], got {self.staleness_alpha}"
-            )
-        if self.buffer_size is not None and self.buffer_size < 1:
-            raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
-        if self.checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
-            )
-        if self.checkpoint_every > 0 and not self.checkpoint_path:
-            raise ValueError("checkpoint_every requires a checkpoint_path")
-        if self.metrics_path and not self.metrics_path.endswith(
-            (".jsonl", ".json", ".csv")
-        ):
-            raise ValueError(
-                f"metrics_path '{self.metrics_path}' must end in .jsonl, "
-                ".json or .csv"
-            )
+        super().__post_init__()
 
     def client_model_names(self) -> List[str]:
         """Resolve per-client model names (cycling a heterogeneous list)."""

@@ -4,9 +4,9 @@ The syntactic rules in :mod:`repro.lint.rules` each look at one module in
 isolation.  This package adds the project layer:
 
 - :mod:`.summary` extracts a JSON-serialisable :class:`ModuleSummary` per
-  module — imports, class/attribute model, dataclass fields, module-level
-  constants, and a per-function dataflow summary (implicit-float64
-  allocation sites and the edges along which their values escape);
+  module — imports, class/attribute model, dataclass fields, and a
+  per-function dataflow summary (implicit-float64 allocation sites and
+  the edges along which their values escape);
 - :mod:`.project` assembles summaries into a :class:`ProjectModel`:
   resolved base-class hierarchy, call-graph edges, and the
   interprocedural float64 taint propagation the ``flow-*`` rules query.

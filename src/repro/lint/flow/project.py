@@ -1,6 +1,6 @@
 """Whole-program model assembled from per-module summaries.
 
-:class:`ProjectModel` owns four global analyses, each exposed as a
+:class:`ProjectModel` owns three global analyses, each exposed as a
 memoised ``*_findings()`` method returning plain dicts keyed by module
 so the corresponding ``flow-*`` rule can filter to the module it is
 currently reporting on:
@@ -17,9 +17,6 @@ currently reporting on:
   ``state_dict`` analogue for the optimizer/scheduler family, including
   attributes written from *outside* the class via annotated handles
   such as ``self.optimizer.scheduled_base_lr``);
-- **run-key drift** — every ``FederationConfig`` field must be
-  classified in ``CONFIG_FIELD_CLASSIFICATION`` and the key/runtime/
-  managed categories must agree with the sweep normalisation tuples;
 - **async protocol** — ``supports_async = True`` implementors must
   match the three-method engine protocol signatures exactly.
 
@@ -91,12 +88,6 @@ _STATE_DICT_EXEMPT_METHODS = frozenset(
     {"__init__", "__post_init__", "load_state_dict"}
 )
 _OPTIM_BASE_NAMES = ("Optimizer", "LRScheduler")
-_CONFIG_CATEGORY_TUPLES = {
-    "key": "_KEY_SETTING_FIELDS",
-    "runtime": "_RUNTIME_SETTING_FIELDS",
-    "managed": "_MANAGED_FIELDS",
-}
-_CONFIG_CATEGORIES = ("key", "runtime", "managed", "derived", "pinned")
 
 
 def _has_prefix(module: str, prefixes: Iterable[str]) -> bool:
@@ -666,126 +657,6 @@ class ProjectModel:
                 )
         findings = _dedupe(findings)
         self._analyses["state_dict"] = findings
-        return findings
-
-    # ------------------------------------------------------------------
-    # config / run-key drift
-    # ------------------------------------------------------------------
-    def run_key_findings(self) -> List[dict]:
-        if "run_key" in self._analyses:
-            return self._analyses["run_key"]
-        findings: List[dict] = []
-        config = None  # (module, class summary)
-        for module, summary in sorted(self.summaries.items()):
-            cls = summary.get("classes", {}).get("FederationConfig")
-            if cls is not None and cls.get("is_dataclass"):
-                config = (module, cls)
-                break
-        classification = None  # (module, const)
-        for module, summary in sorted(self.summaries.items()):
-            const = summary.get("constants", {}).get("CONFIG_FIELD_CLASSIFICATION")
-            if const is not None and const["kind"] == "dict":
-                classification = (module, const)
-                break
-        if config is None:
-            self._analyses["run_key"] = findings
-            return findings
-        config_module, config_cls = config
-        fields = {f["name"]: f["line"] for f in config_cls.get("fields", [])}
-        if classification is None:
-            findings.append(
-                {
-                    "module": config_module,
-                    "line": config_cls["line"],
-                    "col": 0,
-                    "lines": [],
-                    "message": (
-                        "FederationConfig has no CONFIG_FIELD_CLASSIFICATION "
-                        "dict — every field must be classified as "
-                        "key/runtime/managed/derived/pinned so run-key drift "
-                        "is impossible"
-                    ),
-                }
-            )
-            self._analyses["run_key"] = findings
-            return findings
-        spec_module, const = classification
-        entries = const["entries"]
-        tuples = {
-            category: {
-                item["value"]
-                for item in self.summaries[spec_module]
-                .get("constants", {})
-                .get(tuple_name, {"items": []})
-                .get("items", [])
-            }
-            for category, tuple_name in _CONFIG_CATEGORY_TUPLES.items()
-        }
-        for name, line in sorted(fields.items()):
-            if name not in entries:
-                findings.append(
-                    {
-                        "module": config_module,
-                        "line": line,
-                        "col": 0,
-                        "lines": [],
-                        "message": (
-                            f"FederationConfig field '{name}' is not classified "
-                            f"in CONFIG_FIELD_CLASSIFICATION ({spec_module}) — "
-                            "new fields must be declared key/runtime/managed/"
-                            "derived/pinned so sweep run keys cannot drift"
-                        ),
-                    }
-                )
-        for name, entry in sorted(entries.items()):
-            if name not in fields:
-                findings.append(
-                    {
-                        "module": spec_module,
-                        "line": entry["line"],
-                        "col": 0,
-                        "lines": [],
-                        "message": (
-                            f"CONFIG_FIELD_CLASSIFICATION classifies '{name}' "
-                            "which is not a FederationConfig field — remove the "
-                            "stale entry"
-                        ),
-                    }
-                )
-                continue
-            category = entry["value"]
-            if category not in _CONFIG_CATEGORIES:
-                findings.append(
-                    {
-                        "module": spec_module,
-                        "line": entry["line"],
-                        "col": 0,
-                        "lines": [],
-                        "message": (
-                            f"CONFIG_FIELD_CLASSIFICATION['{name}'] = "
-                            f"'{category}' is not one of "
-                            f"{'/'.join(_CONFIG_CATEGORIES)}"
-                        ),
-                    }
-                )
-                continue
-            tuple_name = _CONFIG_CATEGORY_TUPLES.get(category)
-            if tuple_name is not None and name not in tuples[category]:
-                findings.append(
-                    {
-                        "module": spec_module,
-                        "line": entry["line"],
-                        "col": 0,
-                        "lines": [],
-                        "message": (
-                            f"field '{name}' is classified as '{category}' but "
-                            f"missing from {tuple_name} — the run-key "
-                            "normalisation would not see it"
-                        ),
-                    }
-                )
-        findings = _dedupe(findings)
-        self._analyses["run_key"] = findings
         return findings
 
     # ------------------------------------------------------------------

@@ -6,12 +6,10 @@ analyses need, so the original source never has to be re-parsed:
 
 - the import table (local name → dotted target, relative imports
   resolved against the module's own dotted name);
-- a class model: bases, decorators, dataclass fields, class-level
+- a class model: bases, annotated (dataclass) fields, class-level
   constant assignments (``supports_async = True``), and per-method
   ``self.*`` stores/loads including nested ``self.owner.attr`` writes
   and dynamic ``__dict__``/``setattr`` escapes;
-- module-level tuple/dict constants (run-key field lists, the config
-  field classification) with per-entry line numbers;
 - a per-function **dataflow summary** for the dtype pass: implicit
   float64 allocation sites (``np.zeros(...)`` with no ``dtype=``) plus
   the local escape edges of every tainted value — returns, call
@@ -40,7 +38,7 @@ __all__ = ["SUMMARY_VERSION", "ModuleSummary", "summarize_module"]
 #: Bump whenever the summary schema or the extraction logic changes —
 #: the incremental cache folds this into its signature, so stale
 #: summaries are discarded wholesale instead of mixing schemas.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 _NP_NAMES = {"np", "numpy"}
 _NP_ALLOC_FNS = {"full", "zeros", "ones", "empty"}
@@ -614,14 +612,6 @@ def _class_summary(cnode: ast.ClassDef) -> dict:
         chain = _dotted(base)
         if chain:
             bases.append(list(chain))
-    decorators = []
-    for dec in cnode.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        chain = _dotted(target)
-        if chain:
-            decorators.append(list(chain))
-    is_dataclass = any(dec and dec[-1] == "dataclass" for dec in decorators)
-
     fields: List[dict] = []
     class_assigns: Dict[str, dict] = {}
     methods: Dict[str, dict] = {}
@@ -647,61 +637,10 @@ def _class_summary(cnode: ast.ClassDef) -> dict:
         "name": cnode.name,
         "line": cnode.lineno,
         "bases": bases,
-        "decorators": decorators,
-        "is_dataclass": is_dataclass,
         "fields": fields,
         "class_assigns": class_assigns,
         "methods": methods,
     }
-
-
-# ----------------------------------------------------------------------
-# module constants (run-key tuples, the config classification dict)
-# ----------------------------------------------------------------------
-def _module_constants(tree: ast.Module) -> Dict[str, dict]:
-    constants: Dict[str, dict] = {}
-    for stmt in tree.body:
-        if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-            continue
-        target = stmt.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        value = stmt.value
-        if isinstance(value, (ast.Tuple, ast.List)):
-            items = []
-            for elt in value.elts:
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                    items.append({"value": elt.value, "line": elt.lineno})
-                else:
-                    items = None
-                    break
-            if items is not None:
-                constants[target.id] = {
-                    "kind": "tuple",
-                    "line": stmt.lineno,
-                    "items": items,
-                }
-        elif isinstance(value, ast.Dict):
-            entries = {}
-            ok = True
-            for key, val in zip(value.keys, value.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and isinstance(val, ast.Constant)
-                    and isinstance(val.value, str)
-                ):
-                    entries[key.value] = {"value": val.value, "line": key.lineno}
-                else:
-                    ok = False
-                    break
-            if ok and entries:
-                constants[target.id] = {
-                    "kind": "dict",
-                    "line": stmt.lineno,
-                    "entries": entries,
-                }
-    return constants
 
 
 # ----------------------------------------------------------------------
@@ -755,7 +694,6 @@ def summarize_module(
         "defs": sorted(module_defs),
         "classes": classes,
         "functions": functions,
-        "constants": _module_constants(tree),
         "pragmas": {
             "by_line": {
                 str(line): sorted(rules)

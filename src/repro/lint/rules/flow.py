@@ -15,9 +15,8 @@ Packs:
 - ``flow-checkpoint`` — exact-resume completeness for
   ``FederatedAlgorithm`` (``extra_state`` round-trip) and the
   optimizer/scheduler family (``state_dict`` round-trip);
-- ``flow-config`` — sweep run-key drift for ``FederationConfig`` fields
-  and async-protocol signature conformance for ``supports_async``
-  implementors.
+- ``flow-config`` — async-protocol signature conformance for
+  ``supports_async`` implementors.
 """
 
 from __future__ import annotations
@@ -106,29 +105,6 @@ def check_flow_extra_state(ctx):
 )
 def check_flow_state_dict(ctx):
     yield from _module_findings(ctx, ctx.project.state_dict_findings())
-
-
-@register(
-    "flow-run-key-drift",
-    pack="flow-config",
-    severity="error",
-    summary="FederationConfig field missing from run-key classification",
-    description=(
-        "Sweep run keys (PR 6/7) are content hashes over normalised "
-        "config settings; a `FederationConfig` field that is neither "
-        "hashed nor explicitly excluded silently aliases distinct runs "
-        "into one cache entry. Every field must appear in "
-        "`CONFIG_FIELD_CLASSIFICATION` as key/runtime/managed/derived/"
-        "pinned, and key/runtime/managed entries must be listed in the "
-        "corresponding `_KEY_SETTING_FIELDS`/`_RUNTIME_SETTING_FIELDS`/"
-        "`_MANAGED_FIELDS` normalisation tuples. Stale entries for "
-        "removed fields are flagged too."
-    ),
-    packages=("repro.fl", "repro.sweep"),
-    requires_project=True,
-)
-def check_flow_run_key_drift(ctx):
-    yield from _module_findings(ctx, ctx.project.run_key_findings())
 
 
 @register(

@@ -1,9 +1,8 @@
 """Trace/metrics schema validation behind ``repro lint --traces``.
 
-This is the importable core of what ``scripts/validate_trace.py`` does:
-validate a JSONL trace (and optionally a metrics export) against the
-:mod:`repro.obs` schema, then check that expected scopes and span/event
-names actually occur.  CI exercises it through the same ``repro lint``
+The importable core of that mode: validate a JSONL trace (and optionally
+a metrics export) against the :mod:`repro.obs` schema, then check that
+expected scopes and span/event names actually occur.  CI exercises it through the same ``repro lint``
 entrypoint as the static rules, so there is one gate to wire, not two.
 """
 

@@ -50,9 +50,9 @@ class Observability:
         feeds ``RoundRecord.extras`` even when only tracing was asked for);
         with neither, the bundle is disabled.
         """
-        trace_path = getattr(config, "trace_path", None)
-        metrics_path = getattr(config, "metrics_path", None)
-        profile = bool(getattr(config, "profile", False))
+        trace_path = config.trace_path
+        metrics_path = config.metrics_path
+        profile = config.profile
         if not trace_path and not metrics_path and not profile:
             return cls.disabled()
         tracer = Tracer(trace_path) if trace_path else NullTracer()

@@ -27,7 +27,7 @@ are validated by :func:`validate_metrics_record`.
 
 The validator raises :class:`SchemaError` with a message naming the
 offending field; the CI smoke job runs it over every line of a real traced
-run (``scripts/validate_trace.py``).
+run (``repro lint --traces``).
 """
 
 from __future__ import annotations

@@ -497,14 +497,14 @@ class ParallelExecutor(Executor):
 
 def make_executor(config) -> Executor:
     """Build the executor a :class:`~repro.fl.config.FederationConfig` asks for."""
-    kind = getattr(config, "executor", "serial")
+    kind = config.executor
     if kind == "parallel":
         return ParallelExecutor(
-            max_workers=getattr(config, "max_workers", None),
-            task_timeout_s=getattr(config, "task_timeout_s", None),
-            task_retries=getattr(config, "task_retries", 1),
-            retry_backoff_s=getattr(config, "retry_backoff_s", 0.0),
-            backoff_seed=getattr(config, "seed", 0),
+            max_workers=config.max_workers,
+            task_timeout_s=config.task_timeout_s,
+            task_retries=config.task_retries,
+            retry_backoff_s=config.retry_backoff_s,
+            backoff_seed=config.seed,
         )
     if kind == "serial":
         return SerialExecutor()

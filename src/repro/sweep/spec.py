@@ -39,13 +39,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Sequence
 
 from .. import __version__
 from ..algorithms import ALGORITHMS
 from ..experiments.harness import PARTITIONS, SCALES, ExperimentSetting
 from ..fl.checkpoint import CHECKPOINT_FORMAT_VERSION
+from ..fl.config import field_roles
 
 __all__ = [
     "RUN_KEY_VERSION",
@@ -56,93 +57,37 @@ __all__ = [
 
 #: Bump whenever the run-key canonicalisation below changes shape; old
 #: cache entries then stop matching instead of silently colliding.
-#: v2: round-engine fields (engine / max_staleness / staleness_alpha /
-#: buffer_size / fault_plan) entered the key.
-#: v3: cohort fields (clients_per_round / eval_clients) entered the key;
-#: max_live_clients is a runtime field (eviction + spill are bit-neutral).
+#: v2: the round-engine knobs (engine, staleness bound and discount,
+#: buffer trigger, fault plan) entered the key.
+#: v3: the cohort knobs (per-round and per-evaluation sample sizes) entered
+#: the key; the live-client cap is a runtime field (eviction + spill are
+#: bit-neutral).
 RUN_KEY_VERSION = 3
 
-#: ExperimentSetting fields a spec may set (key fields affect results and
-#: enter the run key; runtime fields do not — histories are bit-identical
-#: across executors, so caching across them is sound).  The async-engine
-#: knobs are key fields: staleness discounts, buffer triggers, and fault
-#: plans all change the recorded history.
-_KEY_SETTING_FIELDS = (
-    "dataset",
-    "partition",
-    "heterogeneous",
-    "scale",
-    "seed",
-    "scale_overrides",
-    "engine",
-    "max_staleness",
-    "staleness_alpha",
-    "buffer_size",
-    "fault_plan",
-    "clients_per_round",
-    "eval_clients",
-)
-_RUNTIME_SETTING_FIELDS = (
-    "executor",
-    "max_workers",
-    "task_timeout_s",
-    "retry_backoff_s",
-    "max_live_clients",
-    "profile",
-)
+#: Every ``ExperimentSetting`` field declares its run-key role where it is
+#: defined (:func:`repro.fl.config.knob`; a field without one fails this
+#: import).  ``key`` fields affect results and enter the run key — the
+#: async-engine knobs among them: staleness discounts, buffer triggers and
+#: fault plans all change the recorded history.  ``runtime`` fields do not:
+#: histories are bit-identical across executors, so caching across them is
+#: sound.  ``managed`` fields belong to the scheduler/cache; a spec naming
+#: one is a bug.  The cell's own (positional) fields are listed before the
+#: keyword-only run knobs.
+_SETTING_ROLES = field_roles(ExperimentSetting)
+_SETTING_FIELDS = sorted(fields(ExperimentSetting), key=lambda f: f.kw_only)
+
+
+def _with_role(role: str) -> tuple:
+    return tuple(
+        f.name for f in _SETTING_FIELDS if _SETTING_ROLES[f.name] == role
+    )
+
+
+_KEY_SETTING_FIELDS = _with_role("key")
+_RUNTIME_SETTING_FIELDS = _with_role("runtime")
+_MANAGED_FIELDS = _with_role("managed")
 _EXTRA_FIELDS = ("algorithm", "rounds", "eval_every")
 _ALLOWED_FIELDS = _KEY_SETTING_FIELDS + _RUNTIME_SETTING_FIELDS + _EXTRA_FIELDS
-
-#: Managed by the scheduler/cache; a spec naming one of these is a bug.
-_MANAGED_FIELDS = (
-    "checkpoint_every",
-    "checkpoint_path",
-    "trace_path",
-    "metrics_path",
-    "out_dir",
-)
-
-#: Run-key classification of every ``FederationConfig`` field, enforced
-#: statically by the ``flow-run-key-drift`` lint rule: adding a config
-#: field without declaring how the run key treats it breaks lint, not a
-#: sweep three weeks later.
-#:
-#: - ``key``     — enters the run key (must be in ``_KEY_SETTING_FIELDS``)
-#: - ``runtime`` — execution detail, bit-neutral by the equivalence tests
-#:   (must be in ``_RUNTIME_SETTING_FIELDS``)
-#: - ``managed`` — owned by the scheduler/cache (``_MANAGED_FIELDS``)
-#: - ``derived`` — computed from key settings (dataset/partition/scale),
-#:   so already covered by the settings that derive it
-#: - ``pinned``  — not settable through sweep specs; constant per sweep
-CONFIG_FIELD_CLASSIFICATION = {
-    "seed": "key",
-    "engine": "key",
-    "max_staleness": "key",
-    "staleness_alpha": "key",
-    "buffer_size": "key",
-    "fault_plan": "key",
-    "clients_per_round": "key",
-    "eval_clients": "key",
-    "executor": "runtime",
-    "max_workers": "runtime",
-    "task_timeout_s": "runtime",
-    "retry_backoff_s": "runtime",
-    "max_live_clients": "runtime",
-    "profile": "runtime",
-    "checkpoint_every": "managed",
-    "checkpoint_path": "managed",
-    "trace_path": "managed",
-    "metrics_path": "managed",
-    "num_clients": "derived",
-    "partition": "derived",
-    "client_models": "derived",
-    "server_model": "derived",
-    "feature_dim": "pinned",
-    "local_test_fraction": "pinned",
-    "dropout_prob": "pinned",
-    "task_retries": "pinned",
-    "spill_dir": "pinned",
-}
 
 _CONFIG_PREFIX = "config."
 
@@ -220,9 +165,9 @@ class RunSpec:
         s = self.setting_fields
         parts = [
             self.algorithm,
-            str(s.get("dataset", "cifar10")),
-            str(s.get("partition", "dir0.5")),
-            f"s{s.get('seed', 0)}",
+            str(s.get("dataset", ExperimentSetting.dataset)),
+            str(s.get("partition", ExperimentSetting.partition)),
+            f"s{s.get('seed', ExperimentSetting.seed)}",
         ]
         if s.get("heterogeneous"):
             parts.append("hetero")

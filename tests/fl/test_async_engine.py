@@ -16,6 +16,7 @@ from repro.fl import (
     CheckpointError,
     EngineStalledError,
     FaultPlan,
+    FederationConfig,
     TrainingConfig,
     load_checkpoint,
     load_history,
@@ -110,13 +111,14 @@ class TestConstruction:
     def test_from_config_reads_knobs(self, tiny_bundle):
         algo = make_fedpkd(tiny_bundle)
 
-        class _Cfg:
-            max_staleness = 2
-            staleness_alpha = 0.9
-            buffer_size = 2
-            fault_plan = {"faults": [], "seed": 1}
-
-        engine = AsyncRoundEngine.from_config(algo, _Cfg())
+        config = FederationConfig(
+            engine="async",
+            max_staleness=2,
+            staleness_alpha=0.9,
+            buffer_size=2,
+            fault_plan={"faults": [], "seed": 1},
+        )
+        engine = AsyncRoundEngine.from_config(algo, config)
         assert engine.max_staleness == 2
         assert engine.staleness_alpha == 0.9
         assert engine.buffer_size == 2

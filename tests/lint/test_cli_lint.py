@@ -135,19 +135,6 @@ def test_traces_mode_schema_violation(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().err
 
 
-def test_validate_trace_script_delegates(trace_file):
-    """scripts/validate_trace.py is a thin wrapper over the same core."""
-    import importlib.util
-    from pathlib import Path
-
-    script = Path(__file__).resolve().parents[2] / "scripts" / "validate_trace.py"
-    spec = importlib.util.spec_from_file_location("validate_trace", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.main([str(trace_file)]) == 0
-    assert module.main([str(trace_file), "--expect-scopes", "client"]) == 1
-
-
 # ----------------------------------------------------------------------
 # SARIF output
 # ----------------------------------------------------------------------

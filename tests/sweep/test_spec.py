@@ -62,6 +62,26 @@ class TestRunKey:
         second = [r.run_key() for r in make_spec().expand()]
         assert first == second
 
+    def test_pinned_run_keys(self):
+        # literals computed at RUN_KEY_VERSION 3: a refactor of how the key
+        # fields are gathered must not move a single cached history
+        assert RunSpec("fedavg").run_key() == (
+            "5314a3e1599068cb87a48e801ad7f12e7b2af4ed5c321d3c486c437a1627a499"
+        )
+        busy = RunSpec(
+            "fedpkd",
+            {
+                "scale": "tiny", "seed": 7, "partition": "dir0.1",
+                "heterogeneous": True, "engine": "async", "max_staleness": 2,
+                "buffer_size": 3, "clients_per_round": 3,
+            },
+            {"executor": "parallel", "max_workers": 2, "profile": True},
+            rounds=3,
+        )
+        assert busy.run_key() == (
+            "6130e31e873b22ede34bd13249c6660c41572401e778749995625a365fd4026e"
+        )
+
     def test_defaults_normalised_into_key(self):
         # explicit default == implicit default
         explicit = RunSpec("fedavg", {"dataset": "cifar10", "seed": 0}, rounds=1)

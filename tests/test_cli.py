@@ -275,10 +275,3 @@ class TestAsyncEngineFlags:
                 "run", "--algorithm", "fedavg", "--scale", "tiny",
                 "--rounds", "1", "--engine", "async",
             ])
-
-    def test_retry_backoff_flag_parses(self, capsys):
-        code = main([
-            "run", "--algorithm", "fedavg", "--scale", "tiny",
-            "--rounds", "1", "--retry-backoff-s", "0.5",
-        ])
-        assert code == 0
