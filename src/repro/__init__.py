@@ -35,9 +35,13 @@ Subpackages
     Multi-run orchestration: declarative grid sweeps, a content-hash
     result cache, and a persistent run registry (``python -m repro
     sweep grid.json``).
+``repro.analysis``
+    Deployment diagnostics (prototype geometry, client communities,
+    logit quality, fairness).  Imported on demand: ``import repro`` does
+    not load it, so write ``from repro.analysis import ...``.
 """
 
-from . import analysis, baselines, core, data, fl, nn, runtime
+from . import baselines, core, data, fl, nn, runtime
 from .algorithms import ALGORITHMS, algorithm_supports, build_algorithm
 
 __version__ = "1.0.0"
@@ -48,7 +52,6 @@ __all__ = [
     "fl",
     "core",
     "baselines",
-    "analysis",
     "runtime",
     "ALGORITHMS",
     "build_algorithm",

@@ -5,13 +5,16 @@ similar data* — e.g. to explain why some clients' knowledge dominates the
 aggregate, or to group clients for staged rollouts.  These tools build a
 client similarity graph (from label distributions or prototypes) with
 networkx and find communities.
+
+networkx is an optional dependency (``pip install repro[analysis]``): it is
+imported inside the two graph functions, so the similarity functions and the
+rest of ``repro`` work without it.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -71,6 +74,8 @@ def build_client_graph(
     similarity: np.ndarray, threshold: float = 0.5
 ) -> nx.Graph:
     """Build a weighted client graph keeping edges above ``threshold``."""
+    import networkx as nx
+
     similarity = np.asarray(similarity)
     if similarity.ndim != 2 or similarity.shape[0] != similarity.shape[1]:
         raise ValueError("similarity must be a square matrix")
@@ -91,6 +96,8 @@ def client_communities(
 
     Isolated clients come back as singleton communities.
     """
+    import networkx as nx
+
     graph = build_client_graph(similarity, threshold=threshold)
     if graph.number_of_edges() == 0:
         return [{node} for node in graph.nodes]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..core.prototypes import prototype_coverage
 
@@ -74,8 +73,10 @@ def prototype_separation(
 
     covered = np.flatnonzero(prototype_coverage(prototypes))
     if len(covered) >= 2:
-        pairwise = cdist(prototypes[covered], prototypes[covered])
-        upper = pairwise[np.triu_indices(len(covered), k=1)]
+        rows, cols = np.triu_indices(len(covered), k=1)
+        upper = np.linalg.norm(
+            prototypes[covered[rows]] - prototypes[covered[cols]], axis=1
+        )
         inter = float(upper.mean())
     else:
         inter = 0.0

@@ -32,6 +32,17 @@ class TestSeparation:
         # class-0 members sit 5 away from their given prototype
         assert report.per_class_intra[0] == pytest.approx(5.0)
 
+    def test_inter_class_distance_oracle(self):
+        # pair distances 3, 4, 5 (a 3-4-5 triangle); the uncovered NaN
+        # class takes no part in the mean
+        prototypes = np.array(
+            [[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [np.nan, np.nan]]
+        )
+        feats = prototypes[:3].copy()
+        labels = np.array([0, 1, 2])
+        report = prototype_separation(feats, labels, prototypes)
+        assert report.inter_class_distance == pytest.approx(4.0)
+
     def test_single_class_no_inter(self):
         feats = np.random.default_rng(2).normal(size=(10, 2))
         labels = np.zeros(10, dtype=int)
