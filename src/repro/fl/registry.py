@@ -13,10 +13,13 @@ O(N).  This module provides that shape:
   as the eager path, so a derived client is bit-identical to an eagerly
   built one), and the model is either built fresh from its seed or
   hydrated from the spill store.
-- :class:`ClientModelStore` — one lossless npz shard per *mutated* client
-  (model ``state_dict`` via :func:`repro.nn.serialize.serialize_state`
-  with ``dtype=None`` plus the client RNG stream as a JSON blob), written
-  when a live client is evicted.
+- :class:`ClientModelStore` — one lossless ``client<id>.state`` shard per
+  *mutated* client (the client RNG stream as a JSON blob, then the model
+  ``state_dict`` as a flat :func:`repro.nn.serialize.serialize_state`
+  blob), written when a live client is evicted.  A store only ever reads
+  shards it wrote itself, so a reused ``spill_dir`` never hydrates a
+  previous run's clients, and a corrupt shard raises a ``ValueError``
+  naming the client and path.
 
 Mutation tracking decides what must survive eviction: ``registry[cid]``
 marks the client *dirty* (algorithms train / load weights through it),
@@ -53,16 +56,16 @@ from .client import FLClient
 
 __all__ = ["ClientModelStore", "ClientRegistry"]
 
-_RNG_KEY = "__rng__json"
-
 
 class ClientModelStore:
-    """Spill-to-disk store: one lossless npz shard per client id.
+    """Spill-to-disk store: one lossless shard per client id.
 
-    A shard holds the client model's ``state_dict`` (native dtypes — the
-    same lossless mode the parallel runtime ships state between processes
-    with) and the client's RNG stream state.  ``root=None`` creates a
-    private temporary directory lazily on first write and removes it on
+    A shard holds the client's RNG stream state and its model
+    ``state_dict`` (native dtypes — the same blob the parallel runtime
+    ships state between processes with).  The store tracks the ids it
+    wrote: :meth:`has` and :meth:`clear` see only those, never a shard
+    some earlier store left in the same directory.  ``root=None`` creates
+    a private temporary directory lazily on first write and removes it on
     :meth:`close`; an explicit ``root`` is owned by the caller and left in
     place.
     """
@@ -71,6 +74,7 @@ class ClientModelStore:
         self._root = root
         self._owned = root is None
         self._created = False
+        self._written: set = set()
 
     @property
     def root(self) -> Optional[str]:
@@ -85,16 +89,14 @@ class ClientModelStore:
         return self._root
 
     def _shard_path(self, client_id: int) -> str:
-        return os.path.join(self._ensure_root(), f"client{client_id:08d}.npz")
+        return os.path.join(self._ensure_root(), f"client{client_id:08d}.state")
 
     def save(
         self, client_id: int, model_state: Dict[str, np.ndarray], rng_state: dict
     ) -> int:
         """Atomically write one client's shard (tmp + ``os.replace``);
         returns the shard size in bytes (the registry's obs gauge feed)."""
-        blob = serialize_state(
-            {str(k): np.asarray(v) for k, v in model_state.items()}, dtype=None
-        )
+        blob = serialize_state(model_state)
         rng_blob = json.dumps(rng_state, default=_json_default).encode("utf-8")
         path = self._shard_path(client_id)
         tmp = f"{path}.tmp.{os.getpid()}"
@@ -104,32 +106,38 @@ class ClientModelStore:
                 f.write(rng_blob)
                 f.write(blob)
             os.replace(tmp, path)
+            self._written.add(client_id)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
         return 8 + len(rng_blob) + len(blob)
 
     def load(self, client_id: int) -> Tuple[Dict[str, np.ndarray], dict]:
-        """Read one client's shard back: ``(model_state, rng_state)``."""
+        """Read one client's shard back: ``(model_state, rng_state)``.
+
+        A corrupt shard raises ``ValueError`` naming the client and path.
+        """
         path = self._shard_path(client_id)
-        with open(path, "rb") as f:
-            rng_len = int.from_bytes(f.read(8), "little")
-            rng_state = json.loads(f.read(rng_len).decode("utf-8"))
-            state = deserialize_state(f.read(), dtype=None)
+        try:
+            with open(path, "rb") as f:
+                rng_len = int.from_bytes(f.read(8), "little")
+                rng_state = json.loads(f.read(rng_len))
+                state = deserialize_state(f.read())
+        except ValueError as exc:
+            raise ValueError(
+                f"corrupt spill shard for client {client_id} at {path}: {exc}"
+            ) from exc
         return state, rng_state
 
     def has(self, client_id: int) -> bool:
-        if not self._created or self._root is None:
-            return False
-        return os.path.exists(self._shard_path(client_id))
+        return client_id in self._written
 
     def clear(self) -> None:
-        """Drop every shard (checkpoint restore resets the store)."""
-        if not self._created or self._root is None:
-            return
-        for name in os.listdir(self._root):
-            if name.startswith("client") and name.endswith(".npz"):
-                os.remove(os.path.join(self._root, name))
+        """Drop every shard this store wrote (checkpoint restore resets
+        the store)."""
+        for client_id in self._written:
+            os.remove(self._shard_path(client_id))
+        self._written.clear()
 
     def close(self) -> None:
         """Remove the store directory if this store created it."""
@@ -137,6 +145,7 @@ class ClientModelStore:
             shutil.rmtree(self._root, ignore_errors=True)
             self._created = False
             self._root = None
+            self._written.clear()
 
 
 def _json_default(value):
@@ -345,8 +354,9 @@ class ClientRegistry(Sequence):
             cid += len(self)
         if not 0 <= cid < len(self):
             raise IndexError(f"client id {index} out of range [0, {len(self)})")
+        client = self._materialise(cid)
         self._dirty.add(cid)
-        return self._materialise(cid)
+        return client
 
     def peek(self, client_id: int) -> FLClient:
         """Materialise for *read-only* use (evaluation): an untouched

@@ -309,7 +309,7 @@ class ParallelExecutor(Executor):
             client_id=client.client_id,
             method=method,
             kwargs=kwargs,
-            state_blob=serialize_state(client.model.state_dict(), dtype=None),
+            state_blob=serialize_state(client.model.state_dict()),
             rng_state=client.rng_state(),
             stage=stage,
             profile=self._obs.profiler is not None,
@@ -318,9 +318,7 @@ class ParallelExecutor(Executor):
     def _apply_result(self, client, result: TaskResult) -> None:
         """Fold a worker's state (and profile aggregate) back into the driver."""
         if result.state_blob is not None:
-            client.model.load_state_dict(
-                deserialize_state(result.state_blob, dtype=None)
-            )
+            client.model.load_state_dict(deserialize_state(result.state_blob))
         if result.rng_state is not None:
             client.set_rng_state(result.rng_state)
         if result.profile and self._obs.profiler is not None:

@@ -98,7 +98,7 @@ def run_task(task: ClientTask) -> TaskResult:
     start = time.perf_counter()
     client = _client_for(task.client_id)
     if task.state_blob:
-        client.model.load_state_dict(deserialize_state(task.state_blob, dtype=None))
+        client.model.load_state_dict(deserialize_state(task.state_blob))
     if task.rng_state is not None:
         client.rng.bit_generator.state = task.rng_state
     kwargs = resolve_kwargs(task.kwargs, _SHARED)
@@ -117,7 +117,7 @@ def run_task(task: ClientTask) -> TaskResult:
     else:
         value = getattr(client, task.method)(**kwargs)
     state_blob = (
-        serialize_state(client.model.state_dict(), dtype=None)
+        serialize_state(client.model.state_dict())
         if task.mutates
         else None
     )

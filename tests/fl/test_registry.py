@@ -196,6 +196,63 @@ class TestClientRegistry:
         finally:
             reg.close()
 
+    def test_reused_spill_dir_never_hydrates_previous_run(
+        self, tiny_bundle, tmp_path
+    ):
+        spill_dir = str(tmp_path / "spill")
+        first = make_registry(
+            tiny_bundle, num_clients=6, max_live=1, spill_dir=spill_dir
+        )
+        client = first[5]
+        state = client.model.state_dict()
+        key = next(iter(state))
+        state[key] = state[key] + 1.0
+        client.model.load_state_dict(state)
+        first.peek(0)
+        first.settle()
+        first.close()
+        assert os.path.exists(os.path.join(spill_dir, "client00000005.state"))
+
+        fresh = make_registry(tiny_bundle, num_clients=6)
+        second = make_registry(
+            tiny_bundle, num_clients=6, max_live=1, spill_dir=spill_dir
+        )
+        try:
+            second[2]
+            second.peek(0)
+            second.settle()
+            assert second.stats()["spills"] == 1
+            seeded = fresh.peek(5).model.state_dict()
+            for name, value in second.peek(5).model.state_dict().items():
+                np.testing.assert_array_equal(value, seeded[name])
+            assert second.stats()["hydrations"] == 0
+        finally:
+            second.close()
+            fresh.close()
+
+    def test_corrupt_shard_raises_before_anything_is_mutated(self, tiny_bundle):
+        reg = make_registry(tiny_bundle, max_live=1)
+        try:
+            reg[0]
+            reg.peek(1)
+            reg.settle()
+            survivor = {
+                k: v.copy() for k, v in reg.peek(1).model.state_dict().items()
+            }
+            path = reg.store._shard_path(0)
+            with open(path, "rb") as f:
+                blob = f.read()
+            with open(path, "wb") as f:
+                f.write(blob[:-1])
+            with pytest.raises(ValueError, match="client 0 at .*client00000000"):
+                reg[0]
+            assert 0 not in reg._live
+            assert reg.stats()["hydrations"] == 0
+            for key, value in reg.peek(1).model.state_dict().items():
+                np.testing.assert_array_equal(value, survivor[key])
+        finally:
+            reg.close()
+
     def test_clean_eviction_rebuilds_identically(self, tiny_bundle):
         reg = make_registry(tiny_bundle, max_live=1)
         try:

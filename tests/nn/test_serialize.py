@@ -48,20 +48,14 @@ class TestStateSerialisation:
             "bias": np.zeros(3),
         }
         restored = deserialize_state(serialize_state(state))
-        assert set(restored) == {"weight", "bias"}
-        np.testing.assert_allclose(restored["weight"], state["weight"], atol=1e-6)
+        assert list(restored) == ["weight", "bias"]
+        np.testing.assert_array_equal(restored["weight"], state["weight"])
 
-    def test_float32_precision_on_wire(self):
-        state = {"w": np.array([1.0 + 1e-10])}
-        restored = deserialize_state(serialize_state(state))
-        # wire format is float32: tiny residue is truncated
-        assert restored["w"][0] == np.float32(1.0 + 1e-10)
-
-    def test_lossless_roundtrip_with_dtype_none(self):
-        # dtype=None keeps native float64: the runtime relies on this to
-        # make parallel execution bit-identical to serial
+    def test_roundtrip_keeps_native_dtypes(self):
+        # no float32 cast: the parallel runtime and the spill store rely
+        # on this to stay bit-identical to a serial, unbounded run
         state = {"w": np.array([1.0 + 1e-10]), "i": np.arange(3)}
-        restored = deserialize_state(serialize_state(state, dtype=None), dtype=None)
+        restored = deserialize_state(serialize_state(state))
         assert restored["w"].dtype == np.float64
         assert restored["w"][0] == 1.0 + 1e-10
         assert restored["i"].dtype == state["i"].dtype
@@ -69,9 +63,74 @@ class TestStateSerialisation:
     def test_model_roundtrip_through_wire(self):
         a = nn.build_model("mlp_small", 4, (3, 6, 6), feature_dim=8, rng=0)
         b = nn.build_model("mlp_small", 4, (3, 6, 6), feature_dim=8, rng=5)
-        blob = serialize_state(a.state_dict())
-        b.load_state_dict(deserialize_state(blob))
+        b.load_state_dict(deserialize_state(serialize_state(a.state_dict())))
         x = np.random.default_rng(1).normal(size=(3, 3, 6, 6))
-        np.testing.assert_allclose(
-            a.predict_logits(x), b.predict_logits(x), atol=1e-4
-        )
+        np.testing.assert_array_equal(a.predict_logits(x), b.predict_logits(x))
+
+    def test_blob_has_no_container_overhead(self):
+        state = nn.build_model("mlp_small", 10, (3, 8, 8), rng=0).state_dict()
+        blob = serialize_state(state)
+        header_len = int.from_bytes(blob[4:12], "little")
+        assert len(blob) == 12 + header_len + sum(v.nbytes for v in state.values())
+
+    def test_object_arrays_are_rejected(self):
+        with pytest.raises(TypeError, match="object array 'o'"):
+            serialize_state({"o": np.array([None, 1], dtype=object)})
+
+
+def _mlp_blob():
+    return bytes(
+        serialize_state(nn.build_model("mlp_small", 10, (3, 8, 8), rng=0).state_dict())
+    )
+
+
+class TestCorruptBlobs:
+    def test_every_truncation_raises(self):
+        blob = _mlp_blob()
+        for cut in range(0, len(blob), 97):
+            with pytest.raises(ValueError, match="state blob"):
+                deserialize_state(blob[:cut])
+
+    def test_appended_byte_raises(self):
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            deserialize_state(_mlp_blob() + b"\x00")
+
+    def test_flipped_header_byte_raises(self):
+        blob = bytearray(_mlp_blob())
+        blob[12] ^= 0x01  # the header's opening "["
+        with pytest.raises(ValueError, match="not valid JSON"):
+            deserialize_state(bytes(blob))
+
+    def test_bad_magic(self):
+        blob = bytearray(_mlp_blob())
+        blob[0] ^= 0xFF
+        with pytest.raises(ValueError, match="bad magic"):
+            deserialize_state(bytes(blob))
+
+    def test_header_length_past_the_end(self):
+        blob = bytearray(_mlp_blob())
+        blob[4:12] = (len(blob)).to_bytes(8, "little")
+        with pytest.raises(ValueError, match="header length past the end"):
+            deserialize_state(bytes(blob))
+        with pytest.raises(ValueError, match="header length past the end"):
+            deserialize_state(b"RPST\x00")
+
+    def test_array_extent_names_the_array(self):
+        blob = serialize_state({"w": np.zeros(4), "b": np.zeros(2)})
+        with pytest.raises(ValueError, match="array 'b' extends past the end"):
+            deserialize_state(bytes(blob[:-1]))
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b'{"w": 1}',
+            b'[["w", "|O", [1]]]',
+            b'[["w", 8, [1]]]',
+            b'[["w", "<f8"]]',
+            b'[["w", "<f8", [-1]]]',
+        ],
+    )
+    def test_malformed_header_entries(self, header):
+        blob = b"RPST" + len(header).to_bytes(8, "little") + header
+        with pytest.raises(ValueError, match="header"):
+            deserialize_state(blob)

@@ -30,15 +30,45 @@ STATE_DICTS = st.dictionaries(
 )
 
 
-@given(STATE_DICTS)
-@settings(max_examples=30, deadline=None)
-def test_serialize_roundtrip_preserves_float32_content(state):
-    restored = deserialize_state(serialize_state(state))
-    assert set(restored) == set(state)
-    for key, value in state.items():
-        np.testing.assert_array_equal(
-            restored[key], np.asarray(value, dtype=np.float32).astype(np.float64)
+@st.composite
+def lossless_arrays(draw):
+    """Any dtype the state blob carries, 0-d and zero-size shapes
+    included, optionally presented as a non-contiguous view."""
+    array = draw(
+        hnp.arrays(
+            dtype=st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+            shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
         )
+    )
+    view = draw(st.sampled_from(["as-is", "transposed", "strided"]))
+    if view == "transposed":
+        return array.T
+    if view == "strided" and array.ndim:
+        return array[::2]
+    return array
+
+
+LOSSLESS_STATES = st.dictionaries(
+    keys=st.lists(
+        st.text(alphabet="abcxyz_0123", min_size=1, max_size=4),
+        min_size=1,
+        max_size=3,
+    ).map(".".join),
+    values=lossless_arrays(),
+    max_size=6,
+)
+
+
+@given(LOSSLESS_STATES)
+@settings(max_examples=60, deadline=None)
+def test_serialize_roundtrip_is_bit_exact(state):
+    restored = deserialize_state(serialize_state(state))
+    assert list(restored) == list(state)
+    for key, value in state.items():
+        assert restored[key].dtype == value.dtype
+        assert restored[key].shape == value.shape
+        # byte comparison: bit-exact even for NaN payloads and -0.0
+        assert restored[key].tobytes() == value.tobytes()
 
 
 @given(STATE_DICTS)
