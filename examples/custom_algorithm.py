@@ -1,9 +1,12 @@
-"""Extending the framework: write your own FL algorithm in ~40 lines.
+"""Extending the framework: write your own FL algorithm in ~50 lines.
 
 Demonstrates the public extension surface: subclass
-``repro.fl.FederatedAlgorithm``, implement ``run_round``, meter every
-transfer through ``self.channel``, and the engine handles evaluation,
-failure injection, and history recording.
+``repro.fl.FederatedAlgorithm`` and implement its three round phases —
+``dispatch_state`` (what clients train against), ``client_work`` (their
+local work and metered uplink) and ``server_update`` (fold the uploads in,
+each weighted by its staleness discount, and answer).  The round engine
+handles dispatch, evaluation, failure injection and history recording,
+and runs the algorithm synchronously or asynchronously alike.
 
 The toy algorithm here — "FedTopK" — is a FedMD variant where each client
 only uploads logits for the public samples it is most confident about
@@ -16,7 +19,6 @@ import argparse
 
 import numpy as np
 
-from repro.core import equal_average_aggregate
 from repro.data import synthetic_cifar10
 from repro.fl import (
     FederationConfig,
@@ -37,33 +39,40 @@ class FedTopK(FederatedAlgorithm):
         self.local_cfg = TrainingConfig(epochs=2, batch_size=32)
         self.digest_cfg = TrainingConfig(epochs=2, batch_size=32)
 
-    def run_round(self, participants):
-        n_public = len(self.public_x)
-        k = max(1, int(self.top_fraction * n_public))
-        votes = np.zeros((n_public, self.bundle.num_classes))
-        counts = np.zeros(n_public)
+    def dispatch_state(self):
+        return {}  # clients train on their own data only
+
+    def client_work(self, participants, snapshot):
+        k = max(1, int(self.top_fraction * len(self.public_x)))
+        uploads = []
         for client in participants:
             client.train_local(self.local_cfg)
             logits = client.logits_on(self.public_x)
             confident = np.argsort(logits.var(axis=1))[-k:]
             # upload only the confident subset (plus its indices)
-            self.channel.upload(
-                client.client_id,
-                {"logits": logits[confident],
-                 "indices": confident.astype(np.float32)},
-            )
-            votes[confident] += logits[confident]
-            counts[confident] += 1
+            upload = {
+                "logits": logits[confident],
+                "indices": confident.astype(np.float32),
+            }
+            self.channel.upload(client.client_id, upload)
+            uploads.append(upload)
+        return uploads
+
+    def server_update(self, contributions, client_weights, contributors):
+        n_public = len(self.public_x)
+        votes = np.zeros((n_public, self.bundle.num_classes))
+        counts = np.zeros(n_public)
+        for upload, weight in zip(contributions, client_weights):
+            confident = upload["indices"].astype(np.int64)
+            votes[confident] += weight * upload["logits"]
+            counts[confident] += weight
         covered = counts > 0
-        consensus = np.zeros_like(votes)
-        consensus[covered] = votes[covered] / counts[covered, None]
+        consensus = votes[covered] / counts[covered, None]
         x_cov = self.public_x[covered]
-        for client in participants:
-            self.channel.download(
-                client.client_id, {"consensus": consensus[covered]}
-            )
+        for client in contributors:
+            self.channel.download(client.client_id, {"consensus": consensus})
             client.train_public_distill(
-                x_cov, consensus[covered], self.digest_cfg, kd_weight=1.0
+                x_cov, consensus, self.digest_cfg, kd_weight=1.0
             )
         return {"covered_fraction": float(covered.mean())}
 

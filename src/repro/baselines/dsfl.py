@@ -11,11 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..core.aggregation import entropy_reduction_aggregate
 from ..fl.client import FLClient
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation, FederatedAlgorithm
 from ..runtime import PUBLIC_X
+from .fedmd import LogitUplink
 
 __all__ = ["DSFLConfig", "DSFL"]
 
@@ -34,7 +37,7 @@ class DSFLConfig:
     kd_weight: float = 1.0
 
 
-class DSFL(FederatedAlgorithm):
+class DSFL(LogitUplink, FederatedAlgorithm):
     name = "dsfl"
 
     def __init__(
@@ -43,19 +46,19 @@ class DSFL(FederatedAlgorithm):
         super().__init__(federation, seed=seed)
         self.config = config or DSFLConfig()
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
+    def server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
         cfg = self.config
-        self.map_clients(
-            participants, "train_local", {"config": cfg.local}, stage="local_train"
-        )
-        logits_list = self.map_clients(
-            participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
-        )
-        for client, logits in zip(participants, logits_list):
-            self.channel.upload(client.client_id, {"logits": logits})
         consensus = entropy_reduction_aggregate(
-            logits_list, temperature=cfg.era_temperature
+            [c["logits"] for c in contributions],
+            temperature=cfg.era_temperature,
+            client_weights=client_weights,
         )
+        participants = list(contributors)
         for client in participants:
             self.channel.download(client.client_id, {"consensus": consensus})
         self.map_clients(

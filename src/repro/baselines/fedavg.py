@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..fl.client import FLClient
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation, FederatedAlgorithm
@@ -55,24 +57,41 @@ class FedAvg(FederatedAlgorithm):
         """Hook overridden by FedProx to add the proximal term."""
         return {"config": self.config.local}
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
-        global_state = self.server.model.state_dict()
+    def dispatch_state(self) -> Dict[str, np.ndarray]:
+        return self.server.model.state_dict()
+
+    def client_work(
+        self, participants: List[FLClient], snapshot: Dict
+    ) -> List[Dict[str, np.ndarray]]:
         for client in participants:
-            self.channel.download(client.client_id, global_state)
-            client.model.load_state_dict(global_state)
+            self.channel.download(client.client_id, snapshot)
+            client.model.load_state_dict(snapshot)
         self.map_clients(
             participants,
             "train_local",
-            self._local_training_kwargs(global_state),
+            self._local_training_kwargs(snapshot),
             stage="local_train",
         )
-        states, sizes = [], []
+        states = []
         for client in participants:
             state = client.model.state_dict()
             self.channel.upload(client.client_id, state)
             states.append(state)
-            sizes.append(client.num_samples)
-        if states:
-            averaged = weighted_average_states(states, sizes)
-            self.server.model.load_state_dict(averaged)
-        return {"participants": float(len(participants))}
+        return states
+
+    def server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
+        # Eq. 1 with each client's sample count scaled by its staleness
+        # weight (exactly the sample count when the weight is 1.0)
+        sizes = [
+            client.num_samples * weight
+            for client, weight in zip(contributors, client_weights)
+        ]
+        self.server.model.load_state_dict(
+            weighted_average_states(contributions, sizes)
+        )
+        return {"participants": float(len(contributors))}

@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.aggregation import equal_average_aggregate
+import numpy as np
+
+from ..core.aggregation import staleness_discounted_aggregate
 from ..fl.client import FLClient
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation
 from ..runtime import PUBLIC_X
 from .fedavg import FedAvg
-from .model_averaging import weighted_average_states
 
 __all__ = ["FedDFConfig", "FedDF"]
 
@@ -51,32 +52,31 @@ class FedDF(FedAvg):
         super().__init__(federation, config=None, seed=seed)
         self.config = config or FedDFConfig()
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
+    def server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
         cfg = self.config
-        global_state = self.server.model.state_dict()
-        for client in participants:
-            self.channel.download(client.client_id, global_state)
-            client.model.load_state_dict(global_state)
-        self.map_clients(
-            participants, "train_local", {"config": cfg.local}, stage="local_train"
-        )
-        states, sizes = [], []
-        for client in participants:
-            state = client.model.state_dict()
-            self.channel.upload(client.client_id, state)
-            states.append(state)
-            sizes.append(client.num_samples)
-        if not states:
-            return {"participants": 0.0, "server_loss": 0.0}
         # Fusion step 1: parameter averaging (initialisation of the fusion).
-        averaged = weighted_average_states(states, sizes)
-        self.server.model.load_state_dict(averaged)
+        super().server_update(contributions, client_weights, contributors)
         # Fusion step 2: ensemble distillation on the public set.  The
         # server evaluates each uploaded client model; no extra transfer.
-        ensemble = equal_average_aggregate(
-            self.map_clients(
-                participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
-            )
+        participants = list(contributors)
+        weight_of = {
+            client.client_id: weight
+            for client, weight in zip(contributors, client_weights)
+        }
+        # lint: disable=comm-unmetered-exchange — the server evaluates the
+        # client weights uploaded (and metered) in client_work.
+        logits_list = self.map_clients(
+            participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
+        )
+        ensemble = staleness_discounted_aggregate(
+            logits_list,
+            [weight_of[client.client_id] for client in participants],
+            mode="equal",
         )
         with self.tracer.span(
             "server_distill",

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.aggregation import variance_weighted_aggregate
+import numpy as np
+
+from ..core.aggregation import staleness_discounted_aggregate
 from ..fl.client import FLClient
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation, FederatedAlgorithm
@@ -54,10 +56,17 @@ class FedET(FederatedAlgorithm):
             raise ValueError("FedET requires a (large) server model")
         self.config = config or FedETConfig()
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
-        cfg = self.config
+    def dispatch_state(self) -> Dict[str, Optional[np.ndarray]]:
+        return {}
+
+    def client_work(
+        self, participants: List[FLClient], snapshot: Dict
+    ) -> List[Dict[str, np.ndarray]]:
         self.map_clients(
-            participants, "train_local", {"config": cfg.local}, stage="local_train"
+            participants,
+            "train_local",
+            {"config": self.config.local},
+            stage="local_train",
         )
         logits_list = self.map_clients(
             participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
@@ -65,7 +74,18 @@ class FedET(FederatedAlgorithm):
         for client in participants:
             # FedET uploads model parameters (the expensive part).
             self.channel.upload(client.client_id, client.model.state_dict())
-        ensemble = variance_weighted_aggregate(logits_list)
+        return [{"logits": logits} for logits in logits_list]
+
+    def server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
+        cfg = self.config
+        ensemble = staleness_discounted_aggregate(
+            [c["logits"] for c in contributions], client_weights, mode="variance"
+        )
         pseudo = ensemble.argmax(axis=1)
         loss = self.server.train_distill(
             self.public_x,
@@ -76,6 +96,7 @@ class FedET(FederatedAlgorithm):
             temperature=cfg.temperature,
         )
         server_logits = self.server.logits_on(self.public_x)
+        participants = list(contributors)
         for client in participants:
             self.channel.download(client.client_id, {"server_logits": server_logits})
         self.map_clients(

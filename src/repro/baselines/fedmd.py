@@ -11,14 +11,40 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
 
-from ..core.aggregation import equal_average_aggregate
+from ..core.aggregation import staleness_discounted_aggregate
 from ..fl.client import FLClient
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation, FederatedAlgorithm
 from ..runtime import PUBLIC_X
 
-__all__ = ["FedMDConfig", "FedMD"]
+__all__ = ["FedMDConfig", "FedMD", "LogitUplink"]
+
+
+class LogitUplink:
+    """The client half of a logit-sharing round (FedMD, DS-FL, NaiveKD):
+    local training on private data (``self.config.local``), then logits
+    on the public set, uploaded.  Clients need no server state."""
+
+    def dispatch_state(self) -> Dict[str, Optional[np.ndarray]]:
+        return {}
+
+    def client_work(
+        self, participants: List[FLClient], snapshot: Dict
+    ) -> List[Dict[str, np.ndarray]]:
+        self.map_clients(
+            participants,
+            "train_local",
+            {"config": self.config.local},
+            stage="local_train",
+        )
+        logits_list = self.map_clients(
+            participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
+        )
+        for client, logits in zip(participants, logits_list):
+            self.channel.upload(client.client_id, {"logits": logits})
+        return [{"logits": logits} for logits in logits_list]
 
 
 @dataclass
@@ -35,7 +61,7 @@ class FedMDConfig:
     temperature: float = 1.0
 
 
-class FedMD(FederatedAlgorithm):
+class FedMD(LogitUplink, FederatedAlgorithm):
     name = "fedmd"
 
     def __init__(
@@ -44,17 +70,17 @@ class FedMD(FederatedAlgorithm):
         super().__init__(federation, seed=seed)
         self.config = config or FedMDConfig()
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
+    def server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
         cfg = self.config
-        self.map_clients(
-            participants, "train_local", {"config": cfg.local}, stage="local_train"
+        consensus = staleness_discounted_aggregate(
+            [c["logits"] for c in contributions], client_weights, mode="equal"
         )
-        logits_list = self.map_clients(
-            participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
-        )
-        for client, logits in zip(participants, logits_list):
-            self.channel.upload(client.client_id, {"logits": logits})
-        consensus = equal_average_aggregate(logits_list)
+        participants = list(contributors)
         for client in participants:
             self.channel.download(client.client_id, {"consensus": consensus})
         self.map_clients(

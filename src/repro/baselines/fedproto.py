@@ -61,7 +61,7 @@ class FedProto(FederatedAlgorithm):
             self.global_prototypes = np.asarray(state["global_prototypes"]).copy()
 
     # ------------------------------------------------------------------
-    # round phases, shared between the sync round and the async protocol
+    # round phases
     # ------------------------------------------------------------------
     def _local_phase(
         self, participants: List[FLClient], prototypes: Optional[np.ndarray]
@@ -123,56 +123,31 @@ class FedProto(FederatedAlgorithm):
             self.channel.download(client.client_id, payload)
         return covered
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
-        self._local_phase(participants, self.global_prototypes)
-        protos_list, counts_list = self._collect_prototypes(participants)
-        new_protos = aggregate_prototypes(protos_list, counts_list)
-        covered = self._merge_and_broadcast(new_protos, participants)
-        return {
-            "participants": float(len(participants)),
-            "proto_coverage": float(covered.mean()),
-        }
-
     # ------------------------------------------------------------------
-    # async engine protocol (repro.fl.async_engine)
-    #
-    # The sync round above is the bit-identical reference: per-client
-    # work (prototype-regularised local training + prototype uplink)
-    # against a dispatch-time snapshot of the global prototypes, then a
-    # buffered server update with per-contribution staleness discounts.
-    # ``aggregate_prototypes`` short-circuits to the unweighted rule when
-    # every weight is 1.0, so the degenerate async configuration replays
-    # run_round's arithmetic exactly.
+    # the round
     # ------------------------------------------------------------------
-    supports_async = True
-
-    def async_dispatch_state(self) -> Dict[str, Optional[np.ndarray]]:
-        """Server state a dispatch is computed against (frozen per version)."""
+    def dispatch_state(self) -> Dict[str, Optional[np.ndarray]]:
         protos = self.global_prototypes
         return {"global_prototypes": None if protos is None else protos.copy()}
 
-    def async_client_work(
+    def client_work(
         self, participants: List[FLClient], snapshot: Dict
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """One dispatched client's prototype contribution.
-
-        ``participants`` is a single-client list the engine may shrink in
-        place on a runtime dropout; returns ``None`` when the client
-        dropped mid-work.
-        """
+    ) -> List[Dict[str, np.ndarray]]:
         self._local_phase(participants, snapshot.get("global_prototypes"))
         protos_list, counts_list = self._collect_prototypes(participants)
-        if not participants:
-            return None
-        return {"prototypes": protos_list[0], "class_counts": counts_list[0]}
+        return [
+            {"prototypes": protos, "class_counts": counts}
+            for protos, counts in zip(protos_list, counts_list)
+        ]
 
-    def async_server_update(
+    def server_update(
         self,
         contributions: List[Dict[str, np.ndarray]],
         client_weights: List[float],
         contributors: List[FLClient],
     ) -> Dict[str, float]:
-        """Fold one buffer of contributions into the prototype table."""
+        # a stale client's sample counts are discounted by its weight;
+        # all-ones weights are the unweighted rule bit-for-bit
         new_protos = aggregate_prototypes(
             [c["prototypes"] for c in contributions],
             [c["class_counts"] for c in contributions],

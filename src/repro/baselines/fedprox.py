@@ -40,7 +40,7 @@ class FedProx(FedAvg):
         self.prox_config = config or FedProxConfig()
         super().__init__(federation, config=None, seed=seed)
         # FedAvg.__init__ set self.config to a FedAvgConfig; replace with ours
-        # (both expose ``.local``, which is all FedAvg.run_round reads).
+        # (both expose ``.local``, which is all FedAvg.client_work reads).
         self.config = self.prox_config
 
     def _local_training_kwargs(self, reference: Dict) -> Dict:

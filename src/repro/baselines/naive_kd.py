@@ -11,11 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.aggregation import equal_average_aggregate
+import numpy as np
+
+from ..core.aggregation import staleness_discounted_aggregate
 from ..fl.client import FLClient
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation, FederatedAlgorithm
 from ..runtime import PUBLIC_X
+from .fedmd import LogitUplink
 
 __all__ = ["NaiveKDConfig", "NaiveKD"]
 
@@ -35,7 +38,7 @@ class NaiveKDConfig:
     distill_to_clients: bool = True
 
 
-class NaiveKD(FederatedAlgorithm):
+class NaiveKD(LogitUplink, FederatedAlgorithm):
     name = "naive_kd"
 
     def __init__(
@@ -46,20 +49,20 @@ class NaiveKD(FederatedAlgorithm):
             raise ValueError("NaiveKD distils into a server model; none was built")
         self.config = config or NaiveKDConfig()
 
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
+    def server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
         cfg = self.config
-        self.map_clients(
-            participants, "train_local", {"config": cfg.local}, stage="local_train"
+        aggregated = staleness_discounted_aggregate(
+            [c["logits"] for c in contributions], client_weights, mode="equal"
         )
-        logits_list = self.map_clients(
-            participants, "logits_on", {"x": PUBLIC_X}, stage="public_logits"
-        )
-        for client, logits in zip(participants, logits_list):
-            self.channel.upload(client.client_id, {"logits": logits})
-        aggregated = equal_average_aggregate(logits_list)
         loss = self.server.train_distill(
             self.public_x, aggregated, cfg.server, kd_weight=cfg.kd_weight
         )
+        participants = list(contributors)
         if cfg.distill_to_clients:
             server_logits = self.server.logits_on(self.public_x)
             for client in participants:

@@ -7,7 +7,7 @@ entropy-reduction aggregation.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -176,14 +176,17 @@ def staleness_discounted_aggregate(
 
 
 def entropy_reduction_aggregate(
-    client_logits: Sequence[np.ndarray], temperature: float = 0.1
+    client_logits: Sequence[np.ndarray],
+    temperature: float = 0.1,
+    client_weights: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
     """DS-FL's ERA: average client *probabilities*, then sharpen them.
 
     The averaged distribution is re-normalised through a low-temperature
     softmax of its log, reducing its entropy; returns *log-probabilities*
     usable as logits.  ``temperature < 1`` sharpens (the DS-FL paper uses
-    T=0.1).
+    T=0.1).  ``client_weights`` (staleness discounts) make the average a
+    weighted one; ``None`` or all-ones is the plain mean bit-for-bit.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -191,7 +194,11 @@ def entropy_reduction_aggregate(
     shifted = stacked - stacked.max(axis=2, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=2, keepdims=True)
-    mean_probs = probs.mean(axis=0)
+    if client_weights is None or np.all(np.asarray(client_weights) == 1.0):
+        mean_probs = probs.mean(axis=0)
+    else:
+        weights = np.asarray(client_weights, dtype=np.float64)
+        mean_probs = np.einsum("c,csn->sn", weights / weights.sum(), probs)
     logp = np.log(mean_probs + 1e-12) / temperature
     logp -= logp.max(axis=1, keepdims=True)
     sharpened = np.exp(logp)

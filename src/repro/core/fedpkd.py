@@ -34,23 +34,12 @@ from ..fl.compression import roundtrip
 from ..fl.config import TrainingConfig
 from ..fl.simulation import Federation, FederatedAlgorithm
 from ..runtime import PUBLIC_X
-from .aggregation import (
-    entropy_weighted_aggregate,
-    equal_average_aggregate,
-    staleness_discounted_aggregate,
-    variance_weighted_aggregate,
-    variance_weights,
-)
+from .aggregation import staleness_discounted_aggregate, variance_weights
 from .distillation import prototype_ensemble_distill
 from .filtering import FilterResult, prototype_filter, random_filter
 from .prototypes import merge_prototypes, aggregate_prototypes, prototype_coverage
 
 __all__ = ["FedPKDConfig", "FedPKD"]
-
-# sentinel: "use the algorithm's current global prototypes" — distinct from
-# an explicit None (no prototypes yet), which async dispatch snapshots need
-# to be able to say
-_CURRENT = object()
 
 
 @dataclass
@@ -144,11 +133,9 @@ class FedPKD(FederatedAlgorithm):
     # round phases
     # ------------------------------------------------------------------
     def _client_local_phase(
-        self, participants: List[FLClient], prototypes=_CURRENT
+        self, participants: List[FLClient], prototypes: Optional[np.ndarray]
     ) -> None:
         cfg = self.config
-        if prototypes is _CURRENT:
-            prototypes = self.global_prototypes
         use_protos = (
             cfg.client_prototype_loss
             and prototypes is not None
@@ -196,21 +183,15 @@ class FedPKD(FederatedAlgorithm):
         return logits_list, protos_list, counts_list
 
     def _aggregate(
-        self, logits_list, protos_list, counts_list, client_weights=None
+        self, logits_list, protos_list, counts_list, client_weights
     ) -> np.ndarray:
         cfg = self.config
-        if client_weights is not None:
-            # async staleness discounts (alpha ** s); delegates to the exact
-            # undiscounted rule below when every weight is 1.0
-            aggregated = staleness_discounted_aggregate(
-                logits_list, client_weights, mode=cfg.aggregation
-            )
-        elif cfg.aggregation == "variance":
-            aggregated = variance_weighted_aggregate(logits_list)
-        elif cfg.aggregation == "entropy":
-            aggregated = entropy_weighted_aggregate(logits_list)
-        else:
-            aggregated = equal_average_aggregate(logits_list)
+        # staleness discounts (alpha ** s) scale the Eq. 6-7 (or ablation)
+        # mixing weights; with every weight 1.0 this is the exact
+        # undiscounted rule
+        aggregated = staleness_discounted_aggregate(
+            logits_list, client_weights, mode=cfg.aggregation
+        )
         new_protos = aggregate_prototypes(
             protos_list, counts_list, client_weights=client_weights
         )
@@ -343,77 +324,37 @@ class FedPKD(FederatedAlgorithm):
         )
 
     # ------------------------------------------------------------------
-    # the round
+    # the round: steps 1-2 per client, steps 3-7 on the server
     # ------------------------------------------------------------------
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
-        self._client_local_phase(participants)
-        logits_list, protos_list, counts_list = self._collect_dual_knowledge(
-            participants
-        )
-        aggregated = self._aggregate(logits_list, protos_list, counts_list)
-        result = self._filter(aggregated)
-        server_loss = self._server_phase(aggregated, result)
-        self._client_public_phase(participants, result)
-        return {
-            "server_loss": server_loss,
-            "num_selected": float(result.num_selected),
-            "proto_coverage": float(prototype_coverage(self.global_prototypes).mean()),
-        }
-
-    # ------------------------------------------------------------------
-    # async engine protocol (repro.fl.async_engine)
-    #
-    # The sync round above is the bit-identical reference: per-client work
-    # (local training + dual-knowledge uplink) against a dispatch-time
-    # server snapshot, then a buffered server update with per-contribution
-    # staleness discounts.  With zero delays, a full buffer and all-ones
-    # weights the async engine replays exactly the sequence of operations
-    # run_round performs.
-    # ------------------------------------------------------------------
-    supports_async = True
-
-    def async_dispatch_state(self) -> Dict[str, Optional[np.ndarray]]:
-        """Server state a dispatch is computed against (frozen per version)."""
+    def dispatch_state(self) -> Dict[str, Optional[np.ndarray]]:
         protos = self.global_prototypes
         return {
             "global_prototypes": None if protos is None else protos.copy()
         }
 
-    def async_client_work(
+    def client_work(
         self, participants: List[FLClient], snapshot: Dict
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """One dispatched client's uplink contribution (lazy, at event pop).
-
-        ``participants`` is a single-client list the engine may shrink in
-        place on a runtime dropout, mirroring :meth:`run_round`'s phases;
-        returns ``None`` when the client dropped mid-work.
-        """
-        self._client_local_phase(
-            participants, prototypes=snapshot.get("global_prototypes")
-        )
+    ) -> List[Dict[str, np.ndarray]]:
+        self._client_local_phase(participants, snapshot.get("global_prototypes"))
         logits_list, protos_list, counts_list = self._collect_dual_knowledge(
             participants
         )
-        if not participants:
-            return None
-        return {
-            "logits": logits_list[0],
-            "prototypes": protos_list[0],
-            "class_counts": counts_list[0],
-        }
+        return [
+            {"logits": logits, "prototypes": protos, "class_counts": counts}
+            for logits, protos, counts in zip(logits_list, protos_list, counts_list)
+        ]
 
-    def async_server_update(
+    def server_update(
         self,
         contributions: List[Dict[str, np.ndarray]],
         client_weights: List[float],
         contributors: List[FLClient],
     ) -> Dict[str, float]:
-        """Fold one buffer of contributions into the server (one round)."""
         aggregated = self._aggregate(
             [c["logits"] for c in contributions],
             [c["prototypes"] for c in contributions],
             [c["class_counts"] for c in contributions],
-            client_weights=client_weights,
+            client_weights,
         )
         result = self._filter(aggregated)
         server_loss = self._server_phase(aggregated, result)

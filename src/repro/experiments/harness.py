@@ -16,7 +16,6 @@ import numpy as np
 
 from ..algorithms import algorithm_supports, build_algorithm
 from ..data.datasets import FederatedDataBundle, make_task
-from ..fl.async_engine import AsyncRoundEngine
 from ..fl.checkpoint import load_checkpoint, load_history, read_checkpoint_meta
 from ..fl.config import RUN_KNOBS, FederationConfig, RunKnobs, knob
 from ..fl.metrics import RunHistory
@@ -240,11 +239,6 @@ def run_algorithm(
             **config_overrides,
         )
         total_rounds = rounds or sc.rounds
-        # the engine must exist before load_checkpoint: async checkpoints
-        # carry pipeline state the loader hands to algo.async_engine
-        runner = algo
-        if setting.engine == "async":
-            runner = AsyncRoundEngine.from_config(algo, setting)
         history: Optional[RunHistory] = None
         rounds_done = 0
         if resume:
@@ -262,7 +256,7 @@ def run_algorithm(
                 history = load_history(ckpt_path)
         remaining = max(0, total_rounds - rounds_done)
         if remaining > 0:
-            history = runner.run(remaining, eval_every=eval_every, history=history)
+            history = algo.run(remaining, eval_every=eval_every, history=history)
         elif history is None:
             history = RunHistory(
                 algo.name, dataset=setting.dataset, config={"rounds": total_rounds}

@@ -1,47 +1,34 @@
-"""Event-driven asynchronous round engine with staleness-aware aggregation.
+"""The round loop: an event engine over a virtual clock.
 
-The synchronous engine (:meth:`~repro.fl.simulation.FederatedAlgorithm.run`)
-imposes a barrier: every participant must finish before the server moves.
-One straggler therefore stalls the whole federation.  This module replaces
-the barrier with an event loop over a **virtual clock**:
+Every algorithm runs here (:meth:`~repro.fl.simulation.FederatedAlgorithm.run`
+delegates to the engine the algorithm owns).  A round is one server
+update, reached by an event loop:
 
-- Each *dispatch* hands one client a frozen snapshot of the server state
-  (its *version*) and schedules an arrival event at
-  ``clock + delay_factor``.  Delays come from the
+- Each *dispatch* hands one sampled client a frozen snapshot of the
+  server state (its *version*, from ``algo.dispatch_state()``) and
+  schedules an arrival at ``clock + delay_factor``.  Delays come from the
   :class:`~repro.fl.failures.FaultPlan` (stragglers, seeded jitter), not
   from wall time — tests never sleep, and the event order is a pure
   function of the seed.
-- Client work is computed **lazily when its arrival event pops**.  A
-  contribution whose snapshot is more than ``max_staleness`` versions old
-  is discarded *without being computed* — this is where the real
-  wall-clock win over the barrier comes from.
+- Client work is computed **lazily when its arrival pops**.  Every
+  arrival due at the same instant against the same version is one
+  ``algo.client_work(participants, snapshot)`` batch, capped at the
+  buffer's remaining room; crashed dispatches and contributions more than
+  ``max_staleness`` versions old are skipped before the batch forms, so
+  they are never computed.
 - Contributions buffer until ``buffer_size`` of them have arrived (or the
-  pipeline drains); the buffered batch is folded into the server with
-  per-contribution staleness discounts ``alpha ** s`` (FedBuff-style; see
-  :func:`repro.core.aggregation.staleness_discounted_aggregate`).  Each
-  aggregation bumps the server version and counts as one round for
-  evaluation/recording purposes.
+  pipeline drains); ``algo.server_update(contributions, client_weights,
+  contributors)`` then folds them in with per-contribution staleness
+  discounts ``alpha ** s`` (FedBuff-style).  Each update bumps the server
+  version and counts as one round for evaluation and recording.
 
-**Degenerate-mode contract** — with ``max_staleness=0``, a full buffer
-(``buffer_size=None``), and no fault plan, this engine replays exactly the
-operation sequence of the synchronous engine and produces a bit-identical
-:class:`~repro.fl.metrics.RunHistory` (modulo wall-time extras).  The
-equivalence is CI-enforced; it holds because the engine shares the sync
-loop's record path (``_collect_round_costs`` / ``_record_if_due``), the
-participation sampler's draw order, and aggregation rules that short-
-circuit to the undiscounted code when every weight is 1.0.
+**The full barrier** — ``max_staleness=0``, ``buffer_size=None`` and no
+fault plan (``engine="sync"``): every sampled client arrives at the same
+instant, so a round is one ``client_work`` call over all participants and
+one ``server_update`` with all-ones weights, which every algorithm's
+update rule reduces to its unweighted arithmetic.
 
-Algorithms opt in by setting ``supports_async = True`` and implementing
-the three-method protocol (see :class:`~repro.core.fedpkd.FedPKD`):
-
-- ``async_dispatch_state() -> dict`` — server state a dispatch trains
-  against, frozen per version;
-- ``async_client_work(participants, snapshot) -> contribution | None`` —
-  one client's uplink payload (``None`` = runtime dropout);
-- ``async_server_update(contributions, weights, contributors) -> extras``
-  — fold one buffer into the server.
-
-Checkpointing: the engine registers itself as ``algo.async_engine`` and
+Checkpointing: the engine registers itself as ``algo.engine`` and
 :mod:`repro.fl.checkpoint` persists its state (clock, version, in-flight
 dispatches, buffered contributions, dispatch snapshots) alongside the
 models, so an interrupted chaos run resumes bit-identically — fault draws
@@ -88,8 +75,8 @@ class AsyncRoundEngine:
     Parameters
     ----------
     algo:
-        A :class:`~repro.fl.simulation.FederatedAlgorithm` with
-        ``supports_async = True``.
+        The :class:`~repro.fl.simulation.FederatedAlgorithm` to drive; the
+        engine replaces ``algo.engine``.
     max_staleness:
         Contributions older than this many server versions at arrival are
         dropped (and never computed).  0 keeps only same-version work.
@@ -104,8 +91,6 @@ class AsyncRoundEngine:
         JSON path (coerced via :meth:`FaultPlan.resolve`).
     """
 
-    name = "async"
-
     def __init__(
         self,
         algo,
@@ -114,11 +99,6 @@ class AsyncRoundEngine:
         buffer_size: Optional[int] = None,
         fault_plan=None,
     ) -> None:
-        if not getattr(algo, "supports_async", False):
-            raise ValueError(
-                f"algorithm '{algo.name}' does not implement the async "
-                "engine protocol (supports_async is not set)"
-            )
         if max_staleness < 0:
             raise ValueError("max_staleness must be >= 0")
         if not 0.0 < staleness_alpha <= 1.0:
@@ -143,13 +123,19 @@ class AsyncRoundEngine:
         # no in-flight dispatch references them
         self._snapshots: Dict[int, dict] = {}
         self._snapshot_refs: Dict[int, int] = {}
+        # the previous round's update ends with a dispatch wave, run at the
+        # start of the next round so its dropouts land in that round
+        self._refill_due = False
         # the checkpoint layer looks this attribute up by name
-        algo.async_engine = self
+        algo.engine = self
 
     @classmethod
     def from_config(cls, algo, config) -> "AsyncRoundEngine":
         """Build the engine a :class:`~repro.fl.config.RunKnobs` carrier
-        (a ``FederationConfig`` or an ``ExperimentSetting``) describes."""
+        (a ``FederationConfig`` or an ``ExperimentSetting``) describes;
+        ``None`` or ``engine="sync"`` is the full barrier."""
+        if config is None or config.engine == "sync":
+            return cls(algo)
         return cls(
             algo,
             max_staleness=config.max_staleness,
@@ -161,6 +147,12 @@ class AsyncRoundEngine:
     # ------------------------------------------------------------------
     # convenient handles
     # ------------------------------------------------------------------
+    @property
+    def name(self) -> str:
+        """``"sync"`` for the full barrier, else ``"async"`` (trace attrs)."""
+        barrier = self.max_staleness == 0 and self.buffer_size is None
+        return "sync" if barrier and self.plan is None else "async"
+
     @property
     def version(self) -> int:
         """Completed aggregations (== ``algo.round_index`` between rounds)."""
@@ -188,24 +180,22 @@ class AsyncRoundEngine:
     # ------------------------------------------------------------------
     def _take_snapshot_ref(self, version: int) -> None:
         if version not in self._snapshots:
-            self._snapshots[version] = self.algo.async_dispatch_state()
+            self._snapshots[version] = self.algo.dispatch_state()
             self._snapshot_refs[version] = 0
         self._snapshot_refs[version] += 1
 
-    def _drop_snapshot_ref(self, version: int) -> dict:
-        snapshot = self._snapshots[version]
+    def _drop_snapshot_ref(self, version: int) -> None:
         self._snapshot_refs[version] -= 1
         if self._snapshot_refs[version] <= 0:
             del self._snapshots[version]
             del self._snapshot_refs[version]
-        return snapshot
 
     def _dispatch_wave(self) -> int:
         """Dispatch fresh work to every idle, available sampled client.
 
-        Draws the participation sampler exactly once — the same RNG
-        cadence as one synchronous round — so the degenerate mode sees
-        identical participant sets.
+        Draws the participation sampler exactly once per wave, so a
+        full-barrier run draws it once per round.  A client skipped here
+        is logged against the round its dispatch would have joined.
         """
         algo = self.algo
         version = self._version
@@ -214,17 +204,17 @@ class AsyncRoundEngine:
             if cid in self._in_flight:
                 continue  # still working against an older snapshot
             if algo.federation.client_train_size(cid) == 0:
-                # empty derived shard: never dispatched, logged like the
-                # sync engine's participation guard (O(1) under a
-                # registry — no client is materialised to find out)
+                # empty derived shard (the by_classes partitioner can hand
+                # one out): never dispatched, logged as a dropout — O(1)
+                # under a registry, no client is materialised to find out
                 algo.dropout_log.record(
-                    algo.round_index + 1, cid, "async_dispatch", "empty_shard"
+                    version + 1, cid, "async_dispatch", "empty_shard"
                 )
                 continue
             if self.plan is not None and not self.plan.available(cid, version):
                 # churn: the client has left the cohort at this version
                 algo.dropout_log.record(
-                    algo.round_index + 1, cid, "async_dispatch", "injected_leave"
+                    version + 1, cid, "async_dispatch", "injected_leave"
                 )
                 self._publish_fault("engine/churn", cid, version, "injected_leave")
                 continue
@@ -274,14 +264,9 @@ class AsyncRoundEngine:
         if self._metrics.enabled:
             self._metrics.counter("engine/injected_faults").inc()
 
-    def _process_next_event(self) -> None:
-        """Pop the earliest arrival; compute its contribution lazily."""
-        algo = self.algo
-        arrival, _, dispatch = heapq.heappop(self._heap)
-        self._clock = max(self._clock, arrival)
-        self._in_flight.discard(dispatch.client_id)
-        snapshot = self._drop_snapshot_ref(dispatch.version)
-        staleness = self._version - dispatch.version
+    def _usable(self, dispatch: Dispatch) -> bool:
+        """Whether a popped arrival is worth computing: a crashed dispatch
+        or an over-stale one is logged and skipped."""
         cause = (
             self.plan.crash_cause(dispatch.client_id, dispatch.version)
             if self.plan is not None
@@ -289,16 +274,17 @@ class AsyncRoundEngine:
         )
         if cause is not None:
             # the dispatch died mid-flight: no work, no contribution
-            algo.dropout_log.record(
-                algo.round_index + 1, dispatch.client_id, "async_work", cause
+            self.algo.dropout_log.record(
+                self._version + 1, dispatch.client_id, "async_work", cause
             )
             self._publish_fault(
                 "engine/fault", dispatch.client_id, dispatch.version, cause
             )
-            return
+            return False
+        staleness = self._version - dispatch.version
         if staleness > self.max_staleness:
             # too stale to use — and, because compute is lazy, never paid for
-            if algo.obs.enabled:
+            if self.algo.obs.enabled:
                 self._tracer.event(
                     "engine/stale_drop",
                     scope="engine",
@@ -310,21 +296,50 @@ class AsyncRoundEngine:
                 )
             if self._metrics.enabled:
                 self._metrics.counter("engine/dropped_contributions").inc()
-            return
-        participants = [algo.clients[dispatch.client_id]]
-        contribution = algo.async_client_work(participants, snapshot)
-        if contribution is None:
-            # runtime dropout (already recorded via map_clients)
-            return
-        self._buffer.append(
-            {
-                "client_id": dispatch.client_id,
-                "version": dispatch.version,
-                "data": contribution,
-            }
+            return False
+        return True
+
+    def _process_arrivals(self) -> None:
+        """Pop every arrival due at the earliest instant against one
+        version, up to the buffer's remaining room, and compute the usable
+        ones as one ``client_work`` batch."""
+        algo = self.algo
+        arrival, _, head = self._heap[0]
+        version = head.version
+        snapshot = self._snapshots[version]
+        room = (
+            None
+            if self.buffer_size is None
+            else self.buffer_size - len(self._buffer)
         )
-        if staleness > 0 and self._metrics.enabled:
-            self._metrics.counter("engine/stale_contributions").inc()
+        self._clock = max(self._clock, arrival)
+        batch: List[int] = []
+        while self._heap and (room is None or len(batch) < room):
+            due, _, dispatch = self._heap[0]
+            if due != arrival or dispatch.version != version:
+                break
+            heapq.heappop(self._heap)
+            self._in_flight.discard(dispatch.client_id)
+            self._drop_snapshot_ref(version)
+            if self._usable(dispatch):
+                batch.append(dispatch.client_id)
+        if not batch:
+            return
+        participants = [algo.clients[cid] for cid in batch]
+        # runtime dropouts shrink participants in place (map_clients)
+        contributions = algo.client_work(participants, snapshot)
+        for client, contribution in zip(participants, contributions):
+            self._buffer.append(
+                {
+                    "client_id": client.client_id,
+                    "version": version,
+                    "data": contribution,
+                }
+            )
+        if self._version > version and self._metrics.enabled:
+            self._metrics.counter("engine/stale_contributions").inc(
+                len(contributions)
+            )
 
     # ------------------------------------------------------------------
     # aggregation
@@ -341,7 +356,7 @@ class AsyncRoundEngine:
             float(self.staleness_alpha ** (self._version - entry["version"]))
             for entry in self._buffer
         ]
-        extras = algo.async_server_update(
+        extras = algo.server_update(
             [entry["data"] for entry in self._buffer],
             weights,
             [algo.clients[entry["client_id"]] for entry in self._buffer],
@@ -361,7 +376,11 @@ class AsyncRoundEngine:
         return extras
 
     def _run_engine_round(self) -> Dict[str, float]:
-        """Gather until the buffer triggers, aggregate once, refill."""
+        """Refill, gather until the buffer triggers, aggregate once."""
+        if self._refill_due:
+            # keep the pipeline full: one wave per completed update
+            self._refill_due = False
+            self._dispatch_wave()
         stalls = 0
         while True:
             if not self._heap and not self._buffer:
@@ -377,7 +396,7 @@ class AsyncRoundEngine:
                     continue
                 stalls = 0
             while self._heap and not self._buffer_full():
-                self._process_next_event()
+                self._process_arrivals()
             if self._buffer_full() or (self._buffer and not self._heap):
                 break
             # pipeline drained with an empty buffer (everything crashed or
@@ -385,13 +404,11 @@ class AsyncRoundEngine:
         extras = self._aggregate_buffer()
         if self._metrics.enabled:
             self._metrics.gauge("engine/in_flight").set(len(self._heap))
-        # keep the pipeline full for the next round: same sampler cadence
-        # as the sync engine's per-round active_clients() draw
-        self._dispatch_wave()
+        self._refill_due = True
         return extras
 
     # ------------------------------------------------------------------
-    # the run loop — mirrors FederatedAlgorithm.run() record-for-record
+    # the run loop (FederatedAlgorithm.run delegates here)
     # ------------------------------------------------------------------
     def run(
         self,
@@ -402,12 +419,9 @@ class AsyncRoundEngine:
         checkpoint_every: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
     ) -> RunHistory:
-        """Run ``rounds`` aggregations, recording metrics.
-
-        The signature, autosave behaviour, and record path are identical
-        to :meth:`~repro.fl.simulation.FederatedAlgorithm.run` — a round
-        here is one buffered aggregation.
-        """
+        """Run ``rounds`` server updates, recording metrics; see
+        :meth:`~repro.fl.simulation.FederatedAlgorithm.run` for the
+        evaluation, autosave and observability behaviour."""
         algo = self.algo
         if checkpoint_every is None:
             checkpoint_every = getattr(algo.federation, "checkpoint_every", 0)
@@ -468,16 +482,17 @@ class AsyncRoundEngine:
     # exact-resume state (persisted by repro.fl.checkpoint)
     # ------------------------------------------------------------------
     def align_to(self, round_index: int) -> None:
-        """Adopt a *sync* checkpoint's round counter.
+        """Adopt the round counter of a checkpoint without engine state.
 
-        A sync checkpoint carries no pipeline, so resuming it under the
-        async engine is exact as long as the engine starts empty at the
-        checkpoint's version.
+        Such a checkpoint (the layout written before every algorithm ran
+        under this engine) was taken at a round barrier with nothing in
+        flight, so resuming it under any knobs is exact as long as the
+        engine starts empty at the checkpoint's version.
         """
         if self._heap or self._buffer:
             raise ValueError(
-                "cannot align a non-empty async-engine pipeline to a sync "
-                "checkpoint"
+                "cannot align a non-empty engine pipeline to a checkpoint "
+                "without engine state"
             )
         self._version = int(round_index)
 
@@ -487,6 +502,7 @@ class AsyncRoundEngine:
             "clock": float(self._clock),
             "seq": int(self._seq),
             "version": int(self._version),
+            "refill_due": self._refill_due,
             "in_flight": [
                 {
                     "client_id": d.client_id,
@@ -552,6 +568,7 @@ class AsyncRoundEngine:
         self._clock = float(state["clock"])
         self._seq = int(state["seq"])
         self._version = int(state["version"])
+        self._refill_due = bool(state.get("refill_due", False))
         self._heap = []
         self._in_flight = set()
         self._snapshots = {}

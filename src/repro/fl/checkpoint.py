@@ -358,15 +358,11 @@ def save_checkpoint(
             arrays[_SERVER_PREFIX + key] = np.asarray(value)
     for key, value in algorithm_state(algo).items():
         arrays[_ALGO_PREFIX + key] = value
-    # async-engine pipeline state (in-flight dispatches, buffered
-    # contributions, dispatch snapshots) — present only when an
-    # AsyncRoundEngine is attached, absent for sync-engine checkpoints
-    engine = getattr(algo, "async_engine", None)
-    engine_meta = None
-    if engine is not None:
-        for key, value in engine.state_arrays().items():
-            arrays[_ENGINE_PREFIX + key] = np.asarray(value)
-        engine_meta = engine.state_dict()
+    # round-engine pipeline state (in-flight dispatches, buffered
+    # contributions, dispatch snapshots)
+    engine = algo.engine
+    for key, value in engine.state_arrays().items():
+        arrays[_ENGINE_PREFIX + key] = np.asarray(value)
 
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -387,7 +383,7 @@ def save_checkpoint(
         # dropouts since the last RoundRecord) — without this, a save that
         # lands between eval_every boundaries silently drops them on resume
         "pending": algo.pending_state(),
-        "engine": engine_meta,
+        "engine": engine.state_dict(),
     }
     blob = json.dumps(meta, default=_json_default).encode("utf-8")
     arrays[_META_JSON] = np.frombuffer(blob, dtype=np.uint8)
@@ -526,21 +522,13 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str) -> int:
     algo.dropout_log.load_state_dict(meta["dropout_log"])
     algo.load_pending_state(meta.get("pending"))
 
-    # async-engine state.  An async checkpoint carries in-flight work and
-    # an advanced participation stream — resuming it with the sync engine
-    # would silently diverge, so that direction is refused.  The converse
-    # (sync checkpoint into an async engine) is exact: the engine simply
-    # starts with an empty pipeline, which is the degenerate sync state.
-    engine = getattr(algo, "async_engine", None)
+    # round-engine state resumes only under the knobs it was written with
+    # (the engine refuses a mismatch).  A checkpoint without engine state
+    # was taken at a round barrier with nothing in flight, so it resumes
+    # exactly under any knobs.
+    engine = algo.engine
     engine_meta = meta.get("engine")
-    if engine_meta is not None and engine is None:
-        raise CheckpointError(
-            f"checkpoint '{path}' carries async-engine state (in-flight "
-            "dispatches / buffered contributions); attach an "
-            "AsyncRoundEngine (engine='async') before loading — resuming "
-            "it synchronously would drop in-flight work and diverge"
-        )
-    if engine is not None and engine_meta is not None:
+    if engine_meta is not None:
         engine_arrays = {
             key[len(_ENGINE_PREFIX):]: value
             for key, value in arrays.items()
@@ -550,7 +538,7 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str) -> int:
             engine.load_state_dict(engine_meta, engine_arrays)
         except ValueError as exc:
             raise CheckpointError(str(exc)) from None
-    elif engine is not None:
+    else:
         engine.align_to(int(meta["round_index"]))
 
     algo.round_index = int(meta["round_index"])

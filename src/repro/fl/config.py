@@ -89,10 +89,10 @@ class RunKnobs:
     # sampling (docs/SCALE.md); the async knobs are ignored under "sync"
     engine: str = knob(
         "sync", "key",
-        "round engine: 'sync' (the barrier engine, bit-identical reference) "
-        "or 'async' (event-driven buffered aggregation with staleness "
-        "discounts; with --max-staleness 0, a full buffer and no faults it "
-        "reproduces the sync history bit-for-bit)",
+        "round engine: 'sync' (the full barrier: every sampled client "
+        "finishes before the server updates) or 'async' (event-driven "
+        "buffered aggregation with staleness discounts, set by the knobs "
+        "below; with their defaults it is the full barrier)",
         choices=("sync", "async"),
     )
     max_staleness: int = knob(

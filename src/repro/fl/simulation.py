@@ -1,16 +1,18 @@
-"""Federation construction and the synchronous round engine.
+"""Federation construction and the algorithm interface.
 
 :func:`build_federation` turns a data bundle plus a
 :class:`~repro.fl.config.FederationConfig` into concrete clients and a
 server.  :class:`FederatedAlgorithm` is the base class every algorithm
-(FedPKD and the six baselines) derives from: subclasses implement
-``run_round`` and the engine handles evaluation, communication snapshots,
-failure injection, and history recording.
+(FedPKD and the eight baselines) derives from: subclasses implement the
+three round phases and the round engine
+(:class:`~repro.fl.async_engine.AsyncRoundEngine`) handles dispatch,
+evaluation, communication snapshots, failure injection, and history
+recording.
 """
 
 from __future__ import annotations
 
-import time
+import abc
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -25,6 +27,7 @@ from ..data.partition import (
 from ..nn.models import build_model
 from ..obs import NULL_OBS, Observability
 from ..runtime import Executor, SerialExecutor, make_executor
+from .async_engine import AsyncRoundEngine
 from .channel import CommChannel
 from .client import FLClient
 from .config import FederationConfig
@@ -60,6 +63,7 @@ class Federation:
         obs: Optional[Observability] = None,
         eval_clients: Optional[int] = None,
         eval_seed: int = 0,
+        knobs: Optional[FederationConfig] = None,
     ) -> None:
         self.clients = clients
         self.registry = clients if isinstance(clients, ClientRegistry) else None
@@ -79,6 +83,9 @@ class Federation:
         # autosave defaults inherited by FederatedAlgorithm.run()
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = checkpoint_path
+        # the run knobs an algorithm builds its round engine from (None:
+        # the full barrier)
+        self.knobs = knobs
 
     @property
     def num_clients(self) -> int:
@@ -208,25 +215,30 @@ def build_federation(
         obs=Observability.from_config(config),
         eval_clients=config.eval_clients,
         eval_seed=config.seed + 7000,
+        knobs=config,
     )
 
 
-class FederatedAlgorithm:
-    """Base class for synchronous FL algorithms.
+class FederatedAlgorithm(abc.ABC):
+    """Base class of every FL algorithm: one round is three phases.
 
-    Subclasses implement :meth:`run_round`, using ``self.federation`` for
+    - :meth:`dispatch_state` — the server state a client trains against,
+      frozen per server version;
+    - :meth:`client_work` — the clients' local work against that snapshot,
+      returning one uplink contribution per client;
+    - :meth:`server_update` — fold a buffer of contributions into the
+      server, each weighted by its staleness discount.
+
+    The round engine the algorithm owns from construction
+    (``self.engine``, built from the federation's run knobs) calls them;
+    :meth:`run` delegates to it.  Use ``self.federation`` for
     clients/server/public data and ``self.channel`` for every transfer.
-    Per-client stages should go through :meth:`map_clients`, which routes
-    them to the federation's executor (serial or parallel) and turns
-    irrecoverable worker faults into per-round dropouts.
+    Per-client stages go through :meth:`map_clients`, which routes them to
+    the federation's executor (serial or parallel) and turns irrecoverable
+    worker faults into per-round dropouts.
     """
 
     name = "base"
-
-    # Algorithms that implement the async-engine protocol
-    # (async_dispatch_state / async_client_work / async_server_update; see
-    # repro.fl.async_engine) flip this on.  The sync engine ignores it.
-    supports_async = False
 
     def __init__(self, federation: Federation, seed: int = 0) -> None:
         self.federation = federation
@@ -241,6 +253,8 @@ class FederatedAlgorithm:
         self._pending_wall_time = 0.0
         self._pending_stage_times: Dict[str, float] = {}
         self._pending_dropouts = 0
+        # registers itself as self.engine
+        AsyncRoundEngine.from_config(self, getattr(federation, "knobs", None))
 
     # convenient aliases -------------------------------------------------
     @property
@@ -274,23 +288,6 @@ class FederatedAlgorithm:
     @property
     def metrics(self):
         return self.obs.metrics
-
-    def active_clients(self) -> List[FLClient]:
-        """Clients participating this round (after failure injection).
-
-        A sampled client whose derived shard has no training data (the
-        ``by_classes`` partitioner can hand out empty groups) degrades to
-        a logged dropout instead of crashing the round's aggregation.
-        """
-        participants: List[FLClient] = []
-        for cid in self.federation.participation.sample():
-            if self.federation.client_train_size(cid) == 0:
-                self.dropout_log.record(
-                    self.round_index + 1, cid, "participation", "empty_shard"
-                )
-                continue
-            participants.append(self.clients[cid])
-        return participants
 
     def map_clients(
         self,
@@ -328,9 +325,37 @@ class FederatedAlgorithm:
     # ------------------------------------------------------------------
     # the round contract
     # ------------------------------------------------------------------
-    def run_round(self, participants: List[FLClient]) -> Dict[str, float]:
-        """Execute one communication round; return optional extra metrics."""
-        raise NotImplementedError
+    @abc.abstractmethod
+    def dispatch_state(self) -> Dict[str, Optional[np.ndarray]]:
+        """Server state a dispatch trains against, as a flat dict of arrays
+        (``None`` for "not yet").  The engine takes one per server version
+        and checkpoints it, so it must be a copy, not a live view."""
+
+    @abc.abstractmethod
+    def client_work(
+        self, participants: List[FLClient], snapshot: Dict
+    ) -> List[Dict[str, np.ndarray]]:
+        """Run the clients' round against ``snapshot`` and meter their
+        uplink; return one flat dict of arrays per client.
+
+        ``participants`` shrinks in place when a client drops at runtime
+        (:meth:`map_clients`); the result aligns with the survivors.
+        """
+
+    @abc.abstractmethod
+    def server_update(
+        self,
+        contributions: List[Dict[str, np.ndarray]],
+        client_weights: List[float],
+        contributors: List[FLClient],
+    ) -> Dict[str, float]:
+        """Fold one buffer of contributions into the server (one round);
+        return the round's extra metrics.
+
+        ``client_weights[i]`` discounts contribution ``i`` for staleness
+        (``alpha ** s``); with every weight 1.0 the rule must reduce to the
+        algorithm's unweighted arithmetic exactly.
+        """
 
     # ------------------------------------------------------------------
     # algorithm-specific cross-round state (exact-resume checkpointing)
@@ -393,9 +418,7 @@ class FederatedAlgorithm:
         return accs
 
     # ------------------------------------------------------------------
-    # round bookkeeping shared by the sync loop and the async engine
-    # (repro.fl.async_engine) — the record path must be byte-identical
-    # between the two for the engines' equivalence contract to hold
+    # round bookkeeping (called by the engine's run loop)
     # ------------------------------------------------------------------
     def _collect_round_costs(self, wall_seconds: float) -> None:
         """Fold one completed round's costs into the pending accumulators."""
@@ -503,56 +526,15 @@ class FederatedAlgorithm:
         or ``metrics_path=...``), each round and evaluation is traced as a
         span and the metrics-registry snapshot is merged into every
         record's ``extras``.
+
+        The rounds themselves are the engine's (``self.engine``; the full
+        barrier unless the federation's knobs say ``engine="async"``).
         """
-        if checkpoint_every is None:
-            checkpoint_every = getattr(self.federation, "checkpoint_every", 0)
-        if checkpoint_path is None:
-            checkpoint_path = getattr(self.federation, "checkpoint_path", None)
-        autosave = bool(checkpoint_every and checkpoint_every > 0 and checkpoint_path)
-        if autosave:
-            # imported here: checkpoint.py imports this module at top level
-            from .checkpoint import save_checkpoint
-        if history is None:
-            history = RunHistory(
-                self.name, dataset=self.bundle.name, config={"rounds": rounds}
-            )
-        tracer = self.tracer
-        # wall time, per-stage timings, and runtime dropouts accumulate
-        # across the rounds between evaluations (and across an interrupted
-        # run via pending_state), so each RoundRecord covers everything
-        # since the previous record even when eval_every > 1
-        with self.obs.profile_session(), tracer.span(
-            "run",
-            scope="run",
-            attrs={
-                "algorithm": self.name,
-                "rounds": rounds,
-                "eval_every": eval_every,
-                "start_round": self.round_index,
-                "num_clients": self.federation.num_clients,
-                "executor": self.executor.name,
-            },
-        ):
-            for r in range(rounds):
-                start = time.perf_counter()
-                with tracer.span("round", scope="round") as round_span:
-                    participants = self.active_clients()
-                    round_span.set_attr("round", self.round_index + 1)
-                    round_span.set_attr("participants", len(participants))
-                    extras = self.run_round(participants) or {}
-                self.round_index += 1
-                self._collect_round_costs(time.perf_counter() - start)
-                final_round = r == rounds - 1
-                self._record_if_due(
-                    history, extras, final_round, eval_every, verbose
-                )
-                if autosave and (
-                    final_round or self.round_index % checkpoint_every == 0
-                ):
-                    save_checkpoint(self, checkpoint_path, history=history)
-                # round boundary: shrink the registry's live set back to
-                # its budget (references handed out above are now dead)
-                self.federation.settle_clients()
-        self.obs.publish_profile()
-        self.obs.export_metrics()
-        return history
+        return self.engine.run(
+            rounds,
+            eval_every=eval_every,
+            history=history,
+            verbose=verbose,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=checkpoint_path,
+        )

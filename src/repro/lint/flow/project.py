@@ -16,9 +16,7 @@ currently reporting on:
   ``extra_state()``/``load_extra_state()`` round-trip (and the
   ``state_dict`` analogue for the optimizer/scheduler family, including
   attributes written from *outside* the class via annotated handles
-  such as ``self.optimizer.scheduled_base_lr``);
-- **async protocol** — ``supports_async = True`` implementors must
-  match the three-method engine protocol signatures exactly.
+  such as ``self.optimizer.scheduled_base_lr``).
 
 The model is rebuilt from summaries on every pass (it is cheap — no
 parsing); only the summaries themselves are cached per file.
@@ -34,7 +32,6 @@ __all__ = [
     "DTYPE_ZONE",
     "HOT_MODULE_PREFIXES",
     "BASE_MANAGED_ATTRS",
-    "ASYNC_PROTOCOL",
     "ProjectModel",
 ]
 
@@ -67,19 +64,12 @@ BASE_MANAGED_ATTRS = frozenset(
         "obs",
         "round_index",
         "dropout_log",
-        "async_engine",
+        "engine",
         "_pending_wall_time",
         "_pending_stage_times",
         "_pending_dropouts",
     }
 )
-
-#: The async round-engine protocol: method name → exact parameter list.
-ASYNC_PROTOCOL: Dict[str, Tuple[str, ...]] = {
-    "async_dispatch_state": ("self",),
-    "async_client_work": ("self", "participants", "snapshot"),
-    "async_server_update": ("self", "contributions", "client_weights", "contributors"),
-}
 
 _EXTRA_STATE_EXEMPT_METHODS = frozenset(
     {"__init__", "__post_init__", "load_extra_state", "load_pending_state", "load_state_dict"}
@@ -657,55 +647,6 @@ class ProjectModel:
                 )
         findings = _dedupe(findings)
         self._analyses["state_dict"] = findings
-        return findings
-
-    # ------------------------------------------------------------------
-    # async protocol conformance
-    # ------------------------------------------------------------------
-    def async_protocol_findings(self) -> List[dict]:
-        if "async" in self._analyses:
-            return self._analyses["async"]
-        findings: List[dict] = []
-        for fullname, entry in sorted(self.classes.items()):
-            assign = entry["summary"].get("class_assigns", {}).get("supports_async")
-            if assign is None or assign.get("const") is not True:
-                continue
-            basename = fullname.rsplit(".", 1)[-1]
-            for mname, expected in sorted(ASYNC_PROTOCOL.items()):
-                found = self.find_method(fullname, mname)
-                if found is None:
-                    findings.append(
-                        {
-                            "module": entry["module"],
-                            "line": assign["line"],
-                            "col": 0,
-                            "lines": [],
-                            "message": (
-                                f"{basename} sets supports_async = True but does "
-                                f"not define {mname}({', '.join(expected)}) — the "
-                                "async engine would fail at dispatch"
-                            ),
-                        }
-                    )
-                    continue
-                cls, _ = found
-                ms = self.classes[cls]["summary"]["methods"][mname]
-                if tuple(ms["params"]) != expected:
-                    findings.append(
-                        {
-                            "module": self.classes[cls]["module"],
-                            "line": ms["line"],
-                            "col": 0,
-                            "lines": [],
-                            "message": (
-                                f"{cls.rsplit('.', 1)[-1]}.{mname} signature "
-                                f"({', '.join(ms['params'])}) does not match the "
-                                f"async protocol ({', '.join(expected)})"
-                            ),
-                        }
-                    )
-        findings = _dedupe(findings)
-        self._analyses["async"] = findings
         return findings
 
 

@@ -6,8 +6,7 @@ analyses need, so the original source never has to be re-parsed:
 
 - the import table (local name → dotted target, relative imports
   resolved against the module's own dotted name);
-- a class model: bases, annotated (dataclass) fields, class-level
-  constant assignments (``supports_async = True``), and per-method
+- a class model: bases, annotated (dataclass) fields, and per-method
   ``self.*`` stores/loads including nested ``self.owner.attr`` writes
   and dynamic ``__dict__``/``setattr`` escapes;
 - a per-function **dataflow summary** for the dtype pass: implicit
@@ -38,7 +37,7 @@ __all__ = ["SUMMARY_VERSION", "ModuleSummary", "summarize_module"]
 #: Bump whenever the summary schema or the extraction logic changes —
 #: the incremental cache folds this into its signature, so stale
 #: summaries are discarded wholesale instead of mixing schemas.
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 _NP_NAMES = {"np", "numpy"}
 _NP_ALLOC_FNS = {"full", "zeros", "ones", "empty"}
@@ -613,23 +612,10 @@ def _class_summary(cnode: ast.ClassDef) -> dict:
         if chain:
             bases.append(list(chain))
     fields: List[dict] = []
-    class_assigns: Dict[str, dict] = {}
     methods: Dict[str, dict] = {}
     for stmt in cnode.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             fields.append({"name": stmt.target.id, "line": stmt.lineno})
-        elif isinstance(stmt, ast.Assign):
-            const = (
-                stmt.value.value
-                if isinstance(stmt.value, ast.Constant)
-                else None
-            )
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    class_assigns[target.id] = {
-                        "line": stmt.lineno,
-                        "const": const,
-                    }
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods[stmt.name] = _method_summary(stmt)
 
@@ -638,7 +624,6 @@ def _class_summary(cnode: ast.ClassDef) -> dict:
         "line": cnode.lineno,
         "bases": bases,
         "fields": fields,
-        "class_assigns": class_assigns,
         "methods": methods,
     }
 

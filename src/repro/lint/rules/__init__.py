@@ -12,7 +12,7 @@ Packs:
 - :mod:`.obs` — ``scope/name`` metric naming and span lifecycle hygiene;
 - :mod:`.hygiene` — unused imports, shadowed builtins, dead assignments;
 - :mod:`.flow` — whole-program packs (``flow-dtype``,
-  ``flow-checkpoint``, ``flow-config``) computed on the
+  ``flow-checkpoint``) computed on the
   :class:`~repro.lint.flow.ProjectModel` instead of a single module.
 """
 

@@ -14,9 +14,7 @@ Packs:
   what it can *reach* (wire payload / training hot path);
 - ``flow-checkpoint`` — exact-resume completeness for
   ``FederatedAlgorithm`` (``extra_state`` round-trip) and the
-  optimizer/scheduler family (``state_dict`` round-trip);
-- ``flow-config`` — async-protocol signature conformance for
-  ``supports_async`` implementors.
+  optimizer/scheduler family (``state_dict`` round-trip).
 """
 
 from __future__ import annotations
@@ -105,25 +103,3 @@ def check_flow_extra_state(ctx):
 )
 def check_flow_state_dict(ctx):
     yield from _module_findings(ctx, ctx.project.state_dict_findings())
-
-
-@register(
-    "flow-async-protocol",
-    pack="flow-config",
-    severity="error",
-    summary="supports_async implementor does not match the engine protocol",
-    description=(
-        "The async round engine dispatches to exactly three methods: "
-        "`async_dispatch_state(self)`, `async_client_work(self, "
-        "participants, snapshot)` and `async_server_update(self, "
-        "contributions, client_weights, contributors)`. A class that "
-        "declares `supports_async = True` but is missing one of them, or "
-        "defines it with renamed/re-ordered parameters, fails at dispatch "
-        "time deep inside a run. Signatures are checked through the "
-        "inheritance chain against the exact protocol parameter names."
-    ),
-    packages=("repro.core", "repro.baselines", "repro.fl"),
-    requires_project=True,
-)
-def check_flow_async_protocol(ctx):
-    yield from _module_findings(ctx, ctx.project.async_protocol_findings())

@@ -314,36 +314,27 @@ class SweepScheduler:
                 while raw[i] is None:
                     try:
                         raw[i] = futures[i].result(timeout=_POLL_S)
-                        pending.pop(0)
+                        break
                     except FuturesTimeout:
                         self._poll_traces(runs, keys, pending, progress)
                         waited = time.perf_counter() - started
-                        if (
-                            self.run_timeout_s is not None
-                            and waited > self.run_timeout_s
-                        ):
-                            attempts[i] += 1
-                            pool = self._recycle(pool, futures, payloads, pending, raw)
-                            if attempts[i] > self.run_retries:
-                                raw[i] = {"ok": False, "error": (
-                                    f"timeout: no result within "
-                                    f"{self.run_timeout_s}s after "
-                                    f"{attempts[i]} attempt(s)"
-                                )}
-                                pending.pop(0)
-                            else:
-                                started = time.perf_counter()
+                        if self.run_timeout_s is None or waited <= self.run_timeout_s:
+                            continue
+                        cause = f"timeout: no result within {self.run_timeout_s}s"
                     except BrokenExecutor:
-                        attempts[i] += 1
-                        pool = self._recycle(pool, futures, payloads, pending, raw)
-                        if attempts[i] > self.run_retries:
-                            raw[i] = {"ok": False, "error": (
-                                "worker death: the run kept crashing its "
-                                f"worker process ({attempts[i]} attempt(s))"
-                            )}
-                            pending.pop(0)
-                        else:
-                            started = time.perf_counter()
+                        cause = (
+                            "worker death: the run kept crashing its worker "
+                            "process"
+                        )
+                    attempts[i] += 1
+                    if attempts[i] > self.run_retries:
+                        raw[i] = {
+                            "ok": False,
+                            "error": f"{cause} after {attempts[i]} attempt(s)",
+                        }
+                    pool = self._recycle(pool, futures, payloads, pending, raw)
+                    started = time.perf_counter()
+                pending.pop(0)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
@@ -358,7 +349,13 @@ class SweepScheduler:
         return executed
 
     def _recycle(self, pool, futures, payloads, pending, raw):
-        """Replace a collapsed/hung pool and resubmit every unfinished run."""
+        """Replace a collapsed/hung pool: bank the runs that already
+        finished, resubmit only the ones that did not."""
+        for j in pending:
+            future = futures[j]
+            if raw[j] is None and future.done() and not future.cancelled():
+                if future.exception() is None:
+                    raw[j] = future.result()
         pool.shutdown(wait=False, cancel_futures=True)
         pool = ProcessPoolExecutor(max_workers=self.run_workers)
         for j in pending:

@@ -97,6 +97,21 @@ class TestEntropyReduction:
         with pytest.raises(ValueError):
             entropy_reduction_aggregate([np.zeros((2, 3))], temperature=0.0)
 
+    def test_client_weights_weight_the_probability_mean(self):
+        rng = np.random.default_rng(2)
+        logits = [rng.normal(size=(8, 4)) for _ in range(3)]
+        plain = entropy_reduction_aggregate(logits, temperature=0.5)
+        ones = entropy_reduction_aggregate(
+            logits, temperature=0.5, client_weights=[1.0, 1.0, 1.0]
+        )
+        assert ones.tobytes() == plain.tobytes()
+        # a client weighted to zero drops out of the mean entirely
+        without_last = entropy_reduction_aggregate(logits[:2], temperature=0.5)
+        zeroed = entropy_reduction_aggregate(
+            logits, temperature=0.5, client_weights=[0.5, 0.5, 0.0]
+        )
+        np.testing.assert_allclose(zeroed, without_last, atol=1e-12)
+
 
 @given(LOGIT_SETS)
 @settings(max_examples=30, deadline=None)

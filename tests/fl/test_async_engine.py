@@ -1,11 +1,16 @@
-"""Async round engine: degenerate equivalence, chaos, staleness, resume.
+"""The round engine: full barrier, chaos, staleness, resume.
 
-The load-bearing contract is ``test_degenerate_mode_bit_identical``: the
-async engine with ``max_staleness=0``, a full buffer, and no fault plan
-must reproduce the synchronous engine's history bit-for-bit (CI enforces
-this).  Everything else — buffered aggregation, staleness discounts,
-injected faults, exact resume mid-pipeline — builds on that baseline.
+The full barrier (``max_staleness=0``, a full buffer, no fault plan) is
+what every run without async knobs uses; its histories are pinned to the
+synchronous loop it replaced, here for the configurations the per-
+algorithm pins in ``test_pinned_histories.py`` do not cover.  Everything
+else — buffered aggregation, staleness discounts, injected faults, exact
+resume mid-pipeline — builds on that baseline.
 """
+
+import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
@@ -22,9 +27,11 @@ from repro.fl import (
     load_history,
     save_checkpoint,
 )
+from repro.fl.checkpoint import read_checkpoint_meta
 from repro.fl.simulation import FederatedAlgorithm
 
 from ..conftest import make_tiny_federation
+from .test_pinned_histories import history_digest
 
 
 def fast_config(**overrides):
@@ -49,6 +56,10 @@ def make_fedpkd(bundle, num_clients=3, seed=0, **fed_kwargs):
     return FedPKD(fed, config=fast_config(), seed=seed)
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def _deterministic_extras(record):
     """Record extras minus the wall-clock-dependent ``time/*`` keys."""
     return {k: v for k, v in record.extras.items() if not k.startswith("time/")}
@@ -66,6 +77,20 @@ def assert_histories_identical(a, b):
         assert ra.comm_uplink_bytes == rb.comm_uplink_bytes
         assert ra.comm_downlink_bytes == rb.comm_downlink_bytes
         assert _deterministic_extras(ra) == _deterministic_extras(rb)
+
+
+def write_without_engine_state(path: str) -> None:
+    """Rewrite a checkpoint in the layout the synchronous round loop wrote:
+    no ``engine::`` arrays and ``engine: null`` in the metadata.  Exact for
+    a checkpoint taken at a round barrier of a full-barrier run without
+    participation dropout, whose engine holds nothing in flight."""
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files if not k.startswith("engine::")}
+    meta = json.loads(arrays["__meta__json"].tobytes().decode("utf-8"))
+    meta["engine"] = None
+    arrays["__meta__json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
 
 
 CHAOS_PLAN = {
@@ -88,11 +113,13 @@ CHAOS_PLAN = {
 
 class TestConstruction:
     def test_rejects_non_async_algorithm(self, tiny_federation):
+        # an algorithm without the three round phases cannot be built, so
+        # no engine is ever handed one
         class _Sync(FederatedAlgorithm):
             name = "sync_only"
 
-        with pytest.raises(ValueError, match="async"):
-            AsyncRoundEngine(_Sync(tiny_federation))
+        with pytest.raises(TypeError, match="client_work"):
+            _Sync(tiny_federation)
 
     def test_validates_knobs(self, tiny_bundle):
         algo = make_fedpkd(tiny_bundle)
@@ -105,8 +132,10 @@ class TestConstruction:
 
     def test_registers_on_algorithm(self, tiny_bundle):
         algo = make_fedpkd(tiny_bundle)
+        assert isinstance(algo.engine, AsyncRoundEngine)
+        assert algo.engine.max_staleness == 0 and algo.engine.plan is None
         engine = AsyncRoundEngine(algo)
-        assert algo.async_engine is engine
+        assert algo.engine is engine
 
     def test_from_config_reads_knobs(self, tiny_bundle):
         algo = make_fedpkd(tiny_bundle)
@@ -126,48 +155,43 @@ class TestConstruction:
 
 
 class TestDegenerateEquivalence:
-    """max_staleness=0 + full buffer + no faults == the sync engine."""
+    """max_staleness=0 + full buffer + no faults reproduces the retired
+    synchronous loop: each history below is pinned to that loop's."""
 
     def test_degenerate_mode_bit_identical(self, tiny_bundle):
-        sync_algo = make_fedpkd(tiny_bundle)
-        h_sync = sync_algo.run(3)
-        sync_algo.federation.close()
+        algo = make_fedpkd(tiny_bundle)
+        history = AsyncRoundEngine(algo).run(3)
+        algo.federation.close()
 
-        async_algo = make_fedpkd(tiny_bundle)
-        h_async = AsyncRoundEngine(async_algo).run(3)
-        async_algo.federation.close()
-
-        assert_histories_identical(h_sync, h_async)
+        assert history_digest(history) == (
+            "2d483acc446d5451f5792ed50e6ef5f82fc805bcb16b4783fb403dd5963c9941"
+        )
         # server version tracks completed rounds exactly
-        assert async_algo.async_engine.version == 3
-        np.testing.assert_array_equal(
-            sync_algo.global_prototypes, async_algo.global_prototypes
+        assert algo.engine.version == 3
+        assert sha256(algo.global_prototypes.tobytes()) == (
+            "89f729daadbfa5da8fbf13011001e4af3908939586709f4a4fe47c3bd11e0c03"
         )
 
     def test_degenerate_mode_with_participation_dropout(self, tiny_bundle):
-        # the engine draws the participation sampler once per wave — the
-        # same RNG cadence as the sync loop's per-round active_clients()
-        sync_algo = make_fedpkd(tiny_bundle, num_clients=4, dropout_prob=0.4)
-        h_sync = sync_algo.run(3)
-        sync_algo.federation.close()
+        # the engine draws the participation sampler once per wave, the
+        # sync loop's cadence of one draw per round
+        algo = make_fedpkd(tiny_bundle, num_clients=4, dropout_prob=0.4)
+        history = algo.run(3)
+        algo.federation.close()
 
-        async_algo = make_fedpkd(tiny_bundle, num_clients=4, dropout_prob=0.4)
-        h_async = AsyncRoundEngine(async_algo).run(3)
-        async_algo.federation.close()
-
-        assert_histories_identical(h_sync, h_async)
+        assert history_digest(history) == (
+            "3b36984cad40530b2178640ec8a7050f8577c3db986c87e5f87b8efe8fafe2ec"
+        )
 
     def test_eval_every_matches_sync(self, tiny_bundle):
-        sync_algo = make_fedpkd(tiny_bundle)
-        h_sync = sync_algo.run(3, eval_every=2)
-        sync_algo.federation.close()
+        algo = make_fedpkd(tiny_bundle)
+        history = algo.run(3, eval_every=2)
+        algo.federation.close()
 
-        async_algo = make_fedpkd(tiny_bundle)
-        h_async = AsyncRoundEngine(async_algo).run(3, eval_every=2)
-        async_algo.federation.close()
-
-        assert [r.round_index for r in h_async.records] == [2, 3]
-        assert_histories_identical(h_sync, h_async)
+        assert [r.round_index for r in history.records] == [2, 3]
+        assert history_digest(history) == (
+            "b2bcacbec2d4efc7afdc72d22c0f4fee3892ec371e28690b7629564c565689d2"
+        )
 
 
 class TestVirtualClock:
@@ -369,27 +393,33 @@ class TestExactResume:
         algo2.federation.close()
 
     def test_async_checkpoint_refused_by_sync_load(self, tiny_bundle, tmp_path):
+        # engine state resumes only under the knobs it was written with
         ckpt = str(tmp_path / "async.ckpt.npz")
         algo = make_fedpkd(tiny_bundle)
-        AsyncRoundEngine(algo).run(1, checkpoint_every=1, checkpoint_path=ckpt)
+        AsyncRoundEngine(algo, max_staleness=2, buffer_size=2).run(
+            1, checkpoint_every=1, checkpoint_path=ckpt
+        )
         algo.federation.close()
 
         sync_algo = make_fedpkd(tiny_bundle)
-        with pytest.raises(CheckpointError, match="async-engine state"):
+        with pytest.raises(CheckpointError, match="max_staleness"):
             load_checkpoint(sync_algo, ckpt)
         sync_algo.federation.close()
 
     def test_sync_checkpoint_loads_into_async_engine(self, tiny_bundle, tmp_path):
-        # the converse direction is exact: the engine starts with an empty
-        # pipeline at the checkpoint's version (degenerate sync state)
+        # a checkpoint without engine state (what the synchronous loop
+        # wrote) was taken at a barrier with nothing in flight: the engine
+        # starts empty at its version and the tail is exact
         ckpt = str(tmp_path / "sync.ckpt.npz")
-        sync_algo = make_fedpkd(tiny_bundle)
-        h_sync = sync_algo.run(3)
-        sync_algo.federation.close()
+        full_algo = make_fedpkd(tiny_bundle)
+        h_full = full_algo.run(3)
+        full_algo.federation.close()
 
         head_algo = make_fedpkd(tiny_bundle)
         head_algo.run(2, checkpoint_every=2, checkpoint_path=ckpt)
         head_algo.federation.close()
+        write_without_engine_state(ckpt)
+        assert read_checkpoint_meta(ckpt)["engine"] is None
 
         async_algo = make_fedpkd(tiny_bundle)
         engine = AsyncRoundEngine(async_algo)
@@ -398,7 +428,13 @@ class TestExactResume:
         assert engine.version == 2
         h_async = engine.run(1, history=load_history(ckpt))
         async_algo.federation.close()
-        assert_histories_identical(h_sync, h_async)
+        assert_histories_identical(h_full, h_async)
+
+        # ... and, having no pipeline, it resumes under any knobs
+        chaos_algo = make_fedpkd(tiny_bundle)
+        AsyncRoundEngine(chaos_algo, max_staleness=2, buffer_size=2)
+        assert load_checkpoint(chaos_algo, ckpt) == 2
+        chaos_algo.federation.close()
 
     def test_engine_knob_mismatch_refused(self, tiny_bundle, tmp_path):
         ckpt = str(tmp_path / "knobs.ckpt.npz")
@@ -446,17 +482,19 @@ class TestHarnessIntegration:
     def test_run_algorithm_async_degenerate_matches_sync(self):
         from repro.experiments.harness import ExperimentSetting, run_algorithm
 
-        h_sync = run_algorithm(
-            ExperimentSetting(**FAST_SETTING), "fedpkd", rounds=2
-        )
-        h_async = run_algorithm(
-            ExperimentSetting(engine="async", **FAST_SETTING), "fedpkd", rounds=2
-        )
-        assert_histories_identical(h_sync, h_async)
+        # engine="async" with default knobs is the full barrier, as is
+        # engine="sync": both reproduce the synchronous loop's history
+        for engine in ("sync", "async"):
+            history = run_algorithm(
+                ExperimentSetting(engine=engine, **FAST_SETTING), "fedpkd", rounds=2
+            )
+            assert history_digest(history) == (
+                "65162e35ebe808d80e9afc7bc3db3382d803d8baa060a9fd9f9ac02e1c87ecd0"
+            )
 
 
 class TestFedProtoAsync:
-    """FedProto is the second real supports_async implementor."""
+    """FedProto: the prototype-only round under the engine."""
 
     def _make(self, bundle, seed=0):
         from repro.baselines import FedProto, FedProtoConfig
@@ -470,18 +508,16 @@ class TestFedProtoAsync:
         )
 
     def test_degenerate_mode_bit_identical(self, tiny_bundle):
-        sync_algo = self._make(tiny_bundle)
-        h_sync = sync_algo.run(3)
-        sync_algo.federation.close()
+        algo = self._make(tiny_bundle)
+        history = AsyncRoundEngine(algo).run(3)
+        algo.federation.close()
 
-        async_algo = self._make(tiny_bundle)
-        h_async = AsyncRoundEngine(async_algo).run(3)
-        async_algo.federation.close()
-
-        assert_histories_identical(h_sync, h_async)
-        assert async_algo.async_engine.version == 3
-        np.testing.assert_array_equal(
-            sync_algo.global_prototypes, async_algo.global_prototypes
+        assert history_digest(history) == (
+            "cbfd607ed484035e202f8754fbfb2a1786e75a42fa0de2a7d9bba179393177c2"
+        )
+        assert algo.engine.version == 3
+        assert sha256(algo.global_prototypes.tobytes()) == (
+            "c3948cc0347d537ad47729c98b4a654a0ee795244d3197f3ce866ffdfe62350d"
         )
 
     def test_staleness_discounts_change_prototypes(self, tiny_bundle):
@@ -508,3 +544,82 @@ class TestFedProtoAsync:
 
         assert len(h_delayed.records) == len(h_ref.records)
         assert delayed.global_prototypes is not None
+
+
+class TestDispatchAttribution:
+    """A client skipped at dispatch is charged to the round its dispatch
+    would have joined, not to the round that just finished."""
+
+    def test_leave_at_version_v_lands_in_round_v_plus_1(self, tiny_bundle):
+        algo = make_fedpkd(tiny_bundle, num_clients=3)
+        plan = {"faults": [{"kind": "leave", "client_id": 2, "round": 1}]}
+        AsyncRoundEngine(algo, fault_plan=plan).run(3)
+        algo.federation.close()
+        leaves = [
+            (e.round_index, e.client_id)
+            for e in algo.dropout_log.events
+            if e.reason == "injected_leave"
+        ]
+        # dispatches at versions 1 and 2 join rounds 2 and 3
+        assert leaves == [(2, 2), (3, 2)]
+
+    def test_empty_shard_dropouts_match_the_sync_loop(self, tiny_bundle):
+        from repro.algorithms import build_algorithm
+
+        from .test_registry import GROUPS, drop_class_bundle
+
+        fed = make_tiny_federation(
+            drop_class_bundle(tiny_bundle),
+            num_clients=len(GROUPS),
+            server_model=None,
+            partition=("by_classes", {"class_groups": GROUPS}),
+        )
+        algo = build_algorithm("fedproto", fed, seed=0, epoch_scale=0.1)
+        try:
+            history = algo.run(3, eval_every=1)
+        finally:
+            fed.close()
+        # what the synchronous loop recorded: client 3 out of every round
+        assert [r.extras["runtime_dropouts"] for r in history.records] == [1.0] * 3
+        assert [(e.round_index, e.client_id) for e in algo.dropout_log.events] == [
+            (1, 3), (2, 3), (3, 3)
+        ]
+        assert history_digest(history) == (
+            "c891edf2c42bdf1161511e7486c01a101799dc4a0d5ca0a473b2fe7d95b09b82"
+        )
+
+
+STRAGGLER_AND_CRASH = {
+    "seed": 3,
+    "faults": [
+        {"kind": "straggler", "client_id": 2, "factor": 3.0},
+        {"kind": "crash", "client_id": 1, "round": 1},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    ["dsfl", "fedavg", "feddf", "fedet", "fedmd", "fedpkd", "fedprox",
+     "fedproto", "naive_kd"],
+)
+def test_every_algorithm_survives_async_chaos(algorithm):
+    """Buffered, stale and faulted rounds for every algorithm: each value
+    the algorithm promises is finite."""
+    from repro.algorithms import algorithm_supports
+    from repro.experiments.harness import ExperimentSetting, run_algorithm
+
+    setting = ExperimentSetting(
+        engine="async", max_staleness=2, buffer_size=2,
+        fault_plan=STRAGGLER_AND_CRASH, scale="tiny",
+        scale_overrides=dict(FAST_SETTING["scale_overrides"], num_clients=4),
+    )
+    history = run_algorithm(setting, algorithm, rounds=3)
+    assert len(history.records) == 3
+    for record in history.records:
+        values = [v for k, v in record.extras.items() if "/" not in k]
+        if algorithm_supports(algorithm, "server_model"):
+            values.append(record.server_acc)
+        if algorithm_supports(algorithm, "client_metric"):
+            values.append(record.mean_client_acc)
+        assert all(math.isfinite(v) for v in values), record

@@ -93,16 +93,16 @@ class TestPendingState:
 
         path = str(tmp_path / "c.npz")
         algo = make_algo(tiny_bundle)
-        original = algo.run_round
+        original = algo.server_update
         calls = {"n": 0}
 
-        def interrupted(participants):
+        def interrupted(contributions, client_weights, contributors):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise KeyboardInterrupt
-            return original(participants)
+            return original(contributions, client_weights, contributors)
 
-        algo.run_round = interrupted
+        algo.server_update = interrupted
         with pytest.raises(KeyboardInterrupt):
             algo.run(2, eval_every=2, checkpoint_every=1, checkpoint_path=path)
 

@@ -111,10 +111,16 @@ class _CountingAlgorithm(FederatedAlgorithm):
         super().__init__(federation, seed=seed)
         self.rounds_run = 0
 
-    def run_round(self, participants):
-        self.rounds_run += 1
+    def dispatch_state(self):
+        return {}
+
+    def client_work(self, participants, snapshot):
         for c in participants:
             self.channel.upload(c.client_id, np.zeros(10))
+        return [{} for _ in participants]
+
+    def server_update(self, contributions, client_weights, contributors):
+        self.rounds_run += 1
         return {"custom": 1.0}
 
 
@@ -139,9 +145,11 @@ class TestRoundEngine:
 
     def test_wall_time_accumulates_across_uneval_rounds(self, tiny_federation):
         class _Sleepy(_CountingAlgorithm):
-            def run_round(self, participants):
+            def server_update(self, contributions, client_weights, contributors):
                 time.sleep(0.02)
-                return super().run_round(participants)
+                return super().server_update(
+                    contributions, client_weights, contributors
+                )
 
         algo = _Sleepy(tiny_federation)
         history = algo.run(rounds=2, eval_every=2)
@@ -162,7 +170,16 @@ class TestRoundEngine:
         # with 60% dropout some traffic must be below full participation
         assert fed.channel.snapshot().uplink < 5 * 6 * 40
 
-    def test_base_run_round_abstract(self, tiny_federation):
-        algo = FederatedAlgorithm(tiny_federation)
-        with pytest.raises(NotImplementedError):
-            algo.run_round([])
+    def test_round_phases_are_abstract(self, tiny_federation):
+        with pytest.raises(TypeError, match="abstract"):
+            FederatedAlgorithm(tiny_federation)
+
+        class _NoServerUpdate(FederatedAlgorithm):
+            def dispatch_state(self):
+                return {}
+
+            def client_work(self, participants, snapshot):
+                return []
+
+        with pytest.raises(TypeError, match="server_update"):
+            _NoServerUpdate(tiny_federation)

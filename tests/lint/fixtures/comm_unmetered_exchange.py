@@ -5,7 +5,7 @@ PUBLIC_X = "public_x"
 
 
 class Leaky:
-    def run_round(self, participants):
+    def client_work(self, participants, snapshot):
         logits = self.map_clients(participants, "logits_on", {"x": PUBLIC_X})  # BAD
         return logits
 
@@ -14,7 +14,7 @@ class Leaky:
 
 
 class Metered:
-    def run_round(self, participants):
+    def client_work(self, participants, snapshot):
         logits = self.map_clients(participants, "logits_on", {"x": PUBLIC_X})
         for client, client_logits in zip(participants, logits):
             self.channel.upload(client.client_id, {"logits": client_logits})

@@ -15,10 +15,10 @@ from ..fl.simulation import FederatedAlgorithm
 class LeakyAlgo(FederatedAlgorithm):
     name = "leaky"
 
-    def run_round(self, participants):
+    def server_update(self, contributions, client_weights, contributors):
         self.global_logits = np.zeros((4, 2), dtype=np.float64)  # BAD
         self.temperature = 0.5
-        return {"participants": float(len(participants))}
+        return {"participants": float(len(contributors))}
 
     def extra_state(self):  # BAD
         return {"temperature": self.temperature}
@@ -30,9 +30,9 @@ class LeakyAlgo(FederatedAlgorithm):
 class SoundAlgo(FederatedAlgorithm):
     name = "sound"
 
-    def run_round(self, participants):
+    def server_update(self, contributions, client_weights, contributors):
         self.round_scale = 1.0
-        return {"participants": float(len(participants))}
+        return {"participants": float(len(contributors))}
 
     def extra_state(self):
         return {"round_scale": self.round_scale}

@@ -42,9 +42,9 @@ LEAKY_ALGO_SOURCE = textwrap.dedent(
     class LeakyAlgo(FederatedAlgorithm):
         name = "leaky"
 
-        def run_round(self, participants):
+        def server_update(self, contributions, client_weights, contributors):
             self.temperature = 0.5
-            return {"participants": float(len(participants))}
+            return {"participants": float(len(contributors))}
 
         def extra_state(self):
             return {}

@@ -31,7 +31,6 @@ def test_registry_is_nonempty_and_covers_all_packs():
         "hygiene",
         "flow-dtype",
         "flow-checkpoint",
-        "flow-config",
     }
 
 

@@ -57,10 +57,10 @@ class TestSweepCommand:
         assert "2 cached" in capsys.readouterr().out
 
     def test_failed_run_exits_1(self, spec_path, tmp_path, monkeypatch, capsys):
-        def boom(self, participants):
+        def boom(self, contributions, client_weights, contributors):
             raise RuntimeError("exploded")
 
-        monkeypatch.setattr(FedAvg, "run_round", boom)
+        monkeypatch.setattr(FedAvg, "server_update", boom)
         code = main([
             "sweep", spec_path, "--out-root", out_root(tmp_path), "--quiet"
         ])

@@ -75,16 +75,16 @@ class TestInlineExecution:
 class TestFailureIsolation:
     def test_mid_round_crash_is_recorded_not_fatal(self, tmp_path, monkeypatch):
         # fedavg dies inside its second round; its fedmd sibling completes
-        original = FedAvg.run_round
+        original = FedAvg.server_update
         rounds_seen = {"n": 0}
 
-        def boom(self, participants):
+        def boom(self, contributions, client_weights, contributors):
             rounds_seen["n"] += 1
             if rounds_seen["n"] >= 2:
                 raise RuntimeError("nan loss at round 2")
-            return original(self, participants)
+            return original(self, contributions, client_weights, contributors)
 
-        monkeypatch.setattr(FedAvg, "run_round", boom)
+        monkeypatch.setattr(FedAvg, "server_update", boom)
         spec = make_spec(algorithms=("fedavg", "fedmd"), rounds=2)
         scheduler = make_scheduler(spec, tmp_path)
         result = scheduler.run()
@@ -204,3 +204,37 @@ class TestPoolExecution:
                     a.server_acc != a.server_acc and b.server_acc != b.server_acc
                 )
                 assert a.client_accs == b.client_accs
+
+    def test_timeout_reexecutes_no_finished_run(self, tmp_path, monkeypatch):
+        """One run outlives run_timeout_s; recycling the pool must bank the
+        runs that already finished instead of executing them again."""
+        import time
+
+        from repro.fl.metrics import RoundRecord, RunHistory
+
+        log = tmp_path / "executions.log"
+
+        def fake_execute(payload):
+            run = payload["run"]
+            seed = run["setting_fields"]["seed"]
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{seed}\n")
+            if seed == 3:
+                time.sleep(6.0)  # the run that times out
+            history = RunHistory(run["algorithm"])
+            history.append(RoundRecord(1, 0.5, [0.5], 1, 1))
+            return history
+
+        # the pool forks after this, so its workers run the fake
+        monkeypatch.setattr(scheduler_mod, "execute_run", fake_execute)
+        spec = make_spec(seeds=(0, 1, 2, 3, 4, 5))
+        result = make_scheduler(
+            spec, tmp_path, run_workers=2, run_timeout_s=1.5, run_retries=0
+        ).run()
+
+        by_seed = {o.spec.setting_fields["seed"]: o for o in result.outcomes}
+        assert by_seed[3].status == "failed"
+        assert "timeout" in by_seed[3].error
+        assert all(by_seed[s].status == "completed" for s in (0, 1, 2, 4, 5))
+        executions = log.read_text().split()
+        assert sorted(executions) == ["0", "1", "2", "3", "4", "5"]

@@ -268,10 +268,16 @@ class TestAsyncEngineFlags:
         assert math.isfinite(payload["records"][0]["server_acc"])
         assert "S_acc=" in capsys.readouterr().out
 
-    def test_async_engine_rejects_unsupported_algorithm(self):
-        # fedavg never opted into the async protocol
-        with pytest.raises(ValueError, match="async"):
-            main([
-                "run", "--algorithm", "fedavg", "--scale", "tiny",
-                "--rounds", "1", "--engine", "async",
-            ])
+    def test_async_engine_runs_a_weight_averaging_baseline(self, tmp_path):
+        # every algorithm implements the round phases, so every one runs
+        # buffered and stale under the engine
+        out = tmp_path / "history.json"
+        code = main([
+            "run", "--algorithm", "fedavg", "--scale", "tiny",
+            "--rounds", "2", "--engine", "async", "--max-staleness", "2",
+            "--buffer-size", "2", "--out", str(out),
+        ])
+        assert code == 0
+        records = json.loads(out.read_text())["records"]
+        assert len(records) == 2
+        assert all(math.isfinite(r["server_acc"]) for r in records)
