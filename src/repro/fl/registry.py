@@ -13,20 +13,26 @@ O(N).  This module provides that shape:
   as the eager path, so a derived client is bit-identical to an eagerly
   built one), and the model is either built fresh from its seed or
   hydrated from the spill store.
-- :class:`ClientModelStore` — one lossless ``client<id>.state`` shard per
-  *mutated* client (the client RNG stream as a JSON blob, then the model
-  ``state_dict`` as a flat :func:`repro.nn.serialize.serialize_state`
-  blob), written when a live client is evicted.  A store only ever reads
-  shards it wrote itself, so a reused ``spill_dir`` never hydrates a
-  previous run's clients, and a corrupt shard raises a ``ValueError``
-  naming the client and path.
+- :class:`ClientModelStore` — one append-only log file per store plus an
+  in-memory ``client id -> (offset, length)`` index.  A record is the
+  client RNG stream as a JSON blob, then the model ``state_dict`` as a
+  flat :func:`repro.nn.serialize.serialize_state` blob; a spill is one
+  ``os.pwritev`` at the end of the log and a hydration one ``os.pread``.
+  The index moves only after a complete write, a store only ever reads
+  its own log (so a reused or shared ``spill_dir`` never hydrates another
+  store's clients), and a corrupt record raises a ``ValueError`` naming
+  the client and the log.
 
 Mutation tracking decides what must survive eviction: ``registry[cid]``
 marks the client *dirty* (algorithms train / load weights through it),
 while :meth:`ClientRegistry.peek` materialises without marking (the
 sampled-evaluation read path).  A clean evicted client is simply dropped —
 it is a pure function of its seeds and is rebuilt identically on the next
-touch; a dirty one is spilled first.
+touch.  A dirty one is written only if it was handed out through
+``registry[cid]`` since its last record; a spilled client that ``peek``
+brought back is dropped, because its record is still current.  Once
+superseded records outweigh live ones, :meth:`ClientRegistry.settle`
+compacts the log, so disk use stays O(mutated clients).
 
 Eviction happens only at :meth:`ClientRegistry.settle` — the round
 boundary — never mid-access, so client references handed to an algorithm
@@ -58,94 +64,147 @@ __all__ = ["ClientModelStore", "ClientRegistry"]
 
 
 class ClientModelStore:
-    """Spill-to-disk store: one lossless shard per client id.
+    """Spill-to-disk store: one append-only log of client records.
 
-    A shard holds the client's RNG stream state and its model
-    ``state_dict`` (native dtypes — the same blob the parallel runtime
-    ships state between processes with).  The store tracks the ids it
-    wrote: :meth:`has` and :meth:`clear` see only those, never a shard
-    some earlier store left in the same directory.  ``root=None`` creates
-    a private temporary directory lazily on first write and removes it on
-    :meth:`close`; an explicit ``root`` is owned by the caller and left in
-    place.
+    A record is one client's RNG stream state and its model ``state_dict``
+    (native dtypes — the same blob the parallel runtime ships state between
+    processes with).  The log is one file per store, created under a unique
+    name inside ``root`` on the first write; an in-memory index maps each
+    client id to its latest record's ``(offset, length)``.  A save is one
+    ``os.pwritev`` at the end of the log and a load one ``os.pread``.  The
+    index moves only after a complete write, so a failed or short write
+    never becomes readable — the next save overwrites its bytes.  Re-saving
+    a client leaves its previous record behind as dead bytes, which
+    :meth:`compact` reclaims.
+
+    A store reads only records it wrote: :meth:`has` and :meth:`clear`
+    see the index, never another store's log in the same directory.
+    ``root=None`` creates a private temporary directory lazily on first
+    write and removes it on :meth:`close`; an explicit ``root`` is owned
+    by the caller and left in place (only the log is removed).
     """
 
     def __init__(self, root: Optional[str] = None) -> None:
         self._root = root
         self._owned = root is None
-        self._created = False
-        self._written: set = set()
+        self._fd: Optional[int] = None
+        self._path: Optional[str] = None
+        self._index: Dict[int, Tuple[int, int]] = {}
+        self._end = 0
+        self._live_bytes = 0
 
     @property
     def root(self) -> Optional[str]:
         return self._root
 
-    def _ensure_root(self) -> str:
-        if self._root is None:
-            self._root = tempfile.mkdtemp(prefix="repro-client-store-")
-        elif not self._created:
-            os.makedirs(self._root, exist_ok=True)
-        self._created = True
-        return self._root
+    def _new_log(self) -> Tuple[int, str]:
+        return tempfile.mkstemp(prefix="clients-", suffix=".log", dir=self._root)
 
-    def _shard_path(self, client_id: int) -> str:
-        return os.path.join(self._ensure_root(), f"client{client_id:08d}.state")
+    def _log(self) -> int:
+        if self._fd is None:
+            if self._root is None:
+                self._root = tempfile.mkdtemp(prefix="repro-client-store-")
+            else:
+                os.makedirs(self._root, exist_ok=True)
+            self._fd, self._path = self._new_log()
+        return self._fd
 
     def save(
         self, client_id: int, model_state: Dict[str, np.ndarray], rng_state: dict
     ) -> int:
-        """Atomically write one client's shard (tmp + ``os.replace``);
-        returns the shard size in bytes (the registry's obs gauge feed)."""
+        """Append one client's record to the log and point the index at
+        it; returns the record size in bytes (the registry's obs gauge
+        feed)."""
         blob = serialize_state(model_state)
         rng_blob = json.dumps(rng_state, default=_json_default).encode("utf-8")
-        path = self._shard_path(client_id)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as f:
-                f.write(len(rng_blob).to_bytes(8, "little"))
-                f.write(rng_blob)
-                f.write(blob)
-            os.replace(tmp, path)
-            self._written.add(client_id)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        return 8 + len(rng_blob) + len(blob)
+        length = 8 + len(rng_blob) + len(blob)
+        fd = self._log()
+        written = os.pwritev(
+            fd, [len(rng_blob).to_bytes(8, "little"), rng_blob, blob], self._end
+        )
+        if written != length:
+            raise OSError(
+                f"short write to {self._path}: {written} of {length} bytes"
+            )
+        previous = self._index.get(client_id)
+        if previous is not None:
+            self._live_bytes -= previous[1]
+        self._index[client_id] = (self._end, length)
+        self._live_bytes += length
+        self._end += length
+        return length
 
     def load(self, client_id: int) -> Tuple[Dict[str, np.ndarray], dict]:
-        """Read one client's shard back: ``(model_state, rng_state)``.
+        """Read one client's latest record back: ``(model_state, rng_state)``.
 
-        A corrupt shard raises ``ValueError`` naming the client and path.
+        A corrupt record raises ``ValueError`` naming the client and log.
         """
-        path = self._shard_path(client_id)
+        offset, length = self._index[client_id]
+        record = os.pread(self._fd, length, offset)
         try:
-            with open(path, "rb") as f:
-                rng_len = int.from_bytes(f.read(8), "little")
-                rng_state = json.loads(f.read(rng_len))
-                state = deserialize_state(f.read())
+            if len(record) != length:
+                raise ValueError(
+                    f"record runs past the end of the log "
+                    f"({len(record)} of {length} bytes)"
+                )
+            rng_end = 8 + int.from_bytes(record[:8], "little")
+            if rng_end > length:
+                raise ValueError("RNG state runs past the end of the record")
+            rng_state = json.loads(record[8:rng_end])
+            state = deserialize_state(record[rng_end:])
         except ValueError as exc:
             raise ValueError(
-                f"corrupt spill shard for client {client_id} at {path}: {exc}"
+                f"corrupt spill record for client {client_id} in {self._path}: {exc}"
             ) from exc
         return state, rng_state
 
     def has(self, client_id: int) -> bool:
-        return client_id in self._written
+        return client_id in self._index
+
+    def compact(self) -> None:
+        """Rewrite the log with only each client's latest record once the
+        dead bytes outweigh the live ones, so disk use stays O(stored
+        clients).  The old log is dropped only after the new one is
+        complete."""
+        if self._end - self._live_bytes <= self._live_bytes:
+            return
+        fd, path = self._new_log()
+        index: Dict[int, Tuple[int, int]] = {}
+        end = 0
+        try:
+            for client_id, (offset, length) in self._index.items():
+                record = os.pread(self._fd, length, offset)
+                if len(record) != length or os.pwrite(fd, record, end) != length:
+                    raise OSError(f"short copy of client {client_id}'s record")
+                index[client_id] = (end, length)
+                end += length
+        except BaseException:
+            os.close(fd)
+            os.remove(path)
+            raise
+        os.close(self._fd)
+        os.remove(self._path)
+        self._fd, self._path, self._index, self._end = fd, path, index, end
 
     def clear(self) -> None:
-        """Drop every shard this store wrote (checkpoint restore resets
-        the store)."""
-        for client_id in self._written:
-            os.remove(self._shard_path(client_id))
-        self._written.clear()
+        """Drop every record (checkpoint restore resets the store)."""
+        self._index.clear()
+        self._end = self._live_bytes = 0
+        if self._fd is not None:
+            os.ftruncate(self._fd, 0)
 
     def close(self) -> None:
-        """Remove the store directory if this store created it."""
-        if self._owned and self._created and self._root is not None:
+        """Close and remove the log, and the store directory if this store
+        created it."""
+        self._index.clear()
+        self._end = self._live_bytes = 0
+        if self._fd is not None:
+            os.close(self._fd)
+            os.remove(self._path)
+            self._fd = self._path = None
+        if self._owned and self._root is not None:
             shutil.rmtree(self._root, ignore_errors=True)
-            self._created = False
             self._root = None
-            self._written.clear()
 
 
 def _json_default(value):
@@ -209,6 +268,10 @@ class ClientRegistry(Sequence):
         self.store = ClientModelStore(spill_dir)
         self._live: "OrderedDict[int, FLClient]" = OrderedDict()
         self._dirty: set = set()
+        # live clients whose state may differ from their stored record:
+        # handed out through ``registry[cid]`` (or restored in place) since
+        # the last spill.  Only these are written at eviction.
+        self._changed: set = set()
         # lifetime counters surfaced by stats() and the cohort benchmark
         self._materialisations = 0
         self._hydrations = 0
@@ -356,6 +419,7 @@ class ClientRegistry(Sequence):
             raise IndexError(f"client id {index} out of range [0, {len(self)})")
         client = self._materialise(cid)
         self._dirty.add(cid)
+        self._changed.add(cid)
         return client
 
     def peek(self, client_id: int) -> FLClient:
@@ -376,26 +440,35 @@ class ClientRegistry(Sequence):
 
     def settle(self) -> None:
         """Round-boundary eviction: shrink the live set to ``max_live``
-        (least-recently-used first), spilling dirty clients to the store
-        and dropping clean ones."""
+        (least-recently-used first).  A changed client is written to the
+        store before it leaves the live set — a failed write raises with
+        the client still live and still changed.  A dirty client whose
+        record is current (hydrated by :meth:`peek` only) and a clean one
+        are dropped without a write.  Then the store's log is compacted if
+        superseded records outweigh live ones."""
         if self.max_live is None:
             return
         metrics = self._metrics
-        while len(self._live) > self.max_live:
-            cid, client = self._live.popitem(last=False)
-            if cid in self._dirty:
+        live = self._live
+        while len(live) > self.max_live:
+            cid = next(iter(live))
+            if cid in self._changed:
+                client = live[cid]
                 nbytes = self.store.save(
                     cid, client.model.state_dict(), client.rng_state()
                 )
+                self._changed.discard(cid)
                 self._spills += 1
                 if metrics is not None:
                     metrics.counter("registry/spill_writes").inc()
                     metrics.counter("registry/shard_bytes").inc(nbytes)
-            else:
+            elif cid not in self._dirty:
                 self._evicted_clean.add(cid)
+            del live[cid]
             self._evictions += 1
             if metrics is not None:
                 metrics.counter("registry/evictions").inc()
+        self.store.compact()
         self._update_gauges()
 
     # ------------------------------------------------------------------
@@ -426,6 +499,7 @@ class ClientRegistry(Sequence):
         if client is not None:
             client.model.load_state_dict(model_state)
             client.set_rng_state(rng_state)
+            self._changed.add(client_id)
         else:
             self.store.save(client_id, model_state, rng_state)
         self._dirty.add(client_id)
@@ -435,6 +509,7 @@ class ClientRegistry(Sequence):
         restore starts from a clean slate)."""
         self._live.clear()
         self._dirty.clear()
+        self._changed.clear()
         self._evicted_clean.clear()
         self.store.clear()
         self._update_gauges()
@@ -456,4 +531,5 @@ class ClientRegistry(Sequence):
 
     def close(self) -> None:
         self._live.clear()
+        self._changed.clear()
         self.store.close()

@@ -167,7 +167,7 @@ def build_federation(
     historical eager builder used, so any derived client — and therefore
     any run — is bit-identical to the eager construction.  With
     ``max_live_clients`` set, at most that many materialised clients carry
-    across rounds; mutated state spills to an npz shard store.
+    across rounds; mutated state spills to the registry's append-only log.
     """
     parts = _partition_indices(bundle, config)
     model_cycle = (

@@ -10,6 +10,7 @@ enforces both here.
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -89,8 +90,48 @@ class TestClientModelStore:
         root = str(tmp_path / "store")
         store = ClientModelStore(root)
         store.save(0, self._state(np.random.default_rng(3)), {"s": 1})
+        assert os.path.dirname(store._path) == root
         store.close()
         assert os.path.isdir(root)
+        assert os.listdir(root) == []  # the log goes, the directory stays
+
+    def test_stores_sharing_a_root_read_only_their_own_records(self, tmp_path):
+        root = str(tmp_path / "shared")
+        a, b = ClientModelStore(root), ClientModelStore(root)
+        try:
+            state_a = self._state(np.random.default_rng(4))
+            a.save(0, state_a, {"s": "a"})
+            b.save(0, self._state(np.random.default_rng(5)), {"s": "b"})
+            loaded, rng_state = a.load(0)
+            assert rng_state == {"s": "a"}
+            for key, value in state_a.items():
+                np.testing.assert_array_equal(loaded[key], value)
+        finally:
+            a.close()
+            b.close()
+        assert os.listdir(root) == []
+
+    def test_failed_write_never_becomes_readable(self, tmp_path, monkeypatch):
+        store = ClientModelStore(str(tmp_path / "store"))
+        try:
+            first = self._state(np.random.default_rng(6))
+            size = store.save(0, first, {"s": 1})
+            real_pwritev = os.pwritev
+            monkeypatch.setattr(
+                os, "pwritev", lambda fd, bufs, off: real_pwritev(fd, bufs[:1], off)
+            )
+            with pytest.raises(OSError, match="short write"):
+                store.save(0, self._state(np.random.default_rng(7)), {"s": 2})
+            monkeypatch.undo()
+            loaded, rng_state = store.load(0)
+            assert rng_state == {"s": 1}
+            for key, value in first.items():
+                np.testing.assert_array_equal(loaded[key], value)
+            # the next write reuses the failed write's bytes
+            store.save(1, first, {"s": 3})
+            assert os.path.getsize(store._path) == 2 * size
+        finally:
+            store.close()
 
 
 class TestClientRegistry:
@@ -210,8 +251,9 @@ class TestClientRegistry:
         client.model.load_state_dict(state)
         first.peek(0)
         first.settle()
-        first.close()
-        assert os.path.exists(os.path.join(spill_dir, "client00000005.state"))
+        # the first run's log stays behind, as after a crash
+        assert first.store.has(5)
+        assert os.path.dirname(first.store._path) == spill_dir
 
         fresh = make_registry(tiny_bundle, num_clients=6)
         second = make_registry(
@@ -227,29 +269,136 @@ class TestClientRegistry:
                 np.testing.assert_array_equal(value, seeded[name])
             assert second.stats()["hydrations"] == 0
         finally:
+            first.close()
             second.close()
             fresh.close()
+        assert os.listdir(spill_dir) == []
+
+    @staticmethod
+    def _truncate_record(path, offset, length):
+        os.truncate(path, offset + length - 1)
+
+    @staticmethod
+    def _flip_header_byte(path, offset, length):
+        with open(path, "r+b") as f:
+            f.seek(offset + 1)  # the RNG-JSON length grows past the record
+            byte = f.read(1)[0]
+            f.seek(offset + 1)
+            f.write(bytes([byte ^ 0xFF]))
+
+    @staticmethod
+    def _run_past_eof(path, offset, length):
+        os.truncate(path, offset + 4)
 
     def test_corrupt_shard_raises_before_anything_is_mutated(self, tiny_bundle):
+        for corrupt in (
+            self._truncate_record, self._flip_header_byte, self._run_past_eof
+        ):
+            reg = make_registry(tiny_bundle, max_live=1)
+            try:
+                reg[0]
+                reg.peek(1)
+                reg.settle()
+                survivor = {
+                    k: v.copy() for k, v in reg.peek(1).model.state_dict().items()
+                }
+                path = reg.store._path
+                corrupt(path, *reg.store._index[0])
+                with pytest.raises(
+                    ValueError, match=f"client 0 in {re.escape(path)}"
+                ):
+                    reg[0]
+                assert 0 not in reg._live
+                assert reg.stats()["hydrations"] == 0
+                for key, value in reg.peek(1).model.state_dict().items():
+                    np.testing.assert_array_equal(value, survivor[key])
+            finally:
+                reg.close()
+
+    def test_peeked_spilled_client_is_evicted_without_a_write(self, tiny_bundle):
         reg = make_registry(tiny_bundle, max_live=1)
         try:
             reg[0]
             reg.peek(1)
             reg.settle()
-            survivor = {
-                k: v.copy() for k, v in reg.peek(1).model.state_dict().items()
-            }
-            path = reg.store._shard_path(0)
-            with open(path, "rb") as f:
-                blob = f.read()
-            with open(path, "wb") as f:
-                f.write(blob[:-1])
-            with pytest.raises(ValueError, match="client 0 at .*client00000000"):
-                reg[0]
+            assert reg.stats()["spills"] == 1
+            size = os.path.getsize(reg.store._path)
+            reg.peek(0)  # hydrated for evaluation, not handed out
+            reg.peek(1)
+            reg.settle()
+            stats = reg.stats()
             assert 0 not in reg._live
-            assert reg.stats()["hydrations"] == 0
-            for key, value in reg.peek(1).model.state_dict().items():
-                np.testing.assert_array_equal(value, survivor[key])
+            assert (stats["hydrations"], stats["spills"]) == (1, 1)
+            assert os.path.getsize(reg.store._path) == size
+            assert reg.dirty_ids() == [0]
+        finally:
+            reg.close()
+
+    def test_failed_spill_keeps_client_live_and_retries(
+        self, tiny_bundle, monkeypatch
+    ):
+        reg = make_registry(tiny_bundle, max_live=1)
+        try:
+            client = reg[0]
+            state = client.model.state_dict()
+            key = next(iter(state))
+            state[key] = state[key] + 1.0
+            trained = state[key].copy()
+            client.model.load_state_dict(state)
+            reg.peek(1)
+            real_save = reg.store.save
+
+            def save_fails_once(*args):
+                monkeypatch.setattr(reg.store, "save", real_save)
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(reg.store, "save", save_fails_once)
+            with pytest.raises(OSError):
+                reg.settle()
+            assert reg._live.get(0) is client
+            np.testing.assert_array_equal(reg.client_state(0)[0][key], trained)
+            assert reg.stats()["spills"] == 0
+            reg.settle()
+            assert 0 not in reg._live and reg.store.has(0)
+            assert reg.stats()["spills"] == 1
+            np.testing.assert_array_equal(reg[0].model.state_dict()[key], trained)
+        finally:
+            reg.close()
+
+    def test_settle_compacts_a_log_of_superseded_records(self, tiny_bundle):
+        def snapshot(client):
+            return (
+                {k: v.copy() for k, v in client.model.state_dict().items()},
+                client.rng_state(),
+            )
+
+        reg = make_registry(tiny_bundle, num_clients=5, max_live=1)
+        try:
+            expected = {cid: snapshot(reg[cid]) for cid in (1, 2, 3)}
+            reg.peek(4)
+            reg.settle()
+            logs = set()
+            for _ in range(12):  # client 0 is re-spilled every round
+                client = reg[0]
+                state = client.model.state_dict()
+                key = next(iter(state))
+                state[key] = state[key] + 1.0
+                client.model.load_state_dict(state)
+                expected[0] = snapshot(client)
+                reg.peek(4)
+                reg.settle()
+                store = reg.store
+                logs.add(store._path)
+                lengths = [length for _, length in store._index.values()]
+                assert os.path.getsize(store._path) <= 2 * sum(lengths) + max(lengths)
+            assert len(logs) > 1  # the log was rewritten
+            assert reg.stats()["spills"] == 3 + 12
+            for cid, (state, rng_state) in expected.items():
+                loaded, loaded_rng = reg.store.load(cid)
+                assert loaded_rng == rng_state
+                for key, value in state.items():
+                    assert loaded[key].dtype == value.dtype
+                    np.testing.assert_array_equal(loaded[key], value)
         finally:
             reg.close()
 
