@@ -16,35 +16,38 @@ A checkpoint therefore captures everything that carries across rounds:
   :meth:`~repro.fl.simulation.FederatedAlgorithm.extra_state` hook
   (FedPKD / FedProto global prototypes, ...).
 
-Writes are atomic (tmp file + ``os.replace``), so an interrupted save
-leaves the previous checkpoint intact.  Files carry a format version and a
-config/architecture fingerprint (per-client parameter keys and shapes)
-validated on load; a corrupt, truncated, or mismatched file raises
-:class:`CheckpointError` with a precise message, never a numpy traceback.
+A checkpoint file is one :mod:`repro.nn.serialize` state blob whose
+``meta`` holds everything but the arrays.  Writes are atomic (tmp file +
+fsync + ``os.replace``), so an interrupted save leaves the previous
+checkpoint intact.  The blob's CRC-32s and a config/architecture
+fingerprint (per-client parameter keys and shapes) are checked on load; a
+corrupt, truncated, outdated or mismatched file raises
+:class:`CheckpointError` with a precise message before anything is
+mutated.
 
 Usage::
 
-    save_checkpoint(algo, "run.ckpt.npz", history=history)
+    save_checkpoint(algo, "run.ckpt", history=history)
     ...
     algo2 = build_algorithm("fedpkd", fresh_federation)
-    done = load_checkpoint(algo2, "run.ckpt.npz")
-    history = load_history("run.ckpt.npz")
+    done = load_checkpoint(algo2, "run.ckpt")
+    history = load_history("run.ckpt")
     algo2.run(rounds=total - done, history=history)   # bit-identical tail
 
 or let the round engine autosave via ``algo.run(..., checkpoint_every=5,
-checkpoint_path="run.ckpt.npz")`` (see docs/CHECKPOINT.md).
+checkpoint_path="run.ckpt")`` (see docs/CHECKPOINT.md).
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import os
 import time
-from typing import Any, Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..nn.serialize import deserialize_state, read_state_meta, state_chunks
 from .metrics import RunHistory
 from .simulation import FederatedAlgorithm
 
@@ -55,22 +58,16 @@ __all__ = [
     "load_checkpoint",
     "load_history",
     "read_checkpoint_meta",
-    "algorithm_state",
-    "load_algorithm_state",
 ]
 
-#: Bump whenever the on-disk layout changes.  Version 1 was the legacy
-#: weights-only format (no RNG/channel/history state); it is refused on
-#: load because resuming from it would violate the exact-resume contract.
-#: Version 2 added full RNG/channel/history/engine state.  Version 3 adds
-#: the bounded-registry layout: federations running a bounded
-#: :class:`~repro.fl.registry.ClientRegistry` persist only the *mutated*
-#: clients (plus a cycle-compressed fingerprint), keeping checkpoints
-#: O(clients touched), not O(population); v2 files still load.
-CHECKPOINT_FORMAT_VERSION = 3
+#: Bump whenever the on-disk layout changes.  Versions 1-3 were ``.npz``
+#: archives (v1 weights only, v2 full RNG/channel/history/engine state, v3
+#: the bounded-registry layout that persists only *mutated* clients).
+#: Version 4 is one checksummed state blob with the metadata in its
+#: header; only v4 loads, and an ``.npz`` file is refused by name.
+CHECKPOINT_FORMAT_VERSION = 4
 
-_META_VERSION = "__meta__format_version"
-_META_JSON = "__meta__json"
+_NPZ_MAGIC = b"PK\x03\x04"
 _CLIENT_PREFIX = "client{cid}::"
 _SERVER_PREFIX = "server::"
 _ALGO_PREFIX = "algo::"
@@ -83,31 +80,19 @@ class CheckpointError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# algorithm-specific state (delegates to the per-algorithm hook)
-# ----------------------------------------------------------------------
-def algorithm_state(algo: FederatedAlgorithm) -> Dict[str, np.ndarray]:
-    """Arrays the algorithm carries across rounds (its ``extra_state``)."""
-    return {key: np.asarray(value) for key, value in algo.extra_state().items()}
-
-
-def load_algorithm_state(
-    algo: FederatedAlgorithm, state: Dict[str, np.ndarray]
-) -> None:
-    """Inverse of :func:`algorithm_state`."""
-    algo.load_extra_state(state)
-
-
-# ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def _json_default(value: Any):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"unserialisable checkpoint metadata of type {type(value)!r}")
+def _prefixed(prefix: str, state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    return {prefix + key: value for key, value in state.items()}
+
+
+def _unprefixed(arrays: Dict[str, np.ndarray], prefix: str) -> Dict[str, np.ndarray]:
+    """The arrays saved under ``prefix``, with the prefix stripped."""
+    return {
+        key[len(prefix):]: value
+        for key, value in arrays.items()
+        if key.startswith(prefix)
+    }
 
 
 def _rng_state(rng: np.random.Generator) -> dict:
@@ -129,9 +114,7 @@ def _bounded_registry(algo: FederatedAlgorithm):
     """The federation's ClientRegistry when it is bounded, else ``None``.
 
     Unbounded registries (``max_live_clients=None``, the degenerate mode)
-    keep the historical full-population checkpoint layout — every client
-    is materialised anyway, and the small-cohort format/validation
-    behaviour stays byte-for-byte what it always was.
+    keep the full-population layout: every client is materialised anyway.
     """
     registry = getattr(algo.federation, "registry", None)
     if registry is not None and registry.bounded:
@@ -318,8 +301,8 @@ def save_checkpoint(
 ) -> None:
     """Atomically write the algorithm's full training state to ``path``.
 
-    The file is an ``.npz`` archive (model/extra-state arrays plus one JSON
-    metadata blob).  Passing ``history`` persists the run records so far, so
+    The file is one state blob (model/extra-state arrays, the metadata in
+    its header).  Passing ``history`` persists the run records so far, so
     a resumed run reproduces the complete uninterrupted history.  The write
     goes to a temporary sibling file first and is moved into place with
     ``os.replace``; a crash mid-write leaves any previous checkpoint at
@@ -340,29 +323,23 @@ def save_checkpoint(
         dirty = registry.dirty_ids()
         for cid in dirty:
             state, rng_state = registry.client_state(cid)
-            prefix = _CLIENT_PREFIX.format(cid=cid)
-            for key, value in state.items():
-                arrays[prefix + key] = np.asarray(value)
+            arrays.update(_prefixed(_CLIENT_PREFIX.format(cid=cid), state))
             client_rng[str(cid)] = rng_state
         registry_meta = {"dirty": dirty}
         fingerprint = _registry_fingerprint(algo, registry)
     else:
         for client in algo.clients:
             prefix = _CLIENT_PREFIX.format(cid=client.client_id)
-            for key, value in client.model.state_dict().items():
-                arrays[prefix + key] = np.asarray(value)
+            arrays.update(_prefixed(prefix, client.model.state_dict()))
             client_rng[str(client.client_id)] = client.rng_state()
         fingerprint = _fingerprint(algo)
     if algo.server.has_model:
-        for key, value in algo.server.model.state_dict().items():
-            arrays[_SERVER_PREFIX + key] = np.asarray(value)
-    for key, value in algorithm_state(algo).items():
-        arrays[_ALGO_PREFIX + key] = value
+        arrays.update(_prefixed(_SERVER_PREFIX, algo.server.model.state_dict()))
+    arrays.update(_prefixed(_ALGO_PREFIX, algo.extra_state()))
     # round-engine pipeline state (in-flight dispatches, buffered
     # contributions, dispatch snapshots)
     engine = algo.engine
-    for key, value in engine.state_arrays().items():
-        arrays[_ENGINE_PREFIX + key] = np.asarray(value)
+    arrays.update(_prefixed(_ENGINE_PREFIX, engine.state_arrays()))
 
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -385,15 +362,12 @@ def save_checkpoint(
         "pending": algo.pending_state(),
         "engine": engine.state_dict(),
     }
-    blob = json.dumps(meta, default=_json_default).encode("utf-8")
-    arrays[_META_JSON] = np.frombuffer(blob, dtype=np.uint8)
-    arrays[_META_VERSION] = np.array(CHECKPOINT_FORMAT_VERSION, dtype=np.int64)
 
     start = time.perf_counter()
     tmp_path = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp_path, "wb") as f:
-            np.savez(f, **arrays)
+            f.writelines(state_chunks(arrays, meta))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp_path, path)
@@ -406,50 +380,54 @@ def save_checkpoint(
 # ----------------------------------------------------------------------
 # load
 # ----------------------------------------------------------------------
-def _read_archive(path: str):
-    """Read and sanity-check a checkpoint; returns ``(arrays, meta)``."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    try:
-        with np.load(path) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-    except Exception as exc:
+def _read(
+    path: str, header_only: bool = False
+) -> Tuple[Optional[Dict[str, np.ndarray]], dict]:
+    """Read the checkpoint at ``path`` (only its header when
+    ``header_only``, then ``arrays`` is ``None``) and check its format
+    version; returns ``(arrays, meta)``.  Every way the file can be
+    unreadable raises :class:`CheckpointError`; a missing one
+    ``FileNotFoundError``."""
+    with open(path, "rb") as f:
+        if f.read(len(_NPZ_MAGIC)) == _NPZ_MAGIC:
+            raise CheckpointError(
+                f"'{path}' is an .npz checkpoint (format v3 or older); this "
+                f"build reads only format v{CHECKPOINT_FORMAT_VERSION} — "
+                "re-run to write a new checkpoint"
+            )
+        f.seek(0)
+        try:
+            if header_only:
+                arrays, meta = None, read_state_meta(f)
+            else:
+                blob = bytearray(os.fstat(f.fileno()).st_size)
+                f.readinto(blob)
+                arrays, meta = deserialize_state(blob)
+        except ValueError as exc:
+            raise CheckpointError(
+                f"'{path}' is not a readable checkpoint (corrupt or truncated "
+                f"file): {exc}"
+            ) from None
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
-            f"'{path}' is not a readable checkpoint (corrupt or truncated "
-            f"file): {exc}"
-        ) from None
-    if _META_VERSION not in arrays or _META_JSON not in arrays:
-        raise CheckpointError(
-            f"'{path}' carries no format version — it is not a checkpoint "
-            f"written by this format (>= v{CHECKPOINT_FORMAT_VERSION}); "
-            "legacy weights-only files cannot be resumed exactly"
-        )
-    version = int(arrays[_META_VERSION])
-    if version > CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"'{path}' has format version {version}; this build reads up to "
+            f"'{path}' has format version {version}; this build reads only "
             f"v{CHECKPOINT_FORMAT_VERSION}"
         )
-    try:
-        meta = json.loads(arrays[_META_JSON].tobytes().decode("utf-8"))
-    except Exception as exc:
-        raise CheckpointError(
-            f"'{path}' has an unreadable metadata block: {exc}"
-        ) from None
     return arrays, meta
 
 
 def read_checkpoint_meta(path: str) -> dict:
-    """Return a checkpoint's metadata (round, fingerprint, ...) without
-    touching any model weights."""
-    _, meta = _read_archive(path)
+    """Return a checkpoint's metadata (round, fingerprint, ...) from its
+    header alone, without reading any model weights."""
+    _, meta = _read(path, header_only=True)
     return meta
 
 
 def load_history(path: str) -> Optional[RunHistory]:
-    """Return the :class:`RunHistory` stored in a checkpoint, if any."""
-    _, meta = _read_archive(path)
-    payload = meta.get("history")
+    """Return the :class:`RunHistory` stored in a checkpoint, if any (read
+    from its header alone)."""
+    payload = read_checkpoint_meta(path).get("history")
     return RunHistory.from_dict(payload) if payload else None
 
 
@@ -463,7 +441,7 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str) -> int:
     restored round index.
     """
     start = time.perf_counter()
-    arrays, meta = _read_archive(path)
+    arrays, meta = _read(path)
     _validate_fingerprint(meta, algo, path)
 
     rng_meta = meta["rng"]
@@ -477,39 +455,19 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str) -> int:
         registry = algo.federation.registry
         registry.reset()
         for cid in registry_meta["dirty"]:
-            prefix = _CLIENT_PREFIX.format(cid=cid)
-            state = {
-                key[len(prefix):]: value
-                for key, value in arrays.items()
-                if key.startswith(prefix)
-            }
             registry.restore_client_state(
-                int(cid), state, rng_meta["clients"][str(cid)]
+                int(cid),
+                _unprefixed(arrays, _CLIENT_PREFIX.format(cid=cid)),
+                rng_meta["clients"][str(cid)],
             )
     else:
         for client in algo.clients:
             prefix = _CLIENT_PREFIX.format(cid=client.client_id)
-            state = {
-                key[len(prefix):]: value
-                for key, value in arrays.items()
-                if key.startswith(prefix)
-            }
-            client.model.load_state_dict(state)
+            client.model.load_state_dict(_unprefixed(arrays, prefix))
 
     if algo.server.has_model:
-        server_state = {
-            key[len(_SERVER_PREFIX):]: value
-            for key, value in arrays.items()
-            if key.startswith(_SERVER_PREFIX)
-        }
-        algo.server.model.load_state_dict(server_state)
-
-    algo_state = {
-        key[len(_ALGO_PREFIX):]: value
-        for key, value in arrays.items()
-        if key.startswith(_ALGO_PREFIX)
-    }
-    load_algorithm_state(algo, algo_state)
+        algo.server.model.load_state_dict(_unprefixed(arrays, _SERVER_PREFIX))
+    algo.load_extra_state(_unprefixed(arrays, _ALGO_PREFIX))
 
     _set_rng_state(algo.rng, rng_meta["algorithm"])
     _set_rng_state(algo.server.rng, rng_meta["server"])
@@ -529,13 +487,8 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str) -> int:
     engine = algo.engine
     engine_meta = meta.get("engine")
     if engine_meta is not None:
-        engine_arrays = {
-            key[len(_ENGINE_PREFIX):]: value
-            for key, value in arrays.items()
-            if key.startswith(_ENGINE_PREFIX)
-        }
         try:
-            engine.load_state_dict(engine_meta, engine_arrays)
+            engine.load_state_dict(engine_meta, _unprefixed(arrays, _ENGINE_PREFIX))
         except ValueError as exc:
             raise CheckpointError(str(exc)) from None
     else:

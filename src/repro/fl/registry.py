@@ -14,13 +14,14 @@ O(N).  This module provides that shape:
   built one), and the model is either built fresh from its seed or
   hydrated from the spill store.
 - :class:`ClientModelStore` — one append-only log file per store plus an
-  in-memory ``client id -> (offset, length)`` index.  A record is the
-  client RNG stream as a JSON blob, then the model ``state_dict`` as a
-  flat :func:`repro.nn.serialize.serialize_state` blob; a spill is one
-  ``os.pwritev`` at the end of the log and a hydration one ``os.pread``.
-  The index moves only after a complete write, a store only ever reads
-  its own log (so a reused or shared ``spill_dir`` never hydrates another
-  store's clients), and a corrupt record raises a ``ValueError`` naming
+  in-memory ``client id -> (offset, length)`` index.  A record is one
+  :func:`repro.nn.serialize.serialize_state` blob of the model
+  ``state_dict`` with the client RNG stream as its ``meta``; a spill is
+  one ``os.pwritev`` at the end of the log and a hydration one
+  ``os.pread``.  The index moves only after a complete write, a store
+  only ever reads its own log (so a reused or shared ``spill_dir`` never
+  hydrates another store's clients), and a corrupt record — the blob's
+  CRC-32s catch a flipped weight byte — raises a ``ValueError`` naming
   the client and the log.
 
 Mutation tracking decides what must survive eviction: ``registry[cid]``
@@ -44,7 +45,6 @@ cohort benchmark asserts.  See docs/SCALE.md.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
@@ -57,7 +57,7 @@ import numpy as np
 from ..data.datasets import FederatedDataBundle
 from ..data.partition import split_local_train_test
 from ..nn.models import build_model
-from ..nn.serialize import deserialize_state, serialize_state
+from ..nn.serialize import deserialize_state, state_chunks
 from .client import FLClient
 
 __all__ = ["ClientModelStore", "ClientRegistry"]
@@ -66,16 +66,16 @@ __all__ = ["ClientModelStore", "ClientRegistry"]
 class ClientModelStore:
     """Spill-to-disk store: one append-only log of client records.
 
-    A record is one client's RNG stream state and its model ``state_dict``
-    (native dtypes — the same blob the parallel runtime ships state between
-    processes with).  The log is one file per store, created under a unique
-    name inside ``root`` on the first write; an in-memory index maps each
-    client id to its latest record's ``(offset, length)``.  A save is one
-    ``os.pwritev`` at the end of the log and a load one ``os.pread``.  The
-    index moves only after a complete write, so a failed or short write
-    never becomes readable — the next save overwrites its bytes.  Re-saving
-    a client leaves its previous record behind as dead bytes, which
-    :meth:`compact` reclaims.
+    A record is one client's model ``state_dict`` (native dtypes) with its
+    RNG stream state as ``meta``, in the same checksummed blob the parallel
+    runtime ships state between processes with.  The log is one file per
+    store, created under a unique name inside ``root`` on the first write;
+    an in-memory index maps each client id to its latest record's
+    ``(offset, length)``.  A save is one ``os.pwritev`` at the end of the
+    log and a load one ``os.pread``.  The index moves only after a complete
+    write, so a failed or short write never becomes readable — the next
+    save overwrites its bytes.  Re-saving a client leaves its previous
+    record behind as dead bytes, which :meth:`compact` reclaims.
 
     A store reads only records it wrote: :meth:`has` and :meth:`clear`
     see the index, never another store's log in the same directory.
@@ -115,13 +115,9 @@ class ClientModelStore:
         """Append one client's record to the log and point the index at
         it; returns the record size in bytes (the registry's obs gauge
         feed)."""
-        blob = serialize_state(model_state)
-        rng_blob = json.dumps(rng_state, default=_json_default).encode("utf-8")
-        length = 8 + len(rng_blob) + len(blob)
-        fd = self._log()
-        written = os.pwritev(
-            fd, [len(rng_blob).to_bytes(8, "little"), rng_blob, blob], self._end
-        )
+        chunks = state_chunks(model_state, meta={"rng": rng_state})
+        length = sum(memoryview(chunk).nbytes for chunk in chunks)
+        written = os.pwritev(self._log(), chunks, self._end)
         if written != length:
             raise OSError(
                 f"short write to {self._path}: {written} of {length} bytes"
@@ -140,23 +136,13 @@ class ClientModelStore:
         A corrupt record raises ``ValueError`` naming the client and log.
         """
         offset, length = self._index[client_id]
-        record = os.pread(self._fd, length, offset)
         try:
-            if len(record) != length:
-                raise ValueError(
-                    f"record runs past the end of the log "
-                    f"({len(record)} of {length} bytes)"
-                )
-            rng_end = 8 + int.from_bytes(record[:8], "little")
-            if rng_end > length:
-                raise ValueError("RNG state runs past the end of the record")
-            rng_state = json.loads(record[8:rng_end])
-            state = deserialize_state(record[rng_end:])
+            state, meta = deserialize_state(os.pread(self._fd, length, offset))
         except ValueError as exc:
             raise ValueError(
                 f"corrupt spill record for client {client_id} in {self._path}: {exc}"
             ) from exc
-        return state, rng_state
+        return state, meta["rng"]
 
     def has(self, client_id: int) -> bool:
         return client_id in self._index
@@ -205,16 +191,6 @@ class ClientModelStore:
         if self._owned and self._root is not None:
             shutil.rmtree(self._root, ignore_errors=True)
             self._root = None
-
-
-def _json_default(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"unserialisable RNG state of type {type(value)!r}")
 
 
 class ClientRegistry(Sequence):

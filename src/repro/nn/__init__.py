@@ -44,7 +44,9 @@ from .serialize import (
     array_num_bytes,
     deserialize_state,
     payload_num_bytes,
+    read_state_meta,
     serialize_state,
+    state_chunks,
 )
 from .tensor import Tensor, is_grad_enabled, no_grad
 
@@ -89,6 +91,8 @@ __all__ = [
     "WIRE_DTYPE",
     "payload_num_bytes",
     "array_num_bytes",
+    "state_chunks",
     "serialize_state",
     "deserialize_state",
+    "read_state_meta",
 ]

@@ -4,15 +4,24 @@ Federated-learning communication cost in the paper is measured in MB of
 float32 payload (model updates, logits, prototypes).
 :func:`payload_num_bytes` measures that size for arbitrary nested
 payloads, which :mod:`repro.fl.channel` uses for accounting.
-:func:`serialize_state`/:func:`deserialize_state` are a separate, lossless
-flat byte format for moving model state between processes and to disk.
+
+The *state blob* is a separate, lossless flat byte format and the repo's
+only container: parallel task dispatch, client-registry spill records and
+checkpoint files are all one.  Layout: a 20-byte little-endian prefix
+(magic ``RPST``, header length, CRC-32 of the header, CRC-32 of the array
+bytes); a JSON header ``{"arrays": [[name, dtype.str, shape], ...],
+"meta": ...}``, space-padded so the first array starts 8-byte aligned;
+then each array's C-order bytes, back to back.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Union
+import os
+import struct
+import zlib
+from typing import Any, BinaryIO, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -20,17 +29,19 @@ __all__ = [
     "WIRE_DTYPE",
     "payload_num_bytes",
     "array_num_bytes",
+    "state_chunks",
     "serialize_state",
     "deserialize_state",
+    "read_state_meta",
 ]
 
 # Everything on the wire is float32, matching the paper's MB arithmetic
 # (e.g. its 0.511 MB figure for a ResNet-20-class model update).
 WIRE_DTYPE = np.float32
 
-# serialize_state blob prefix: magic + little-endian header length
+# state blob prefix: magic, header length, header CRC-32, array-data CRC-32
 _MAGIC = b"RPST"
-_PREFIX_LEN = 12
+_PREFIX = struct.Struct("<4sQII")
 
 Payload = Union[np.ndarray, Dict[str, "Payload"], list, tuple, float, int, None]
 
@@ -66,58 +77,90 @@ def payload_num_bytes(payload: Payload) -> int:
     raise TypeError(f"unsupported payload leaf of type {type(payload)!r}")
 
 
-def serialize_state(state: Dict[str, np.ndarray]) -> bytearray:
-    """Serialise a state-dict to one flat, lossless blob.
 
-    Layout: the 4-byte :data:`_MAGIC`, an 8-byte little-endian header
-    length, a UTF-8 JSON header listing ``[name, dtype.str, shape]`` per
-    array in insertion order (space-padded so the first array starts
-    8-byte aligned), then each array's C-order bytes back to back.  Every
-    array keeps its native dtype, shape and bits — the parallel runtime
-    ships model state between processes with this, and the client
-    registry spills evicted clients with it.  Wire-size accounting is
-    :func:`payload_num_bytes`, not this.
+
+def _json_default(value: Any):
+    if isinstance(value, (np.integer, np.floating, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"unserialisable blob metadata of type {type(value)!r}")
+
+
+def state_chunks(state: Dict[str, np.ndarray], meta: Any = None) -> List:
+    """Lay a state-dict (native dtypes, shapes and bits) and a JSON
+    ``meta`` out as a blob: prefix plus header as one ``bytes``, then each
+    array as a C-contiguous buffer.  Only a non-contiguous array is copied,
+    so ``writelines``/``os.pwritev`` of the chunks writes no second copy of
+    the state.  Wire-size accounting is :func:`payload_num_bytes`, not this.
     """
-    arrays = [(str(name), np.asarray(value)) for name, value in state.items()]
-    for name, array in arrays:
+    arrays = []
+    data_crc = 0
+    for name, value in state.items():
+        array = np.asarray(value)
         if array.dtype.hasobject:
             raise TypeError(f"cannot serialise object array {name!r}")
+        if not array.flags.c_contiguous:
+            array = array.copy()
+        data_crc = zlib.crc32(array, data_crc)
+        arrays.append((str(name), array))
     header = json.dumps(
-        [[name, a.dtype.str, list(a.shape)] for name, a in arrays],
+        {
+            "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays],
+            "meta": meta,
+        },
         separators=(",", ":"),
+        default=_json_default,
     ).encode("utf-8")
-    header += b" " * (-(_PREFIX_LEN + len(header)) % 8)
-    offset = _PREFIX_LEN + len(header)
-    blob = bytearray(offset + sum(a.nbytes for _, a in arrays))
-    blob[:offset] = _MAGIC + len(header).to_bytes(8, "little") + header
-    for _, array in arrays:
-        slot = np.ndarray(array.shape, array.dtype, buffer=blob, offset=offset)
-        slot[...] = array
-        offset += array.nbytes
-    return blob
+    header += b" " * (-(_PREFIX.size + len(header)) % 8)
+    prefix = _PREFIX.pack(_MAGIC, len(header), zlib.crc32(header), data_crc)
+    return [prefix + header] + [array for _, array in arrays]
 
 
-def deserialize_state(blob: bytes) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`serialize_state`.
+def serialize_state(state: Dict[str, np.ndarray], meta: Any = None) -> bytearray:
+    """Serialise a state-dict (and optional JSON ``meta``) to one flat,
+    lossless blob — :func:`state_chunks` joined."""
+    return bytearray().join(state_chunks(state, meta))
 
-    Returns ``np.frombuffer`` views into ``blob`` (no per-array copy;
-    :meth:`~repro.nn.layers.Module.load_state_dict` copies on adoption).
-    The whole blob is validated before anything is returned: a bad magic,
-    a header length or array extent past the end, a header that is not
-    valid JSON (or not a list of ``[name, dtype, shape]`` entries), and
-    trailing bytes each raise a :class:`ValueError` saying which.
-    """
-    if blob[:4] != _MAGIC:
+
+def _unpack_prefix(prefix: bytes) -> Tuple[int, int, int]:
+    """``(header length, header CRC, data CRC)`` of a blob's prefix."""
+    if prefix[:4] != _MAGIC:
         raise ValueError("state blob: bad magic")
-    offset = _PREFIX_LEN + int.from_bytes(blob[4:_PREFIX_LEN], "little")
-    if offset > len(blob):
+    if len(prefix) < _PREFIX.size:
         raise ValueError("state blob: header length past the end")
+    _, header_len, header_crc, data_crc = _PREFIX.unpack_from(prefix)
+    return header_len, header_crc, data_crc
+
+
+def _parse_header(header: bytes, header_crc: int) -> Tuple[list, Any]:
+    """Check the header's CRC, then return its ``(array entries, meta)``."""
+    if zlib.crc32(header) != header_crc:
+        raise ValueError("state blob: header CRC-32 mismatch")
     try:
-        entries = json.loads(blob[_PREFIX_LEN:offset])
+        parsed = json.loads(header)
     except ValueError as exc:
         raise ValueError(f"state blob: header is not valid JSON ({exc})") from exc
-    if not isinstance(entries, list):
-        raise ValueError("state blob: header is not a list of entries")
+    if not isinstance(parsed, dict) or not isinstance(parsed.get("arrays"), list):
+        raise ValueError("state blob: header has no list of array entries")
+    return parsed["arrays"], parsed.get("meta")
+
+
+def deserialize_state(blob: bytes) -> Tuple[Dict[str, np.ndarray], Any]:
+    """Inverse of :func:`serialize_state`: returns ``(state, meta)``.
+
+    The arrays are ``np.frombuffer`` views into ``blob`` (no per-array
+    copy; :meth:`~repro.nn.layers.Module.load_state_dict` copies on
+    adoption).  The whole blob is validated before anything is returned:
+    a bad magic, a header length or array extent past the end, a header
+    that fails its CRC-32 or is not JSON listing well-formed ``[name,
+    dtype, shape]`` entries, trailing bytes, and array bytes that fail
+    their CRC-32 each raise a :class:`ValueError` saying which.
+    """
+    header_len, header_crc, data_crc = _unpack_prefix(blob)
+    offset = _PREFIX.size + header_len
+    if offset > len(blob):
+        raise ValueError("state blob: header length past the end")
+    entries, meta = _parse_header(blob[_PREFIX.size:offset], header_crc)
+    data_start = offset
     state: Dict[str, np.ndarray] = {}
     for entry in entries:
         try:
@@ -139,4 +182,20 @@ def deserialize_state(blob: bytes) -> Dict[str, np.ndarray]:
         offset = end
     if offset != len(blob):
         raise ValueError(f"state blob: {len(blob) - offset} trailing bytes")
-    return state
+    if zlib.crc32(memoryview(blob)[data_start:]) != data_crc:
+        raise ValueError("state blob: array data CRC-32 mismatch")
+    return state, meta
+
+
+def read_state_meta(f: BinaryIO) -> Any:
+    """Return the ``meta`` of the blob that fills the open, seekable
+    binary file ``f`` from its current position, reading only the prefix
+    and the CRC-checked header; errors are :func:`deserialize_state`'s.
+    """
+    header_len, header_crc, _ = _unpack_prefix(f.read(_PREFIX.size))
+    header_start = f.tell()
+    if header_len > f.seek(0, os.SEEK_END) - header_start:
+        raise ValueError("state blob: header length past the end")
+    f.seek(header_start)
+    _, meta = _parse_header(f.read(header_len), header_crc)
+    return meta

@@ -318,7 +318,8 @@ class ParallelExecutor(Executor):
     def _apply_result(self, client, result: TaskResult) -> None:
         """Fold a worker's state (and profile aggregate) back into the driver."""
         if result.state_blob is not None:
-            client.model.load_state_dict(deserialize_state(result.state_blob))
+            state, _ = deserialize_state(result.state_blob)
+            client.model.load_state_dict(state)
         if result.rng_state is not None:
             client.set_rng_state(result.rng_state)
         if result.profile and self._obs.profiler is not None:

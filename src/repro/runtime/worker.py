@@ -98,7 +98,8 @@ def run_task(task: ClientTask) -> TaskResult:
     start = time.perf_counter()
     client = _client_for(task.client_id)
     if task.state_blob:
-        client.model.load_state_dict(deserialize_state(task.state_blob))
+        state, _ = deserialize_state(task.state_blob)
+        client.model.load_state_dict(state)
     if task.rng_state is not None:
         client.rng.bit_generator.state = task.rng_state
     kwargs = resolve_kwargs(task.kwargs, _SHARED)

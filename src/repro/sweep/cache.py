@@ -4,14 +4,14 @@ Layout under the cache root (``<out-root>/cache``)::
 
     cache/<run_key>/config.json      resolved config + versions (debugging)
     cache/<run_key>/history.json     the finished RunHistory (cache hit test)
-    cache/<run_key>/run.ckpt.npz     exact-resume checkpoint (autosaved)
+    cache/<run_key>/run.ckpt         exact-resume checkpoint (autosaved)
     cache/<run_key>/trace.jsonl      per-run obs trace (only with --trace)
     cache/<run_key>/metrics.jsonl    per-run metrics export (only with --trace)
 
 A run is a **cache hit** when its ``history.json`` exists and the registry
 records it completed — resubmitting an overlapping grid then performs zero
-training for that cell.  An *interrupted* run leaves ``run.ckpt.npz``
-behind; the scheduler resumes it through the exact-resume machinery
+training for that cell.  An *interrupted* run leaves ``run.ckpt`` behind;
+the scheduler resumes it through the exact-resume machinery
 (:mod:`repro.fl.checkpoint`), so the finished history is bit-identical to
 an uninterrupted run.
 
@@ -31,7 +31,7 @@ from .spec import RunSpec
 __all__ = ["ResultCache"]
 
 _HISTORY = "history.json"
-_CHECKPOINT = "run.ckpt.npz"
+_CHECKPOINT = "run.ckpt"
 _CONFIG = "config.json"
 _TRACE = "trace.jsonl"
 _METRICS = "metrics.jsonl"

@@ -41,13 +41,13 @@ SAMPLES = {
     "retry_backoff_s": 0.5,
     "max_live_clients": 2,
     "profile": True,
-    "checkpoint_path": "run.ckpt.npz",
+    "checkpoint_path": "run.ckpt",
     "checkpoint_every": 2,
     "trace_path": "trace.jsonl",
     "metrics_path": "metrics.jsonl",
 }
 # a cadence is only valid next to the file it autosaves to
-COMPANIONS = {"checkpoint_every": {"checkpoint_path": "run.ckpt.npz"}}
+COMPANIONS = {"checkpoint_every": {"checkpoint_path": "run.ckpt"}}
 
 
 def _flag(f):

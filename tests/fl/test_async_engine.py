@@ -29,6 +29,7 @@ from repro.fl import (
 )
 from repro.fl.checkpoint import read_checkpoint_meta
 from repro.fl.simulation import FederatedAlgorithm
+from repro.nn import deserialize_state, serialize_state
 
 from ..conftest import make_tiny_federation
 from .test_pinned_histories import history_digest
@@ -84,13 +85,12 @@ def write_without_engine_state(path: str) -> None:
     no ``engine::`` arrays and ``engine: null`` in the metadata.  Exact for
     a checkpoint taken at a round barrier of a full-barrier run without
     participation dropout, whose engine holds nothing in flight."""
-    with np.load(path) as archive:
-        arrays = {k: archive[k] for k in archive.files if not k.startswith("engine::")}
-    meta = json.loads(arrays["__meta__json"].tobytes().decode("utf-8"))
+    with open(path, "rb") as f:
+        arrays, meta = deserialize_state(f.read())
+    arrays = {k: v for k, v in arrays.items() if not k.startswith("engine::")}
     meta["engine"] = None
-    arrays["__meta__json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as f:
-        np.savez(f, **arrays)
+        f.write(serialize_state(arrays, meta))
 
 
 CHAOS_PLAN = {
@@ -343,7 +343,7 @@ class TestFaultInjection:
 
 class TestExactResume:
     def test_chaos_resume_is_bit_identical(self, tiny_bundle, tmp_path):
-        ckpt = str(tmp_path / "async.ckpt.npz")
+        ckpt = str(tmp_path / "async.ckpt")
 
         def engine_for(algo):
             return AsyncRoundEngine(
@@ -371,7 +371,7 @@ class TestExactResume:
         )
 
     def test_in_flight_pipeline_survives_checkpoint(self, tiny_bundle, tmp_path):
-        ckpt = str(tmp_path / "pipeline.ckpt.npz")
+        ckpt = str(tmp_path / "pipeline.ckpt")
         plan = {"faults": [{"kind": "straggler", "client_id": 2, "factor": 10.0}]}
         algo = make_fedpkd(tiny_bundle, num_clients=3)
         engine = AsyncRoundEngine(
@@ -394,7 +394,7 @@ class TestExactResume:
 
     def test_async_checkpoint_refused_by_sync_load(self, tiny_bundle, tmp_path):
         # engine state resumes only under the knobs it was written with
-        ckpt = str(tmp_path / "async.ckpt.npz")
+        ckpt = str(tmp_path / "async.ckpt")
         algo = make_fedpkd(tiny_bundle)
         AsyncRoundEngine(algo, max_staleness=2, buffer_size=2).run(
             1, checkpoint_every=1, checkpoint_path=ckpt
@@ -410,7 +410,7 @@ class TestExactResume:
         # a checkpoint without engine state (what the synchronous loop
         # wrote) was taken at a barrier with nothing in flight: the engine
         # starts empty at its version and the tail is exact
-        ckpt = str(tmp_path / "sync.ckpt.npz")
+        ckpt = str(tmp_path / "sync.ckpt")
         full_algo = make_fedpkd(tiny_bundle)
         h_full = full_algo.run(3)
         full_algo.federation.close()
@@ -437,7 +437,7 @@ class TestExactResume:
         chaos_algo.federation.close()
 
     def test_engine_knob_mismatch_refused(self, tiny_bundle, tmp_path):
-        ckpt = str(tmp_path / "knobs.ckpt.npz")
+        ckpt = str(tmp_path / "knobs.ckpt")
         algo = make_fedpkd(tiny_bundle)
         AsyncRoundEngine(algo, staleness_alpha=0.5).run(
             1, checkpoint_every=1, checkpoint_path=ckpt

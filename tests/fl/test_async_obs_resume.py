@@ -43,7 +43,7 @@ def _load_events(path):
 
 def test_async_resume_appends_to_trace(tmp_path):
     """Resuming reopens the trace in append mode behind a resume marker."""
-    ckpt = str(tmp_path / "async.ckpt.npz")
+    ckpt = str(tmp_path / "async.ckpt")
     trace = str(tmp_path / "async.trace.jsonl")
 
     setting = _async_setting(
@@ -75,7 +75,7 @@ def test_async_resume_appends_to_trace(tmp_path):
 
 def test_async_resume_is_bit_identical(tmp_path):
     """Checkpoint/restore under the async engine changes no history bits."""
-    ckpt = str(tmp_path / "bits.ckpt.npz")
+    ckpt = str(tmp_path / "bits.ckpt")
 
     full = run_algorithm(
         _async_setting(tmp_path), "fedpkd", rounds=ROUNDS, eval_every=1
@@ -105,7 +105,7 @@ def test_async_resume_restores_pending_state(tiny_bundle, tmp_path):
     round 2 leaves round 1's timings only in the checkpoint's pending
     ledger; resuming must fold them into the eventual round-2 record.
     """
-    path = str(tmp_path / "pending.ckpt.npz")
+    path = str(tmp_path / "pending.ckpt")
     engine, fed = _make_async(tiny_bundle)
     original = engine._run_engine_round
     calls = {"n": 0}

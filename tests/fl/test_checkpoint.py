@@ -1,4 +1,5 @@
-"""Tests for checkpoint save/resume: state coverage, validation, crash safety."""
+"""Tests for checkpoint save/resume: state coverage, validation, crash safety,
+and corruption that must fail before anything is mutated."""
 
 import json
 import os
@@ -8,6 +9,7 @@ import pytest
 
 from repro.algorithms import build_algorithm
 from repro.core import FedPKD
+from repro.fl import checkpoint
 from repro.fl.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
@@ -16,6 +18,7 @@ from repro.fl.checkpoint import (
     read_checkpoint_meta,
     save_checkpoint,
 )
+from repro.nn import deserialize_state, serialize_state
 
 from ..conftest import make_tiny_federation
 
@@ -25,11 +28,26 @@ def make_algo(bundle, seed=0, **fed_kwargs):
     return build_algorithm("fedpkd", fed, seed=seed, epoch_scale=0.1)
 
 
+def write_v3_npz(path):
+    """A format-v3 checkpoint as the last ``.npz`` writer laid it out:
+    arrays plus the metadata smuggled in as a uint8 JSON array."""
+    meta = json.dumps({"format_version": 3, "round_index": 1}).encode("utf-8")
+    with open(path, "wb") as f:
+        np.savez(
+            f,
+            **{
+                "client0::w": np.zeros(3),
+                "__meta__json": np.frombuffer(meta, dtype=np.uint8),
+                "__meta__format_version": np.array(3, dtype=np.int64),
+            },
+        )
+
+
 class TestCheckpoint:
     def test_roundtrip_restores_weights_and_round(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle)
         algo.run(rounds=2)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
 
         fresh = make_algo(tiny_bundle, seed=0)
@@ -53,7 +71,7 @@ class TestCheckpoint:
     def test_algorithm_state_restored(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle)
         algo.run(rounds=1)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
 
         fresh = make_algo(tiny_bundle, seed=0)
@@ -67,7 +85,7 @@ class TestCheckpoint:
     def test_rng_streams_restored(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle, dropout_prob=0.3)
         algo.run(rounds=1)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
 
         fresh = make_algo(tiny_bundle, seed=0, dropout_prob=0.3)
@@ -87,7 +105,7 @@ class TestCheckpoint:
     def test_channel_ledger_restored(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle)
         algo.run(rounds=1)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
 
         fresh = make_algo(tiny_bundle, seed=0)
@@ -102,7 +120,7 @@ class TestCheckpoint:
     def test_history_roundtrips_through_checkpoint(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle)
         history = algo.run(rounds=2)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path, history=history)
 
         restored = load_history(path)
@@ -111,14 +129,14 @@ class TestCheckpoint:
 
     def test_load_history_none_when_absent(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
         assert load_history(path) is None
 
     def test_read_checkpoint_meta(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle)
         algo.run(rounds=1)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
         meta = read_checkpoint_meta(path)
         assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION
@@ -128,7 +146,7 @@ class TestCheckpoint:
     def test_resumed_run_continues(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle)
         history = algo.run(rounds=1)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
 
         fresh = make_algo(tiny_bundle, seed=0)
@@ -139,13 +157,13 @@ class TestCheckpoint:
     def test_missing_file(self, tiny_bundle):
         algo = make_algo(tiny_bundle)
         with pytest.raises(FileNotFoundError):
-            load_checkpoint(algo, "/nonexistent/ckpt.npz")
+            load_checkpoint(algo, "/nonexistent/run.ckpt")
 
     def test_no_server_model_algorithms(self, tiny_bundle, tmp_path):
         fed = make_tiny_federation(tiny_bundle, server_model=None)
         algo = build_algorithm("fedmd", fed, epoch_scale=0.1)
         algo.run(rounds=1)
-        path = str(tmp_path / "fedmd.npz")
+        path = str(tmp_path / "fedmd.ckpt")
         save_checkpoint(algo, path)
 
         fresh_fed = make_tiny_federation(tiny_bundle, server_model=None)
@@ -156,7 +174,7 @@ class TestCheckpoint:
 class TestFingerprintValidation:
     def test_client_count_mismatch_rejected(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
 
         fed = make_tiny_federation(
@@ -170,7 +188,7 @@ class TestFingerprintValidation:
         self, tiny_bundle, tmp_path
     ):
         algo = make_algo(tiny_bundle)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
 
         # heterogeneous assignment: client 1 now runs mlp_medium instead of
@@ -193,7 +211,7 @@ class TestFingerprintValidation:
 
     def test_algorithm_mismatch_rejected(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
 
         fed = make_tiny_federation(tiny_bundle, server_model="mlp_medium")
@@ -204,7 +222,7 @@ class TestFingerprintValidation:
     def test_server_presence_mismatch_rejected(self, tiny_bundle, tmp_path):
         fed = make_tiny_federation(tiny_bundle, server_model=None)
         algo = build_algorithm("fedproto", fed, epoch_scale=0.1)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
 
         # fedproto never has a server model, so fake one structurally: load a
@@ -221,22 +239,20 @@ class TestCrashSafety:
     ):
         algo = make_algo(tiny_bundle)
         algo.run(rounds=1)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
         good_bytes = open(path, "rb").read()
 
         algo.run(rounds=1)
 
-        real_savez = np.savez
+        real_chunks = checkpoint.state_chunks
 
-        def dying_savez(file, **arrays):
-            # write a partial archive, then die mid-save
-            real_savez(file, **arrays)
-            file.flush()
-            file.truncate(128)
+        def dying_chunks(state, meta=None):
+            # the header reaches the file, then the disk fills mid-save
+            yield real_chunks(state, meta)[0]
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez", dying_savez)
+        monkeypatch.setattr(checkpoint, "state_chunks", dying_chunks)
         with pytest.raises(OSError):
             save_checkpoint(algo, path)
         monkeypatch.undo()
@@ -250,7 +266,7 @@ class TestCrashSafety:
 
     def test_truncated_file_raises_checkpoint_error(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
         blob = open(path, "rb").read()
         with open(path, "wb") as f:
@@ -261,7 +277,7 @@ class TestCrashSafety:
             load_checkpoint(fresh, path)
 
     def test_garbage_file_raises_checkpoint_error(self, tiny_bundle, tmp_path):
-        path = str(tmp_path / "garbage.npz")
+        path = str(tmp_path / "garbage.ckpt")
         with open(path, "wb") as f:
             f.write(b"this is not a checkpoint at all")
         algo = make_algo(tiny_bundle)
@@ -270,28 +286,27 @@ class TestCrashSafety:
 
     def test_unversioned_npz_rejected(self, tiny_bundle, tmp_path):
         path = str(tmp_path / "legacy.npz")
-        np.savez(path, **{"client0::w": np.zeros(3)})
+        write_v3_npz(path)
         algo = make_algo(tiny_bundle)
-        with pytest.raises(CheckpointError, match="format version"):
+        with pytest.raises(CheckpointError, match=r"\.npz checkpoint \(format v3"):
             load_checkpoint(algo, path)
 
     def test_future_version_rejected(self, tiny_bundle, tmp_path):
         algo = make_algo(tiny_bundle)
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
-        with np.load(path) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        arrays["__meta__format_version"] = np.array(
-            CHECKPOINT_FORMAT_VERSION + 1, dtype=np.int64
-        )
-        np.savez(path, **arrays)
+        with open(path, "rb") as f:
+            arrays, meta = deserialize_state(f.read())
+        meta["format_version"] = CHECKPOINT_FORMAT_VERSION + 1
+        with open(path, "wb") as f:
+            f.write(serialize_state(arrays, meta))
         with pytest.raises(CheckpointError, match="format version"):
             load_checkpoint(algo, path)
 
 
 class TestAutosave:
     def test_run_autosaves_at_cadence(self, tiny_bundle, tmp_path):
-        path = str(tmp_path / "auto.npz")
+        path = str(tmp_path / "auto.ckpt")
         algo = make_algo(tiny_bundle)
         history = algo.run(rounds=2, checkpoint_every=2, checkpoint_path=path)
         meta = read_checkpoint_meta(path)
@@ -300,13 +315,13 @@ class TestAutosave:
         assert len(restored.records) == len(history.records)
 
     def test_autosave_fires_on_final_round(self, tiny_bundle, tmp_path):
-        path = str(tmp_path / "auto.npz")
+        path = str(tmp_path / "auto.ckpt")
         algo = make_algo(tiny_bundle)
         algo.run(rounds=3, checkpoint_every=2, checkpoint_path=path)
         assert read_checkpoint_meta(path)["round_index"] == 3
 
     def test_federation_config_threads_autosave(self, tiny_bundle, tmp_path):
-        path = str(tmp_path / "auto.npz")
+        path = str(tmp_path / "auto.ckpt")
         fed = make_tiny_federation(
             tiny_bundle,
             server_model="mlp_medium",
@@ -317,3 +332,87 @@ class TestAutosave:
         algo.run(rounds=1)
         assert os.path.exists(path)
         assert read_checkpoint_meta(path)["round_index"] == 1
+
+
+def _state_snapshot(algo):
+    """Every client/server weight and every RNG stream of ``algo``."""
+    return {
+        "clients": [
+            {k: v.tobytes() for k, v in c.model.state_dict().items()}
+            for c in algo.clients
+        ],
+        "server": {k: v.tobytes() for k, v in algo.server.model.state_dict().items()},
+        "rngs": [
+            algo.rng.bit_generator.state,
+            algo.server.rng.bit_generator.state,
+            algo.federation.participation.rng.bit_generator.state,
+        ] + [c.rng_state() for c in algo.clients],
+        "round_index": algo.round_index,
+    }
+
+
+def _flip(blob, pos):
+    return blob[:pos] + bytes([blob[pos] ^ 0x01]) + blob[pos + 1:]
+
+
+def _header_end(blob):
+    return 20 + int.from_bytes(blob[4:12], "little")
+
+
+CORRUPTIONS = {
+    "flipped_header_byte": lambda blob: _flip(blob, (20 + _header_end(blob)) // 2),
+    "flipped_data_byte": lambda blob: _flip(blob, (_header_end(blob) + len(blob)) // 2),
+    "trailing_byte": lambda blob: blob + b"\x00",
+    "bad_magic": lambda blob: b"XPST" + blob[4:],
+}
+
+
+class TestCorruptionProperty:
+    """Any corruption of a checkpoint file raises CheckpointError before
+    the target algorithm's weights or RNG streams move."""
+
+    @pytest.fixture
+    def saved(self, tiny_bundle, tmp_path):
+        algo = make_algo(tiny_bundle)
+        history = algo.run(rounds=1)
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(algo, path, history=history)
+        target = make_algo(tiny_bundle, seed=0)
+        with open(path, "rb") as f:
+            return path, f.read(), target, _state_snapshot(target)
+
+    def test_every_truncation_raises_before_mutation(self, saved):
+        path, blob, target, before = saved
+        cuts = range(0, len(blob), 97)
+        assert len(cuts) > 100
+        for cut in reversed(cuts):
+            os.truncate(path, cut)
+            with pytest.raises(CheckpointError, match="corrupt or truncated"):
+                load_checkpoint(target, path)
+        assert _state_snapshot(target) == before
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_file_raises_before_mutation(self, saved, corruption):
+        path, blob, target, before = saved
+        with open(path, "wb") as f:
+            f.write(CORRUPTIONS[corruption](blob))
+        with pytest.raises(CheckpointError, match="corrupt or truncated"):
+            load_checkpoint(target, path)
+        assert _state_snapshot(target) == before
+
+    def test_v3_npz_raises_before_mutation(self, saved):
+        path, _, target, before = saved
+        write_v3_npz(path)
+        with pytest.raises(CheckpointError, match="format v3"):
+            load_checkpoint(target, path)
+        assert _state_snapshot(target) == before
+
+    def test_header_readers_reject_a_flipped_header_byte(self, saved):
+        path, blob, _, _ = saved
+        assert read_checkpoint_meta(path)["round_index"] == 1
+        with open(path, "wb") as f:
+            f.write(CORRUPTIONS["flipped_header_byte"](blob))
+        with pytest.raises(CheckpointError, match="header CRC-32 mismatch"):
+            read_checkpoint_meta(path)
+        with pytest.raises(CheckpointError, match="header CRC-32 mismatch"):
+            load_history(path)

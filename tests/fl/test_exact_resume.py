@@ -63,7 +63,7 @@ def assert_bit_identical(full, resumed):
 def test_resume_is_bit_identical(
     tiny_bundle, tmp_path, algorithm, server_model, executor
 ):
-    path = str(tmp_path / f"{algorithm}-{executor}.ckpt.npz")
+    path = str(tmp_path / f"{algorithm}-{executor}.ckpt")
 
     # uninterrupted reference run
     algo, fed = _make_algo(tiny_bundle, algorithm, server_model, executor)
@@ -100,7 +100,7 @@ def test_resume_is_bit_identical(
 
 def test_resume_with_participation_dropout(tiny_bundle, tmp_path):
     """The ParticipationSampler RNG stream must survive the checkpoint."""
-    path = str(tmp_path / "dropout.ckpt.npz")
+    path = str(tmp_path / "dropout.ckpt")
 
     algo, _ = _make_algo(
         tiny_bundle, "fedproto", None, "serial", dropout_prob=0.4
@@ -126,7 +126,7 @@ def test_harness_resume_flow(tiny_bundle, tmp_path):
     """run_algorithm(resume=True) restores and finishes an interrupted run."""
     from repro.experiments.harness import ExperimentSetting, run_algorithm
 
-    path = str(tmp_path / "harness.ckpt.npz")
+    path = str(tmp_path / "harness.ckpt")
     base = dict(dataset="cifar10", scale="tiny", seed=0)
 
     full = run_algorithm(

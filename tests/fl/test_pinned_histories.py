@@ -49,14 +49,26 @@ def parallel(algorithm, tmp_path):
 
 def resumed_at_round_1(algorithm, tmp_path):
     setting = ExperimentSetting(
-        scale="tiny", checkpoint_path=str(tmp_path / "run.ckpt.npz"),
+        scale="tiny", checkpoint_path=str(tmp_path / "run.ckpt"),
         checkpoint_every=1,
     )
     run_algorithm(setting, algorithm, rounds=1)
     return run_algorithm(setting, algorithm, rounds=ROUNDS, resume=True)
 
 
-@pytest.mark.parametrize("mode", [serial, parallel, resumed_at_round_1],
+def bounded_resumed_at_round_1(algorithm, tmp_path):
+    """One live client: every round spills and hydrates through the
+    registry's log, and the checkpoint holds only the mutated clients."""
+    setting = ExperimentSetting(
+        scale="tiny", max_live_clients=1,
+        checkpoint_path=str(tmp_path / "run.ckpt"), checkpoint_every=1,
+    )
+    run_algorithm(setting, algorithm, rounds=1)
+    return run_algorithm(setting, algorithm, rounds=ROUNDS, resume=True)
+
+
+@pytest.mark.parametrize("mode", [serial, parallel, resumed_at_round_1,
+                                  bounded_resumed_at_round_1],
                          ids=lambda mode: mode.__name__)
 @pytest.mark.parametrize("algorithm", sorted(PINNED_HISTORIES))
 def test_history_is_pinned(algorithm, mode, tmp_path):

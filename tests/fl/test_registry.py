@@ -281,7 +281,7 @@ class TestClientRegistry:
     @staticmethod
     def _flip_header_byte(path, offset, length):
         with open(path, "r+b") as f:
-            f.seek(offset + 1)  # the RNG-JSON length grows past the record
+            f.seek(offset + 1)  # inside the blob's magic
             byte = f.read(1)[0]
             f.seek(offset + 1)
             f.write(bytes([byte ^ 0xFF]))
@@ -314,6 +314,35 @@ class TestClientRegistry:
                     np.testing.assert_array_equal(value, survivor[key])
             finally:
                 reg.close()
+
+    def test_flipped_weight_byte_raises_before_anything_is_mutated(
+        self, tiny_bundle
+    ):
+        reg = make_registry(tiny_bundle, max_live=1)
+        try:
+            reg[0]
+            reg.peek(1)
+            reg.settle()
+            survivor = {
+                k: v.copy() for k, v in reg.peek(1).model.state_dict().items()
+            }
+            path = reg.store._path
+            offset, length = reg.store._index[0]
+            with open(path, "r+b") as f:
+                f.seek(offset + length - 3)  # inside the last array's bytes
+                byte = f.read(1)[0]
+                f.seek(offset + length - 3)
+                f.write(bytes([byte ^ 0x01]))
+            with pytest.raises(
+                ValueError, match=f"client 0 in {re.escape(path)}.*CRC-32"
+            ):
+                reg[0]
+            assert 0 not in reg._live
+            assert reg.stats()["hydrations"] == 0
+            for key, value in reg.peek(1).model.state_dict().items():
+                np.testing.assert_array_equal(value, survivor[key])
+        finally:
+            reg.close()
 
     def test_peeked_spilled_client_is_evicted_without_a_write(self, tiny_bundle):
         reg = make_registry(tiny_bundle, max_live=1)
@@ -442,7 +471,7 @@ class TestBoundedRunEquivalence:
         assert_bit_identical(unbounded, bounded)
 
     def test_bounded_resume_bit_identical(self, tiny_bundle, tmp_path):
-        path = str(tmp_path / "bounded.ckpt.npz")
+        path = str(tmp_path / "bounded.ckpt")
         full = self._run(tiny_bundle, max_live_clients=1)
 
         fed = make_tiny_federation(

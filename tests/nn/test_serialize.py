@@ -1,5 +1,9 @@
 """Tests for wire-format serialisation and payload accounting."""
 
+import io
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from repro.nn import (
     array_num_bytes,
     deserialize_state,
     payload_num_bytes,
+    read_state_meta,
     serialize_state,
 )
 
@@ -47,7 +52,8 @@ class TestStateSerialisation:
             "weight": np.random.default_rng(0).normal(size=(3, 4)),
             "bias": np.zeros(3),
         }
-        restored = deserialize_state(serialize_state(state))
+        restored, meta = deserialize_state(serialize_state(state))
+        assert meta is None
         assert list(restored) == ["weight", "bias"]
         np.testing.assert_array_equal(restored["weight"], state["weight"])
 
@@ -55,7 +61,7 @@ class TestStateSerialisation:
         # no float32 cast: the parallel runtime and the spill store rely
         # on this to stay bit-identical to a serial, unbounded run
         state = {"w": np.array([1.0 + 1e-10]), "i": np.arange(3)}
-        restored = deserialize_state(serialize_state(state))
+        restored, _ = deserialize_state(serialize_state(state))
         assert restored["w"].dtype == np.float64
         assert restored["w"][0] == 1.0 + 1e-10
         assert restored["i"].dtype == state["i"].dtype
@@ -63,7 +69,8 @@ class TestStateSerialisation:
     def test_model_roundtrip_through_wire(self):
         a = nn.build_model("mlp_small", 4, (3, 6, 6), feature_dim=8, rng=0)
         b = nn.build_model("mlp_small", 4, (3, 6, 6), feature_dim=8, rng=5)
-        b.load_state_dict(deserialize_state(serialize_state(a.state_dict())))
+        state, _ = deserialize_state(serialize_state(a.state_dict()))
+        b.load_state_dict(state)
         x = np.random.default_rng(1).normal(size=(3, 3, 6, 6))
         np.testing.assert_array_equal(a.predict_logits(x), b.predict_logits(x))
 
@@ -71,7 +78,15 @@ class TestStateSerialisation:
         state = nn.build_model("mlp_small", 10, (3, 8, 8), rng=0).state_dict()
         blob = serialize_state(state)
         header_len = int.from_bytes(blob[4:12], "little")
-        assert len(blob) == 12 + header_len + sum(v.nbytes for v in state.values())
+        assert len(blob) == 20 + header_len + sum(v.nbytes for v in state.values())
+
+    def test_meta_roundtrips_through_the_header(self):
+        meta = {"rng": {"state": 2**100, "inc": np.int64(7)}, "x": [1.5, None]}
+        blob = serialize_state({"w": np.arange(3.0)}, meta=meta)
+        state, restored = deserialize_state(blob)
+        assert restored == {"rng": {"state": 2**100, "inc": 7}, "x": [1.5, None]}
+        np.testing.assert_array_equal(state["w"], np.arange(3.0))
+        assert read_state_meta(io.BytesIO(bytes(blob))) == restored
 
     def test_object_arrays_are_rejected(self):
         with pytest.raises(TypeError, match="object array 'o'"):
@@ -97,9 +112,24 @@ class TestCorruptBlobs:
 
     def test_flipped_header_byte_raises(self):
         blob = bytearray(_mlp_blob())
-        blob[12] ^= 0x01  # the header's opening "["
-        with pytest.raises(ValueError, match="not valid JSON"):
+        blob[20] ^= 0x01  # the header's opening "{"
+        with pytest.raises(ValueError, match="header CRC-32 mismatch"):
             deserialize_state(bytes(blob))
+        with pytest.raises(ValueError, match="header CRC-32 mismatch"):
+            read_state_meta(io.BytesIO(bytes(blob)))
+
+    def test_flipped_data_byte_raises(self):
+        blob = bytearray(_mlp_blob())
+        blob[-5] ^= 0x01  # inside the last array's bytes
+        with pytest.raises(ValueError, match="array data CRC-32 mismatch"):
+            deserialize_state(bytes(blob))
+
+    def test_meta_read_needs_only_the_header(self):
+        blob = serialize_state({"w": np.zeros(1000)}, meta={"round": 3})
+        header_end = 20 + int.from_bytes(blob[4:12], "little")
+        assert read_state_meta(io.BytesIO(bytes(blob[:header_end]))) == {"round": 3}
+        with pytest.raises(ValueError, match="header length past the end"):
+            read_state_meta(io.BytesIO(bytes(blob[: header_end - 1])))
 
     def test_bad_magic(self):
         blob = bytearray(_mlp_blob())
@@ -114,6 +144,8 @@ class TestCorruptBlobs:
             deserialize_state(bytes(blob))
         with pytest.raises(ValueError, match="header length past the end"):
             deserialize_state(b"RPST\x00")
+        with pytest.raises(ValueError, match="header length past the end"):
+            read_state_meta(io.BytesIO(bytes(blob)))
 
     def test_array_extent_names_the_array(self):
         blob = serialize_state({"w": np.zeros(4), "b": np.zeros(2)})
@@ -121,7 +153,7 @@ class TestCorruptBlobs:
             deserialize_state(bytes(blob[:-1]))
 
     @pytest.mark.parametrize(
-        "header",
+        "entries",
         [
             b'{"w": 1}',
             b'[["w", "|O", [1]]]',
@@ -130,7 +162,15 @@ class TestCorruptBlobs:
             b'[["w", "<f8", [-1]]]',
         ],
     )
-    def test_malformed_header_entries(self, header):
-        blob = b"RPST" + len(header).to_bytes(8, "little") + header
+    def test_malformed_header_entries(self, entries):
+        # a well-formed prefix with matching CRCs around a bad entry list
+        header = b'{"arrays": ' + entries + b"}"
+        prefix = struct.pack("<4sQII", b"RPST", len(header), zlib.crc32(header), 0)
         with pytest.raises(ValueError, match="header"):
-            deserialize_state(blob)
+            deserialize_state(prefix + header)
+
+    def test_header_that_is_not_an_object(self):
+        header = b'[["w", "<f8", [1]]]'
+        prefix = struct.pack("<4sQII", b"RPST", len(header), zlib.crc32(header), 0)
+        with pytest.raises(ValueError, match="no list of array entries"):
+            deserialize_state(prefix + header)

@@ -62,7 +62,7 @@ LOSSLESS_STATES = st.dictionaries(
 @given(LOSSLESS_STATES)
 @settings(max_examples=60, deadline=None)
 def test_serialize_roundtrip_is_bit_exact(state):
-    restored = deserialize_state(serialize_state(state))
+    restored, _ = deserialize_state(serialize_state(state))
     assert list(restored) == list(state)
     for key, value in state.items():
         assert restored[key].dtype == value.dtype

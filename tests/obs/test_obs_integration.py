@@ -85,7 +85,7 @@ def test_traced_fedpkd_run_emits_valid_schema(tiny_bundle, tmp_path):
 
 def test_resumed_run_appends_behind_resume_marker(tmp_path):
     trace_path = str(tmp_path / "run.trace.jsonl")
-    ckpt_path = str(tmp_path / "run.ckpt.npz")
+    ckpt_path = str(tmp_path / "run.ckpt")
     setting = ExperimentSetting(
         checkpoint_every=1,
         checkpoint_path=ckpt_path,

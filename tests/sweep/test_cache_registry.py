@@ -62,7 +62,7 @@ class TestResultCache:
 
     def test_paths_are_keyed(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        assert cache.checkpoint_path("abc").endswith("abc/run.ckpt.npz")
+        assert cache.checkpoint_path("abc").endswith("abc/run.ckpt")
         assert cache.trace_path("abc").endswith("abc/trace.jsonl")
         assert not cache.has_checkpoint("abc")
 

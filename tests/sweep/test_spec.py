@@ -63,10 +63,11 @@ class TestRunKey:
         assert first == second
 
     def test_pinned_run_keys(self):
-        # literals computed at RUN_KEY_VERSION 3: a refactor of how the key
-        # fields are gathered must not move a single cached history
+        # literals computed at RUN_KEY_VERSION 3 and checkpoint format 4: a
+        # refactor of how the key fields are gathered must not move a
+        # single cached history
         assert RunSpec("fedavg").run_key() == (
-            "5314a3e1599068cb87a48e801ad7f12e7b2af4ed5c321d3c486c437a1627a499"
+            "9e6700036ccd3b61a2d82e2b7544be2e9cbb68e9fba3e5a3335ff68e349525a5"
         )
         busy = RunSpec(
             "fedpkd",
@@ -79,7 +80,7 @@ class TestRunKey:
             rounds=3,
         )
         assert busy.run_key() == (
-            "6130e31e873b22ede34bd13249c6660c41572401e778749995625a365fd4026e"
+            "a47bb1ca1fbfc76f4d6dd8b3c3aa8170625acf5d490d19d9c54b27ce5080f37d"
         )
 
     def test_defaults_normalised_into_key(self):

@@ -63,7 +63,7 @@ class TestResume:
         assert "--checkpoint" in capsys.readouterr().err
 
     def test_checkpoint_then_resume(self, tmp_path, capsys):
-        ckpt = tmp_path / "run.ckpt.npz"
+        ckpt = tmp_path / "run.ckpt"
         out_full = tmp_path / "full.json"
         out_resumed = tmp_path / "resumed.json"
         common = ["run", "--algorithm", "fedproto", "--scale", "tiny"]
