@@ -40,18 +40,50 @@ class FLClient:
         model_name: Optional[str] = None,
     ) -> None:
         self.client_id = client_id
-        self.model = model
+        self._model: Optional[ClassifierModel] = model
         self.model_name = model_name
         self.x_train = x_train
         self.y_train = np.asarray(y_train, dtype=np.int64)
         self.x_test = x_test
         self.y_test = np.asarray(y_test, dtype=np.int64)
         self.num_classes = num_classes
-        self.rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
+
+    # ------------------------------------------------------------------
+    # model ownership (a bounded registry recycles evicted clients' models)
+    # ------------------------------------------------------------------
+    @property
+    def model(self) -> ClassifierModel:
+        model = self._model
+        if model is None:
+            raise RuntimeError(
+                f"client {self.client_id} was evicted from its registry and "
+                f"its model handed on; fetch it again with "
+                f"registry[{self.client_id}]"
+            )
+        return model
+
+    def detach_model(self) -> ClassifierModel:
+        """Take the model away from this client (registry eviction); any
+        later use of its model raises instead of reading a model that
+        another client may now own."""
+        model = self.model
+        self._model = None
+        return model
 
     # ------------------------------------------------------------------
     # RNG stream (checkpointing and the parallel runtime move it around)
     # ------------------------------------------------------------------
+    @property
+    def rng(self) -> np.random.Generator:
+        """The local batch-shuffling stream, seeded on first use (an
+        evaluation-only client never pays for it)."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = np.random.default_rng(self._seed)
+        return rng
+
     def rng_state(self) -> dict:
         """A copy of the local RNG stream state (batch-shuffling order)."""
         return copy.deepcopy(self.rng.bit_generator.state)

@@ -40,7 +40,10 @@ boundary — never mid-access, so client references handed to an algorithm
 stay valid for the duration of a round.  The peak live set is therefore
 ``max_live`` carried clients plus whatever one round touches
 (participants + evaluation sample), which is the bounded guarantee the
-cohort benchmark asserts.  See docs/SCALE.md.
+cohort benchmark asserts.  An evicted client's model is detached (a stale
+reference to the client raises) and reused by the next derivation of the
+same model name, re-initialised in place or hydrated straight into, so a
+bounded registry builds few models.  See docs/SCALE.md.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import numpy as np
 
 from ..data.datasets import FederatedDataBundle
 from ..data.partition import split_local_train_test
-from ..nn.models import build_model
+from ..nn.models import ClassifierModel, build_model
 from ..nn.serialize import deserialize_state, state_chunks
 from .client import FLClient
 
@@ -243,6 +246,9 @@ class ClientRegistry(Sequence):
         self.max_live = max_live
         self.store = ClientModelStore(spill_dir)
         self._live: "OrderedDict[int, FLClient]" = OrderedDict()
+        # models taken from clients evicted at the last settle(), per model
+        # name, for the next derivations to reuse instead of rebuilding
+        self._spares: Dict[str, List[ClassifierModel]] = {}
         self._dirty: set = set()
         # live clients whose state may differ from their stored record:
         # handed out through ``registry[cid]`` (or restored in place) since
@@ -330,7 +336,12 @@ class ClientRegistry(Sequence):
     # materialisation
     # ------------------------------------------------------------------
     def _derive(self, client_id: int) -> FLClient:
-        """Build the client from its registry entry (the eager recipe)."""
+        """Build the client from its registry entry (the eager recipe).
+
+        The model is an evicted client's spare of the same name when one
+        exists: hydration loads the stored record straight into it, and a
+        fresh derivation re-initialises it in place from the client's seed
+        — the same ``reset_parameters`` draws its constructor makes."""
         seed = self._base_seed
         bundle = self._bundle
         train_idx, test_idx = split_local_train_test(
@@ -339,13 +350,20 @@ class ClientRegistry(Sequence):
             seed=seed + 1000 + client_id,
         )
         name = self.model_name(client_id)
-        model = build_model(
-            name,
-            bundle.num_classes,
-            bundle.image_shape,
-            feature_dim=self._feature_dim,
-            rng=seed + 2000 + client_id,
-        )
+        stored = self.store.has(client_id)
+        spares = self._spares.get(name)
+        if spares:
+            model = spares.pop()
+            if not stored:
+                model.reset_parameters(np.random.default_rng(seed + 2000 + client_id))
+        else:
+            model = build_model(
+                name,
+                bundle.num_classes,
+                bundle.image_shape,
+                feature_dim=self._feature_dim,
+                rng=seed + 2000 + client_id,
+            )
         client = FLClient(
             client_id=client_id,
             model=model,
@@ -357,9 +375,12 @@ class ClientRegistry(Sequence):
             seed=seed + 3000 + client_id,
             model_name=name,
         )
-        if self.store.has(client_id):
+        if stored:
             state, rng_state = self.store.load(client_id)
-            client.model.load_state_dict(state)
+            model.load_state_dict(state)
+            # a spare still carries its last owner's grads and mode
+            model.zero_grad()
+            model.train()
             client.set_rng_state(rng_state)
             self._hydrations += 1
             self._evicted_clean.discard(client_id)
@@ -426,10 +447,12 @@ class ClientRegistry(Sequence):
             return
         metrics = self._metrics
         live = self._live
+        # spares the last round did not use are dropped, so the models held
+        # never outnumber the live set this settle started from
+        self._spares = {}
         while len(live) > self.max_live:
-            cid = next(iter(live))
+            cid, client = next(iter(live.items()))
             if cid in self._changed:
-                client = live[cid]
                 nbytes = self.store.save(
                     cid, client.model.state_dict(), client.rng_state()
                 )
@@ -441,6 +464,9 @@ class ClientRegistry(Sequence):
             elif cid not in self._dirty:
                 self._evicted_clean.add(cid)
             del live[cid]
+            self._spares.setdefault(client.model_name, []).append(
+                client.detach_model()
+            )
             self._evictions += 1
             if metrics is not None:
                 metrics.counter("registry/evictions").inc()
@@ -487,6 +513,7 @@ class ClientRegistry(Sequence):
         self._dirty.clear()
         self._changed.clear()
         self._evicted_clean.clear()
+        self._spares = {}
         self.store.clear()
         self._update_gauges()
 
@@ -508,4 +535,5 @@ class ClientRegistry(Sequence):
     def close(self) -> None:
         self._live.clear()
         self._changed.clear()
+        self._spares = {}
         self.store.close()

@@ -35,6 +35,24 @@ __all__ = [
 ]
 
 
+_UNSET = np.empty(0, dtype=np.float64)
+
+
+def _slot() -> Tensor:
+    """A parameter placeholder, created in construction order (which fixes
+    ``state_dict`` key order) and filled by ``reset_parameters``.  It holds
+    no full-size array: allocating one only to replace it costs a cold
+    allocation per parameter."""
+    return Tensor(_UNSET, requires_grad=True)
+
+
+def _redraw(param: Tensor, value: np.ndarray) -> None:
+    """Give a parameter fresh contents and no gradient, keeping the
+    ``Tensor`` object (so a reset model is the same object graph)."""
+    param.data = value
+    param.grad = None
+
+
 class Module:
     """Base class for all layers and models."""
 
@@ -95,6 +113,18 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    def reset_parameters(self, rng: np.random.Generator) -> None:
+        """Re-initialise in place as if freshly constructed from ``rng``:
+        parameters and buffers redrawn, grads dropped, train mode on.
+
+        Children are visited in ``named_children`` order — the order the
+        constructor built (and drew for) them — so a reset model and a new
+        one built from an equal ``rng`` have equal state dicts.
+        """
+        self.training = True
+        for _, child in self.named_children():
+            child.reset_parameters(rng)
+
     # ------------------------------------------------------------------
     # (de)serialisation
     # ------------------------------------------------------------------
@@ -139,19 +169,19 @@ class Linear(Module):
         self, in_features: int, out_features: int, bias: bool = True, rng=None
     ) -> None:
         super().__init__()
-        rng = init.ensure_rng(rng)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Tensor(
-            init.kaiming_uniform(rng, (out_features, in_features), fan_in=in_features),
-            requires_grad=True,
-        )
-        self.bias: Optional[Tensor] = None
-        if bias:
-            bound = 1.0 / np.sqrt(in_features)
-            self.bias = Tensor(
-                rng.uniform(-bound, bound, size=out_features), requires_grad=True
-            )
+        self.weight = _slot()
+        self.bias: Optional[Tensor] = _slot() if bias else None
+        self.reset_parameters(init.ensure_rng(rng))
+
+    def reset_parameters(self, rng: np.random.Generator) -> None:
+        self.training = True
+        shape = (self.out_features, self.in_features)
+        _redraw(self.weight, init.kaiming_uniform(rng, shape, fan_in=self.in_features))
+        if self.bias is not None:
+            bound = 1.0 / np.sqrt(self.in_features)
+            _redraw(self.bias, rng.uniform(-bound, bound, size=self.out_features))
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
@@ -171,27 +201,24 @@ class Conv2d(Module):
         rng=None,
     ) -> None:
         super().__init__()
-        rng = init.ensure_rng(rng)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        fan_in = in_channels * kernel_size * kernel_size
-        self.weight = Tensor(
-            init.kaiming_uniform(
-                rng,
-                (out_channels, in_channels, kernel_size, kernel_size),
-                fan_in=fan_in,
-            ),
-            requires_grad=True,
-        )
-        self.bias: Optional[Tensor] = None
-        if bias:
+        self.weight = _slot()
+        self.bias: Optional[Tensor] = _slot() if bias else None
+        self.reset_parameters(init.ensure_rng(rng))
+
+    def reset_parameters(self, rng: np.random.Generator) -> None:
+        self.training = True
+        k = self.kernel_size
+        shape = (self.out_channels, self.in_channels, k, k)
+        fan_in = self.in_channels * k * k
+        _redraw(self.weight, init.kaiming_uniform(rng, shape, fan_in=fan_in))
+        if self.bias is not None:
             bound = 1.0 / np.sqrt(fan_in)
-            self.bias = Tensor(
-                rng.uniform(-bound, bound, size=out_channels), requires_grad=True
-            )
+            _redraw(self.bias, rng.uniform(-bound, bound, size=self.out_channels))
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -205,14 +232,19 @@ class _BatchNorm(Module):
         self.num_features = num_features
         self.eps = eps
         self.momentum = momentum
-        self.weight = Tensor(
-            np.ones(num_features, dtype=np.float64), requires_grad=True
-        )
-        self.bias = Tensor(
-            np.zeros(num_features, dtype=np.float64), requires_grad=True
-        )
-        self.running_mean = np.zeros(num_features, dtype=np.float64)
-        self.running_var = np.ones(num_features, dtype=np.float64)
+        self.weight = _slot()
+        self.bias = _slot()
+        self.running_mean = np.empty(num_features, dtype=np.float64)
+        self.running_var = np.empty(num_features, dtype=np.float64)
+        self.reset_parameters(None)
+
+    def reset_parameters(self, rng: Optional[np.random.Generator]) -> None:
+        # deterministic init: draws nothing from ``rng``
+        self.training = True
+        _redraw(self.weight, np.ones(self.num_features, dtype=np.float64))
+        _redraw(self.bias, np.zeros(self.num_features, dtype=np.float64))
+        self.running_mean.fill(0.0)
+        self.running_var.fill(1.0)
 
     def _normalize(self, x: Tensor) -> Tensor:
         return F.batch_norm(

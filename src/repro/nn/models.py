@@ -25,12 +25,14 @@ from .init import ensure_rng
 from .layers import (
     BatchNorm2d,
     Conv2d,
+    Dropout,
     GlobalAvgPool2d,
     Identity,
     Linear,
     Module,
     ReLU,
     Sequential,
+    _BatchNorm,
 )
 from .tensor import Tensor
 
@@ -68,31 +70,43 @@ class ClassifierModel(Module):
 
     def predict_logits(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Return logits for a raw numpy batch (eval mode, no grad)."""
-        from .tensor import no_grad
-
-        was_training = self.training
-        self.eval()
-        outputs: List[np.ndarray] = []
-        with no_grad():
-            for start in range(0, len(x), batch_size):
-                batch = Tensor(x[start : start + batch_size])
-                outputs.append(self.forward(batch).data)
-        self.train(was_training)
-        return np.concatenate(outputs, axis=0) if outputs else np.zeros((0, self.num_classes), dtype=np.float64)
+        return self._infer(self.forward, x, batch_size, self.num_classes)
 
     def extract_features(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Return feature vectors for a raw numpy batch (eval mode, no grad)."""
+        return self._infer(self.features, x, batch_size, self.feature_dim)
+
+    def _infer(self, fn, x: np.ndarray, batch_size: int, width: int) -> np.ndarray:
         from .tensor import no_grad
 
-        was_training = self.training
-        self.eval()
+        # the eval/train toggle walks the whole tree; skip it where no
+        # layer's forward reads its mode
+        toggle = self._mode_dependent()
+        if toggle:
+            was_training = self.training
+            self.eval()
         outputs: List[np.ndarray] = []
         with no_grad():
             for start in range(0, len(x), batch_size):
-                batch = Tensor(x[start : start + batch_size])
-                outputs.append(self.features(batch).data)
-        self.train(was_training)
-        return np.concatenate(outputs, axis=0) if outputs else np.zeros((0, self.feature_dim), dtype=np.float64)
+                outputs.append(fn(Tensor(x[start : start + batch_size])).data)
+        if toggle:
+            self.train(was_training)
+        return np.concatenate(outputs, axis=0) if outputs else np.zeros((0, width), dtype=np.float64)
+
+    def _mode_dependent(self) -> bool:
+        """Whether eval mode changes this model's forward (a BatchNorm or
+        Dropout in its tree).  Computed once per model object: modules are
+        never re-parented."""
+        flag = self.__dict__.get("_has_mode_layers")
+        if flag is None:
+            flag = self._has_mode_layers = _has_mode_layers(self)
+        return flag
+
+
+def _has_mode_layers(module: Module) -> bool:
+    return isinstance(module, (_BatchNorm, Dropout)) or any(
+        _has_mode_layers(child) for _, child in module.named_children()
+    )
 
 
 class MLPClassifier(ClassifierModel):

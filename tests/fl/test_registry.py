@@ -449,6 +449,96 @@ class TestClientRegistry:
         with pytest.raises(ValueError):
             make_registry(tiny_bundle, max_live=0)
 
+    def test_stale_reference_to_evicted_client_raises(self, tiny_bundle):
+        reg = make_registry(tiny_bundle, max_live=1)
+        ref = make_registry(tiny_bundle)
+        try:
+            stale = reg[0]
+            reg.peek(1)
+            reg.settle()
+            with pytest.raises(RuntimeError, match=r"client 0 was evicted"):
+                stale.evaluate()
+            # the evicted model went to a spare; client 1 can be derived on it
+            reg.peek(2)
+            again = reg[0]
+            assert again is not stale
+            state, rng_state = reg.client_state(0)
+            ref_state, ref_rng_state = ref[0].model.state_dict(), ref[0].rng_state()
+            assert rng_state == ref_rng_state
+            assert list(state) == list(ref_state)
+            for key, value in ref_state.items():
+                np.testing.assert_array_equal(state[key], value)
+            assert again.evaluate() == ref[0].evaluate()
+        finally:
+            reg.close()
+            ref.close()
+
+    def test_recycled_models_match_unbounded_registry(self, tiny_bundle):
+        """Random peek/getitem/settle traffic over a mixed MLP/ResNet cycle:
+        every derivation on a recycled model equals the unbounded one, and
+        spares never outnumber the last settle's evictions."""
+        from repro.nn import Tensor, losses
+
+        def make(max_live):
+            order = np.random.default_rng(3).permutation(len(tiny_bundle.train))
+            return ClientRegistry(
+                tiny_bundle, np.array_split(order, 6), ["mlp_small", "resnet11"],
+                feature_dim=FEATURE_DIM, test_fraction=0.2, base_seed=3,
+                max_live=max_live,
+            )
+
+        def modules(module):
+            yield module
+            for _, child in module.named_children():
+                yield from modules(child)
+
+        def assert_same(cid):
+            state, rng_state = reg.client_state(cid)
+            ref_state, ref_rng_state = ref.client_state(cid)
+            assert rng_state == ref_rng_state
+            assert list(state) == list(ref_state)
+            for key, value in ref_state.items():
+                assert state[key].dtype == value.dtype
+                np.testing.assert_array_equal(state[key], value)
+
+        reg, ref = make(1), make(None)
+        ops = np.random.default_rng(11)
+        try:
+            for _ in range(60):
+                op = ops.integers(3)
+                if op == 2:
+                    before = reg.stats()["evictions"]
+                    reg.settle()
+                    evicted = reg.stats()["evictions"] - before
+                    assert all(len(s) <= evicted for s in reg._spares.values())
+                    continue
+                cid = int(ops.integers(len(reg)))
+                derived = cid not in reg._live
+                if op == 0:
+                    client, twin = reg.peek(cid), ref.peek(cid)
+                else:
+                    client, twin = reg[cid], ref[cid]
+                if derived:
+                    model = client.model
+                    assert all(p.grad is None for p in model.parameters())
+                    assert all(m.training for m in modules(model))
+                assert_same(cid)
+                if op == 1:
+                    # a training step on both: weights, grads, BN running
+                    # stats and the RNG stream all move
+                    for c in (client, twin):
+                        c.model.zero_grad()
+                        x = c.x_train[c.rng.permutation(len(c.x_train))[:4]]
+                        loss = losses.cross_entropy(c.model(Tensor(x)), np.arange(len(x)) % 6)
+                        loss.backward()
+                        for p in c.model.parameters():
+                            p.data = p.data - 0.1 * p.grad
+                    assert_same(cid)
+            assert reg.stats()["evictions"] > 0 and reg.stats()["hydrations"] > 0
+        finally:
+            reg.close()
+            ref.close()
+
 
 class TestBoundedRunEquivalence:
     """A bounded registry (spill/evict/hydrate every round) must produce

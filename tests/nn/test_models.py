@@ -133,3 +133,58 @@ class TestDeterminism:
         a = build_model("mlp_small", 5, IMG, rng=1)
         b = build_model("mlp_small", 5, IMG, rng=2)
         assert not np.allclose(a.classifier.weight.data, b.classifier.weight.data)
+
+
+class TestResetParameters:
+    """``reset_parameters`` is the constructor's init: a used model reset
+    from a seed is indistinguishable from one freshly built from it."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_reset_matches_fresh_build(self, name, seed):
+        from repro.nn import losses
+
+        model = build_model(name, 4, IMG, feature_dim=8, rng=seed + 1)
+        rng = np.random.default_rng(seed + 99)
+        for param in model.parameters():
+            param.data = param.data + rng.normal(size=param.shape)
+        # a training step: grads set and BN running stats moved
+        logits = model(Tensor(rng.normal(size=(3, *IMG))))
+        losses.cross_entropy(logits, np.array([0, 1, 2])).backward()
+        assert any(p.grad is not None for p in model.parameters())
+        for _, buf in model.named_buffers():
+            buf += rng.normal(size=buf.shape)
+        model.eval()
+
+        model.reset_parameters(np.random.default_rng(seed))
+
+        fresh = build_model(name, 4, IMG, feature_dim=8, rng=seed).state_dict()
+        reset = model.state_dict()
+        assert list(reset) == list(fresh)
+        for key, value in fresh.items():
+            assert reset[key].dtype == value.dtype, key
+            assert np.array_equal(reset[key], value), key
+        assert all(p.grad is None for p in model.parameters())
+
+        def modules(module):
+            yield module
+            for _, child in module.named_children():
+                yield from modules(child)
+
+        assert all(m.training for m in modules(model))
+
+
+class TestModeToggle:
+    def test_mlp_has_no_mode_dependent_layers(self):
+        model = build_model("mlp_small", 3, IMG, feature_dim=8, rng=0)
+        assert not model._mode_dependent()
+        assert build_model("resnet11", 3, IMG, feature_dim=8, rng=0)._mode_dependent()
+
+    def test_resnet_predicts_in_eval_mode_and_restores_train(self):
+        model = build_model("resnet11", 3, IMG, feature_dim=8, rng=0)
+        x = np.random.default_rng(5).normal(size=(4, *IMG))
+        model.eval()
+        expected = model(Tensor(x)).data
+        model.train()
+        np.testing.assert_array_equal(model.predict_logits(x), expected)
+        assert model.training and model.stem[1].training
