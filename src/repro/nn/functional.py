@@ -1,13 +1,14 @@
 """Functional neural-network operations built on :class:`repro.nn.Tensor`.
 
 Includes the composite ops the layers need — softmax/log-softmax,
-im2col-based 2-D convolution, batch normalisation, pooling, dropout — each
+2-D convolution through cached index plans, batch normalisation, pooling, dropout — each
 registered in the autograd graph with a hand-written backward pass where a
 composition of Tensor primitives would be too slow.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Optional, Tuple
 
@@ -209,13 +210,79 @@ def batch_norm(
 
 
 # ----------------------------------------------------------------------
-# sliding-window helpers
+# patch gather / scatter
 # ----------------------------------------------------------------------
+#: geometries whose index plans stay cached: a few models' convs at a few
+#: batch sizes (a plan is as large as the patch matrix it gathers; a tiny
+#: heterogeneous ResNet federation trains through 48 of them, 7.6 MB)
+_PLAN_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _patch_plan(
+    n: int, c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
+) -> np.ndarray:
+    """Index plan of one geometry: a ``(C*kh*kw, N*out_h*out_w)`` ``intp``
+    array holding the flat NCHW source of every entry of the row-major
+    ``(C, kh, kw, N, out_h, out_w)`` patch matrix.  Every call of the
+    geometry shares it, so nothing may write to it.
+
+    Entries that fall in the zero padding point at the extra slot
+    ``n*c*h*w``, which :func:`_gather` fills with ``0.0`` and
+    :func:`_scatter` drops.
+    """
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    # padded-frame row/column read by kernel offset i (j) at output p (q)
+    rows = (np.arange(kh, dtype=np.intp)[:, None] - padding
+            + stride * np.arange(out_h, dtype=np.intp))
+    cols = (np.arange(kw, dtype=np.intp)[:, None] - padding
+            + stride * np.arange(out_w, dtype=np.intp))
+    images = (np.arange(c, dtype=np.intp)[:, None]
+              + c * np.arange(n, dtype=np.intp)) * (h * w)
+    plan = (images[:, None, None, :, None, None]
+            + (w * rows)[None, :, None, None, :, None]
+            + cols[None, None, :, None, None, :])
+    if padding:
+        inside = (((rows >= 0) & (rows < h))[:, None, None, :, None]
+                  & ((cols >= 0) & (cols < w))[None, :, None, None, :])
+        plan = np.where(inside, plan, np.intp(n * c * h * w))
+    # left writeable: numpy's take and bincount copy a read-only index
+    # array on every call, which costs more than the gather itself
+    return plan.reshape(c * kh * kw, n * out_h * out_w)
+
+
+def _gather(x: np.ndarray, plan: np.ndarray) -> np.ndarray:
+    """The patch matrix ``plan`` describes, gathered from NCHW ``x``."""
+    src = np.empty(x.size + 1, dtype=np.float64)
+    src[:-1].reshape(x.shape)[...] = x
+    src[-1] = 0.0
+    return src.take(plan)
+
+
+def _scatter(
+    plan: np.ndarray, dcols: np.ndarray, shape: Tuple[int, int, int, int]
+) -> np.ndarray:
+    """Adjoint of :func:`_gather`: sum every patch-matrix entry back onto
+    its NCHW source.
+
+    ``bincount`` walks the plan in row-major order, so each input element
+    collects its terms in kernel-offset ``(i, j)`` order, starting from
+    ``0.0``.
+    """
+    size = shape[0] * shape[1] * shape[2] * shape[3]
+    summed = np.bincount(
+        plan.reshape(-1), weights=dcols.reshape(-1), minlength=size + 1
+    )
+    return summed[:-1].reshape(shape)
+
+
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Read-only ``(N, C, kh, kw, out_h, out_w)`` view of every window.
 
     Element ``[n, c, i, j, p, q]`` is ``x[n, c, p*stride + i, q*stride + j]``;
     no memory is copied until a caller gathers the view into a buffer.
+    Used only by calls that record no backward: they build no plan.
     """
     n, c, h, w = x.shape
     out_h = (h - kh) // stride + 1
@@ -229,35 +296,6 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     )
 
 
-def _im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int
-) -> Tuple[np.ndarray, int, int]:
-    """Rearrange NCHW input into the pooling ops' column matrix.
-
-    Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N, C*kh*kw, out_h*out_w)``.
-    """
-    windows = _windows(x, kh, kw, stride)
-    n, c, _, _, out_h, out_w = windows.shape
-    # reshaping the strided view is the one gathering copy
-    return windows.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
-
-
-def _col2im(
-    cols6: np.ndarray, x_shape: Tuple[int, int, int, int], stride: int
-) -> np.ndarray:
-    """Inverse of the window gather: scatter-add a
-    ``(N, C, kh, kw, out_h, out_w)`` array (any strides) back to NCHW."""
-    _, _, kh, kw, out_h, out_w = cols6.shape
-    dx = np.zeros(x_shape, dtype=cols6.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += cols6[
-                :, :, i, j
-            ]
-    return dx
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -267,10 +305,14 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution over NCHW input, as three plain GEMMs.
 
-    The patches are gathered once into a ``(C_in*kH*kW, N*out_h*out_w)``
-    matrix owned by this call; forward is ``W_mat @ cols`` and backward
-    reuses the same matrix for ``dW = G @ cols.T`` and forms
-    ``dcols = W_mat.T @ G`` only when ``x`` takes a gradient.  Output and
+    The zero-padded patches are gathered once into a
+    ``(C_in*kH*kW, N*out_h*out_w)`` matrix owned by this call; forward is
+    ``W_mat @ cols`` and backward reuses the same matrix for
+    ``dW = G @ cols.T`` and forms ``dcols = W_mat.T @ G`` only when ``x``
+    takes a gradient.  A call that records a backward gathers through its
+    geometry's cached index plan, and the same plan scatters ``dcols``
+    back onto ``x``; a call that records none (inference) gathers from a
+    strided window view of a padded copy and builds no plan.  Output and
     gradients are C-contiguous NCHW.
 
     Parameters
@@ -288,23 +330,33 @@ def conv2d(
         raise ValueError(
             f"conv2d expects 4-D input/weight, got {x.shape} and {weight.shape}"
         )
-    if padding:
-        x = x.pad2d(padding)
     c_out, c_in, kh, kw = weight.shape
     n, c, h, w = x.shape
     if c != c_in:
         raise ValueError(f"conv2d channel mismatch: input {c} vs weight {c_in}")
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
 
-    # timed after padding so pad2d (profiled separately) isn't double-counted
     prof = _profile.ACTIVE
     start = time.perf_counter() if prof is not None else 0.0
 
-    windows = _windows(x.data, kh, kw, stride)
-    out_h, out_w = windows.shape[4:]
-    # gathered per call, never cached by shape: the same shape recurs in
-    # consecutive blocks of one forward pass and every backward closure
-    # needs its own patches
-    cols = windows.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * out_h * out_w)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    # gathered per call, never cached: the same shape recurs in consecutive
+    # blocks of one forward pass and every backward closure needs its own
+    # patches (only the index plan is shared)
+    if requires:
+        plan = _patch_plan(n, c, h, w, kh, kw, stride, padding)
+        cols = _gather(x.data, plan)
+    else:
+        padded = x.data
+        if padding:
+            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+            padded[:, :, padding:-padding, padding:-padding] = x.data
+        windows = _windows(padded, kh, kw, stride).transpose(1, 2, 3, 0, 4, 5)
+        # contiguous like the planned gather, so both routes run the same
+        # GEMM: a few degenerate geometries would reshape to a strided view
+        cols = np.ascontiguousarray(windows.reshape(c * kh * kw, n * out_h * out_w))
     # a view of weight.data: optimisers rebind ``p.data``, never write into it
     w_mat = weight.data.reshape(c_out, -1)
     out_data = np.ascontiguousarray(
@@ -313,8 +365,6 @@ def conv2d(
     if bias is not None:
         np.add(out_data, bias.data.reshape(1, c_out, 1, 1), out=out_data)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
     if not requires:
         out = Tensor(out_data)
     else:
@@ -329,9 +379,7 @@ def conv2d(
             if weight.requires_grad:
                 weight._accumulate((grad_mat @ cols.T).reshape(weight.shape), True)
             if x.requires_grad:
-                dcols = (w_mat.T @ grad_mat).reshape(c, kh, kw, n, out_h, out_w)
-                dx = _col2im(dcols.transpose(3, 0, 1, 2, 4, 5), (n, c, h, w), stride)
-                x._accumulate(dx, True)
+                x._accumulate(_scatter(plan, w_mat.T @ grad_mat, (n, c, h, w)), True)
 
         out = Tensor(
             out_data, requires_grad=True, _parents=parents, _backward=backward
@@ -349,21 +397,41 @@ def conv2d(
     return out
 
 
+def _pool_windows(
+    x: Tensor, kernel_size: int, stride: int
+) -> Tuple[np.ndarray, Optional[np.ndarray], int, int]:
+    """Every pooling window of ``x`` as an ``(N*C, k*k, out_h*out_w)``
+    matrix, with the index plan that gathered it (``None`` when the call
+    records no backward) and ``(out_h, out_w)``."""
+    n, c, h, w = x.shape
+    out_h = (h - kernel_size) // stride + 1
+    out_w = (w - kernel_size) // stride + 1
+    plan = None
+    if is_grad_enabled() and x.requires_grad:
+        # each channel of each image is its own one-channel image
+        plan = _patch_plan(1, n * c, h, w, kernel_size, kernel_size, stride, 0)
+        cols = _gather(x.data, plan)
+    else:
+        cols = _windows(x.data.reshape(n * c, 1, h, w), kernel_size, kernel_size, stride)
+    # contiguous either way, so both routes reduce in one order: a window
+    # spanning whole rows would otherwise reshape to a strided view
+    cols = np.ascontiguousarray(cols.reshape(n * c, kernel_size**2, out_h * out_w))
+    return cols, plan, out_h, out_w
+
+
 def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
     """Max pooling over NCHW input with square window."""
     stride = stride or kernel_size
     n, c, h, w = x.shape
     prof = _profile.ACTIVE
     start = time.perf_counter() if prof is not None else 0.0
-    cols, out_h, out_w = _im2col(
-        x.data.reshape(n * c, 1, h, w), kernel_size, kernel_size, stride
-    )
+    cols, plan, out_h, out_w = _pool_windows(x, kernel_size, stride)
     # cols: (N*C, k*k, P)
     arg = cols.argmax(axis=1)
     out_data = np.take_along_axis(cols, arg[:, None, :], axis=1)[:, 0, :]
     out_data = out_data.reshape(n, c, out_h, out_w)
 
-    if not (is_grad_enabled() and x.requires_grad):
+    if plan is None:
         out = Tensor(out_data)
     else:
 
@@ -371,12 +439,7 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
             grad_flat = grad.reshape(n * c, 1, out_h * out_w)
             dcols = np.zeros_like(cols)
             np.put_along_axis(dcols, arg[:, None, :], grad_flat, axis=1)
-            dx = _col2im(
-                dcols.reshape(n * c, 1, kernel_size, kernel_size, out_h, out_w),
-                (n * c, 1, h, w),
-                stride,
-            )
-            x._accumulate(dx.reshape(n, c, h, w), True)
+            x._accumulate(_scatter(plan, dcols, (n, c, h, w)), True)
 
         out = Tensor(
             out_data, requires_grad=True, _parents=(x,), _backward=backward
@@ -398,25 +461,18 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
     n, c, h, w = x.shape
     prof = _profile.ACTIVE
     start = time.perf_counter() if prof is not None else 0.0
-    cols, out_h, out_w = _im2col(
-        x.data.reshape(n * c, 1, h, w), kernel_size, kernel_size, stride
-    )
+    cols, plan, out_h, out_w = _pool_windows(x, kernel_size, stride)
     out_data = cols.mean(axis=1).reshape(n, c, out_h, out_w)
 
-    if not (is_grad_enabled() and x.requires_grad):
+    if plan is None:
         out = Tensor(out_data)
     else:
         k2 = kernel_size * kernel_size
 
         def backward(grad: np.ndarray) -> None:
             grad_flat = grad.reshape(n * c, 1, out_h * out_w)
-            dcols = np.broadcast_to(grad_flat / k2, cols.shape).copy()
-            dx = _col2im(
-                dcols.reshape(n * c, 1, kernel_size, kernel_size, out_h, out_w),
-                (n * c, 1, h, w),
-                stride,
-            )
-            x._accumulate(dx.reshape(n, c, h, w), True)
+            dcols = np.broadcast_to(grad_flat / k2, cols.shape)
+            x._accumulate(_scatter(plan, dcols, (n, c, h, w)), True)
 
         out = Tensor(
             out_data, requires_grad=True, _parents=(x,), _backward=backward

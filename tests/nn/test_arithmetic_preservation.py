@@ -10,7 +10,9 @@ reorders or regroups a floating-point operation fails these tests and has
 to be declared (and the pinned history hash re-recorded).  On the ResNet
 path the declared scope is float64, same formulas, reductions in another
 order: ``CONV_PATH_RTOL`` bounds it, and a second pinned hash makes the
-next conv-path change declare itself too.
+next conv-path change declare itself too.  The index plan that gathers
+conv2d's and the pools' patches and scatters their gradients is held to
+bytes: it must equal the strided gather and per-offset scatter it replaced.
 """
 
 import hashlib
@@ -18,9 +20,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import build_algorithm
-from repro.nn import Adam, SGD, BatchNorm1d, BatchNorm2d, Linear, Tensor, clip_grad_norm
+from repro.nn import (
+    Adam, SGD, BatchNorm1d, BatchNorm2d, Linear, Tensor, clip_grad_norm, no_grad,
+)
 from repro.nn import functional as F
 from repro.nn import losses as L
 from repro.nn.models import ResNetClassifier
@@ -494,3 +499,186 @@ def test_interleaved_same_shape_convs_keep_their_own_patches():
     F.conv2d(Tensor(xb), Tensor(w_data, requires_grad=True), padding=1)
     out_a.backward(np.ones(out_a.shape))
     assert alone.grad.tobytes() == shared.grad.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the index plan: the same bytes as the strided gather and per-offset
+# scatter it replaced
+# ----------------------------------------------------------------------
+def strided_windows(data, kh, kw, stride):
+    n, c, h, w = data.shape
+    s0, s1, s2, s3 = data.strides
+    return np.lib.stride_tricks.as_strided(
+        data,
+        shape=(n, c, kh, kw, (h - kh) // stride + 1, (w - kw) // stride + 1),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        writeable=False,
+    )
+
+
+def scatter_per_offset(cols6, shape, stride):
+    """Sum an ``(N, C, kh, kw, out_h, out_w)`` array back onto NCHW with
+    one strided add per kernel offset ``(i, j)``."""
+    _, _, kh, kw, out_h, out_w = cols6.shape
+    dx = np.zeros(shape)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i : i + out_h * stride : stride,
+               j : j + out_w * stride : stride] += cols6[:, :, i, j]
+    return dx
+
+
+def strided_conv2d(x, weight, bias=None, stride=1, padding=0):
+    """The route the index plan replaced: a ``pad2d`` node, a strided window
+    gather and one scatter-add per kernel offset, around the same GEMMs."""
+    if padding:
+        x = x.pad2d(padding)
+    c_out, _, kh, kw = weight.shape
+    n, c, h, w = x.shape
+    windows = strided_windows(x.data, kh, kw, stride)
+    out_h, out_w = windows.shape[4:]
+    # contiguous, as both routes now gather: the replaced route handed BLAS
+    # a strided view in a few degenerate geometries (e.g. one image, one
+    # channel, a 1-row kernel), which rounds differently
+    cols = np.ascontiguousarray(
+        windows.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * out_h * out_w)
+    )
+    w_mat = weight.data.reshape(c_out, -1)
+    out_data = np.ascontiguousarray(
+        (w_mat @ cols).reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
+    )
+    if bias is not None:
+        np.add(out_data, bias.data.reshape(1, c_out, 1, 1), out=out_data)
+
+    def backward(grad):
+        if bias is not None:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)), True)
+        grad_mat = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).reshape(c_out, -1)
+        weight._accumulate((grad_mat @ cols.T).reshape(weight.shape), True)
+        if x.requires_grad:
+            dcols = (w_mat.T @ grad_mat).reshape(c, kh, kw, n, out_h, out_w)
+            dx = scatter_per_offset(dcols.transpose(3, 0, 1, 2, 4, 5), (n, c, h, w), stride)
+            x._accumulate(dx, True)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor(out_data, requires_grad=True, _parents=parents, _backward=backward)
+
+
+def distinct_pair(low, high):
+    return st.tuples(st.integers(low, high), st.integers(low, high)).filter(
+        lambda pair: pair[0] != pair[1]
+    )
+
+
+@given(
+    n=st.integers(1, 3), c=st.integers(1, 3), c_out=st.integers(1, 3),
+    hw=distinct_pair(3, 7), kernel=distinct_pair(1, 3),
+    stride=st.sampled_from([1, 2]), padding=st.sampled_from([0, 1, 2]),
+    use_bias=st.booleans(), x_live=st.booleans(), residual=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_conv2d_index_plan_is_byte_identical_to_the_strided_route(
+    n, c, c_out, hw, kernel, stride, padding, use_bias, x_live, residual, seed
+):
+    rng = np.random.default_rng(seed)
+    x_data = rng.normal(size=(n, c) + hw)
+    x_data.flat[0] = -0.0  # a padded zero must not turn it into +0.0
+    w_data = rng.normal(size=(c_out, c) + kernel)
+    b_data = rng.normal(size=c_out)
+    # a gradient x already holds, as a residual block's input does
+    prior = rng.normal(size=x_data.shape)
+    results = []
+    for conv in (F.conv2d, strided_conv2d):
+        x = Tensor(x_data, requires_grad=x_live)
+        if x_live and residual:
+            x.grad = prior.copy()
+        weight = Tensor(w_data, requires_grad=True)
+        bias = Tensor(b_data, requires_grad=True) if use_bias else None
+        out = conv(x, weight, bias, stride=stride, padding=padding)
+        out.backward(np.random.default_rng(seed + 1).normal(size=out.shape))
+        results.append((out.data, x.grad, weight.grad, bias and bias.grad))
+    for new, ref in zip(*results):
+        if ref is None:
+            assert new is None
+        else:
+            assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
+    assert (results[0][1] is None) == (not x_live)
+    # the inference gather (no plan) yields the same bytes
+    with no_grad():
+        bias = Tensor(b_data) if use_bias else None
+        inferred = F.conv2d(Tensor(x_data), Tensor(w_data), bias, stride=stride,
+                            padding=padding)
+    assert inferred.data.tobytes() == results[0][0].tobytes()
+
+
+@given(
+    n=st.integers(1, 2), c=st.integers(1, 3), hw=distinct_pair(2, 7),
+    kernel=st.integers(1, 3), stride=st.sampled_from([None, 1, 2]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_pooling_through_the_plan_is_byte_identical_to_the_strided_route(
+    n, c, hw, kernel, stride, seed
+):
+    if kernel > min(hw):
+        kernel = min(hw)
+    step = stride or kernel
+    rng = np.random.default_rng(seed)
+    # rounded so that windows hold ties: max picks the first, as before
+    x_data = np.round(rng.normal(size=(n, c) + hw), 1)
+    windows = strided_windows(x_data.reshape(n * c, 1, *hw), kernel, kernel, step)
+    out_h, out_w = windows.shape[4:]
+    # contiguous, as both routes now reduce: the replaced route averaged a
+    # strided view when a window spanned whole rows (last-bit different)
+    cols = np.ascontiguousarray(windows.reshape(n * c, kernel * kernel, out_h * out_w))
+    grad = np.random.default_rng(seed + 1).normal(size=(n, c, out_h, out_w))
+    grad_flat = grad.reshape(n * c, 1, out_h * out_w)
+    arg = cols.argmax(axis=1)
+    max_dcols = np.zeros_like(cols)
+    np.put_along_axis(max_dcols, arg[:, None, :], grad_flat, axis=1)
+    expected = {
+        F.max_pool2d: (np.take_along_axis(cols, arg[:, None, :], axis=1), max_dcols),
+        F.avg_pool2d: (cols.mean(axis=1),
+                       np.broadcast_to(grad_flat / kernel**2, cols.shape).copy()),
+    }
+    for pool, (ref_out, ref_dcols) in expected.items():
+        x = Tensor(x_data, requires_grad=True)
+        out = pool(x, kernel, stride)
+        out.backward(grad)
+        ref_dx = scatter_per_offset(
+            ref_dcols.reshape(n * c, 1, kernel, kernel, out_h, out_w),
+            (n * c, 1) + hw, step,
+        )
+        assert out.data.tobytes() == ref_out.reshape(out.shape).tobytes()
+        assert x.grad.tobytes() == ref_dx.reshape(x.shape).tobytes()
+        with no_grad():
+            inferred = pool(Tensor(x_data), kernel, stride)
+        assert inferred.data.tobytes() == out.data.tobytes()
+
+
+def test_only_recorded_calls_use_the_bounded_plan_cache():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 3, 6, 5)))
+    weight = Tensor(rng.normal(size=(4, 3, 3, 2)), requires_grad=True)
+    before = F._patch_plan.cache_info()
+    with no_grad():
+        F.conv2d(x, weight, padding=1)
+        F.max_pool2d(Tensor(x.data, requires_grad=True), 2)
+        F.avg_pool2d(Tensor(x.data, requires_grad=True), 2)
+    # grad mode on, but nothing takes a gradient: no backward is recorded
+    F.conv2d(x, Tensor(weight.data), padding=1)
+    assert F._patch_plan.cache_info() == before
+
+    F.conv2d(x, weight, padding=1)
+    after = F._patch_plan.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+    plan = F._patch_plan(2, 3, 6, 5, 3, 2, 1, 1)
+    assert plan.dtype == np.intp and plan.flags.c_contiguous
+    assert plan.shape == (3 * 3 * 2, 2 * 6 * 6)
+
+    maxsize = after.maxsize
+    assert maxsize is not None and maxsize > 0
+    for batch in range(1, maxsize + 2):
+        F._patch_plan(batch, 1, 2, 2, 1, 1, 1, 0)
+    assert F._patch_plan.cache_info().currsize == maxsize
