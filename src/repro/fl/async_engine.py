@@ -530,7 +530,7 @@ class AsyncRoundEngine:
         }
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Buffered contributions and dispatch snapshots, as npz arrays."""
+        """Buffered contributions and dispatch snapshots, as blob arrays."""
         arrays: Dict[str, np.ndarray] = {}
         for i, entry in enumerate(self._buffer):
             for key, value in entry["data"].items():

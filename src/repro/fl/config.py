@@ -145,12 +145,6 @@ class RunKnobs:
         "per-task result deadline under the parallel executor; a client "
         "that exhausts its retries is a runtime dropout for the round",
     )
-    retry_backoff_s: float = knob(
-        0.0, "runtime",
-        "base seconds of the capped exponential backoff (seeded jitter) the "
-        "parallel executor sleeps between retry attempts; 0 retries "
-        "immediately",
-    )
     max_live_clients: Optional[int] = knob(
         None, "runtime",
         "carry at most this many materialised clients across rounds; the "
@@ -214,8 +208,6 @@ class RunKnobs:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValueError("task_timeout_s must be positive")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         if self.max_staleness < 0:
             raise ValueError("max_staleness must be >= 0")
         if not 0.0 < self.staleness_alpha <= 1.0:

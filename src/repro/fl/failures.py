@@ -134,7 +134,9 @@ class RuntimeDropout:
     round_index: int
     client_id: int
     stage: str
-    reason: str  # "timeout" | "worker_death" | "error"
+    # "timeout" (the executor), "empty_shard" (nothing to train on), or a
+    # FaultPlan's "injected_crash" | "injected_flaky" | "injected_leave"
+    reason: str
 
 
 class DropoutLog:

@@ -12,14 +12,12 @@ failures.  Two implementations:
   so results are bit-identical to serial execution; the driver folds the
   returned state back into its clients in participant order.
 
-Fault tolerance (parallel only): each task gets ``task_timeout_s`` to
-deliver a result and ``task_retries`` extra attempts.  A worker death
-(:class:`~concurrent.futures.process.BrokenProcessPool`) recycles the pool
-and retries; a task that keeps killing workers is re-executed inline.  A
-task that exhausts its timeout budget becomes a :class:`TaskFailure` — the
-round engine records the client as a runtime dropout and the round goes on.
-If the pool keeps collapsing, the executor degrades to inline execution for
-the rest of the stage rather than aborting the run.
+Fault tolerance (parallel only) is :class:`~repro.runtime.pool.WorkerPool`'s
+contract: each task gets ``task_timeout_s`` to deliver a result and
+``task_retries`` extra attempts.  A task that exhausts its timeout budget
+becomes a :class:`TaskFailure` — the round engine records the client as a
+runtime dropout and the round goes on.  A task that keeps killing its
+worker is re-executed inline, in this process.
 """
 
 from __future__ import annotations
@@ -27,16 +25,13 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import nullcontext
-from concurrent.futures import TimeoutError as FuturesTimeout
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from ..nn.serialize import deserialize_state, serialize_state
 from ..obs import NULL_OBS
 from ..obs.metrics import DEFAULT_TIME_BUCKETS
+from .pool import TIMEOUT, Exhausted, WorkerPool
 from .task import ClientSpec, ClientTask, TaskFailure, TaskResult
 from .worker import init_worker, resolve_kwargs, run_task
 
@@ -204,52 +199,32 @@ class ParallelExecutor(Executor):
     max_workers:
         Pool size; defaults to ``min(num_clients, os.cpu_count())``.
     task_timeout_s:
-        Seconds to wait for each task's result while collecting; ``None``
-        waits indefinitely.  On timeout the pool is recycled and the task
+        Seconds to wait for each task's result; ``None`` waits
+        indefinitely.  On timeout the workers are replaced and the task
         retried; once retries are exhausted the client becomes a runtime
         dropout for the round.
     task_retries:
         Extra attempts after the first, for timeouts and worker deaths.
-    retry_backoff_s:
-        Base of the capped exponential backoff slept before each retry
-        resubmission: attempt ``k`` waits
-        ``min(cap, retry_backoff_s * 2**(k-1))`` scaled into ``[50%,
-        100%]`` by a *seeded* jitter draw, so retry timing is reproducible
-        for a fixed ``backoff_seed`` yet never synchronises colliding
-        retries.  0 (the default) retries immediately — the historical
-        behaviour.
-    backoff_seed:
-        Seed of the jitter stream (defaults to the federation seed via
-        :func:`make_executor`).
     """
 
     name = "parallel"
-    # pool collapses tolerated per stage before degrading to inline
-    _MAX_RECYCLES_PER_STAGE = 3
-    # ceiling on a single backoff sleep, however many retries accumulate
-    _BACKOFF_CAP_S = 30.0
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
         task_timeout_s: Optional[float] = None,
         task_retries: int = 1,
-        retry_backoff_s: float = 0.0,
-        backoff_seed: int = 0,
     ) -> None:
         super().__init__()
         if task_retries < 0:
             raise ValueError("task_retries must be >= 0")
         if task_timeout_s is not None and task_timeout_s <= 0:
             raise ValueError("task_timeout_s must be positive")
-        if retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         self.max_workers = max_workers
         self.task_timeout_s = task_timeout_s
         self.task_retries = task_retries
-        self.retry_backoff_s = retry_backoff_s
-        self._backoff_rng = np.random.default_rng(backoff_seed)
-        self._pool: Optional[ProcessPoolExecutor] = None
+        # one pool across stages and rounds: its workers cache clients
+        self._pool: Optional[WorkerPool] = None
         self._warned_inline = False
 
     # ------------------------------------------------------------------
@@ -274,7 +249,7 @@ class ParallelExecutor(Executor):
         shared = {"public_x": self._federation.public_x}
         return specs, shared
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_pool(self) -> WorkerPool:
         if self._pool is None:
             if self._federation is None:
                 raise RuntimeError("ParallelExecutor must be bound to a federation")
@@ -282,23 +257,14 @@ class ParallelExecutor(Executor):
             workers = self.max_workers or min(
                 len(self._federation.clients), os.cpu_count() or 1
             )
-            self._pool = ProcessPoolExecutor(
-                max_workers=max(1, workers),
-                initializer=init_worker,
-                initargs=(specs, shared),
+            self._pool = WorkerPool(
+                max(1, workers), initializer=init_worker, initargs=(specs, shared)
             )
         return self._pool
 
-    def _recycle_pool(self) -> None:
-        if self._pool is not None:
-            # cancel_futures drops queued work; a worker stuck in a hung
-            # task is abandoned (it exits once the task returns).
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool.close()
             self._pool = None
 
     # ------------------------------------------------------------------
@@ -334,7 +300,6 @@ class ParallelExecutor(Executor):
         if not clients:
             return [], []
         start = time.perf_counter()
-        by_id = {c.client_id: c for c in clients}
         if any(c.model_name is None for c in clients):
             # hand-built clients without a registry spec cannot be shipped
             if not self._warned_inline:
@@ -357,7 +322,7 @@ class ParallelExecutor(Executor):
                 self._make_task(c, method, dict(kwargs or {}), stage)
                 for c in clients
             ]
-            outcomes = self._collect(tasks, by_id)
+            outcomes = self._run_tasks(tasks, clients)
             self._publish_outcomes(stage, outcomes)
             values: List[Any] = []
             failures: List[TaskFailure] = []
@@ -378,114 +343,36 @@ class ParallelExecutor(Executor):
         self._record_time(stage, time.perf_counter() - start)
         return values, failures
 
-    def _collect(self, tasks: List[ClientTask], by_id: dict) -> List[Outcome]:
-        n = len(tasks)
-        outcomes: List[Optional[Outcome]] = [None] * n
-        attempts = [0] * n
-        recycles = 0
-        futures = self._submit(tasks, [i for i in range(n)])
-        pending = [i for i in range(n)]
-        while pending:
-            i = pending[0]
-            try:
-                outcomes[i] = futures[i].result(timeout=self.task_timeout_s)
-                pending.pop(0)
-                continue
-            except FuturesTimeout:
-                attempts[i] += 1
-                self._harvest(futures, pending, outcomes)
-                if attempts[i] > self.task_retries:
-                    outcomes[i] = TaskFailure(
-                        client_id=tasks[i].client_id,
-                        stage=tasks[i].stage,
-                        reason="timeout",
-                        detail=f"no result within {self.task_timeout_s}s "
-                        f"after {attempts[i]} attempt(s)",
-                    )
-                    pending.pop(0)
-            except BrokenExecutor:
-                attempts[i] += 1
-                self._harvest(futures, pending, outcomes)
-                if attempts[i] > self.task_retries:
-                    # this task keeps killing workers — run it inline
-                    outcomes[i] = self._run_inline(
-                        by_id[tasks[i].client_id],
-                        tasks[i].method,
-                        tasks[i].kwargs,
-                    )
-                    pending.pop(0)
-            # anything else is a genuine task exception raised by client
-            # code; it propagates exactly as it would under SerialExecutor
-
-            recycles += 1
-            if self._obs.enabled:
+    def _run_tasks(self, tasks: List[ClientTask], clients: List) -> List[Outcome]:
+        pool = self._ensure_pool()
+        recycles = pool.recycles
+        answers = pool.run(
+            run_task, tasks, timeout_s=self.task_timeout_s, retries=self.task_retries
+        )
+        if self._obs.enabled:
+            for k in range(1, pool.recycles - recycles + 1):
                 self._obs.tracer.event(
                     "pool_recycle",
                     scope="stage",
-                    attrs={"stage": tasks[i].stage, "recycles": recycles},
+                    attrs={"stage": tasks[0].stage, "recycles": k},
                 )
                 if self._obs.metrics.enabled:
                     self._obs.metrics.counter("runtime/pool_recycles").inc()
-            self._recycle_pool()
-            remaining = [j for j in pending if outcomes[j] is None]
-            if recycles > self._MAX_RECYCLES_PER_STAGE:
-                # the pool keeps collapsing: finish the stage inline
-                for j in remaining:
-                    outcomes[j] = self._run_inline(
-                        by_id[tasks[j].client_id], tasks[j].method, tasks[j].kwargs
-                    )
-                break
-            self._backoff_sleep(max(attempts[i], 1), tasks[i].stage)
-            futures = self._submit(tasks, remaining, futures)
-        return [o for o in outcomes if o is not None]
-
-    def _backoff_sleep(self, attempt: int, stage: str) -> float:
-        """Sleep the capped exponential backoff before a retry resubmission.
-
-        Returns the seconds slept (0.0 when backoff is disabled).  The
-        jitter draw comes from the executor's seeded stream, so the exact
-        delay sequence of a run is reproducible.
-        """
-        if self.retry_backoff_s <= 0:
-            return 0.0
-        base = min(
-            self._BACKOFF_CAP_S, self.retry_backoff_s * (2.0 ** (attempt - 1))
-        )
-        # "equal jitter": half the delay is deterministic, half scaled by a
-        # seeded uniform draw — spreads retries without collapsing to zero
-        delay = base * (0.5 + 0.5 * float(self._backoff_rng.random()))
-        if self._obs.enabled:
-            self._obs.tracer.event(
-                "retry_backoff",
-                scope="stage",
-                attrs={"stage": stage, "attempt": attempt, "backoff_s": delay},
-            )
-            if self._obs.metrics.enabled:
-                self._obs.metrics.counter("runtime/retry_backoffs").inc()
-        time.sleep(delay)
-        return delay
-
-    def _submit(self, tasks, indices, futures=None):
-        futures = dict(futures or {})
-        pool = self._ensure_pool()
-        for i in indices:
-            futures[i] = pool.submit(run_task, tasks[i])
-        return futures
-
-    @staticmethod
-    def _harvest(futures, pending, outcomes) -> None:
-        """Bank results of already-finished tasks before recycling the pool."""
-        for j in list(pending):
-            fut = futures.get(j)
-            if (
-                outcomes[j] is None
-                and fut is not None
-                and fut.done()
-                and not fut.cancelled()
-                and fut.exception() is None
-            ):
-                outcomes[j] = fut.result()
-                pending.remove(j)
+        outcomes: List[Outcome] = []
+        for task, client, answer in zip(tasks, clients, answers):
+            if not isinstance(answer, Exhausted):
+                outcomes.append(answer)
+            elif answer.cause == TIMEOUT:
+                detail = (
+                    f"no result within {self.task_timeout_s}s "
+                    f"after {answer.attempts} attempt(s)"
+                )
+                failure = TaskFailure(task.client_id, task.stage, "timeout", detail)
+                outcomes.append(failure)
+            else:
+                # this task keeps killing workers — run it inline
+                outcomes.append(self._run_inline(client, task.method, task.kwargs))
+        return outcomes
 
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown
         try:
@@ -502,8 +389,6 @@ def make_executor(config) -> Executor:
             max_workers=config.max_workers,
             task_timeout_s=config.task_timeout_s,
             task_retries=config.task_retries,
-            retry_backoff_s=config.retry_backoff_s,
-            backoff_seed=config.seed,
         )
     if kind == "serial":
         return SerialExecutor()

@@ -6,12 +6,11 @@ Execution model
 skips every run whose history is already in the :class:`ResultCache`
 (**cache hit** — zero training work), resumes runs that left an
 exact-resume checkpoint behind, and executes the rest either inline
-(``run_workers=1``, the deterministic default) or across a process pool
-(``run_workers>1``), mirroring the fault-tolerance contract of
-:mod:`repro.runtime`: a per-run timeout with bounded retries for
-infrastructure failures (worker death, hung run), while a deterministic
-exception inside a run is recorded as a **failed** run — its siblings
-complete and the sweep goes on.
+(``run_workers=1``, the deterministic default) or across the runtime's
+:class:`~repro.runtime.pool.WorkerPool` (``run_workers>1``): a per-run
+timeout with bounded retries for infrastructure failures (worker death,
+hung run), while a deterministic exception inside a run is recorded as a
+**failed** run — its siblings complete and the sweep goes on.
 
 Each run executes through the ordinary
 :func:`repro.experiments.harness.run_algorithm` path with checkpoint
@@ -26,23 +25,19 @@ sweep-level parallelism never races on artifacts.
 
 from __future__ import annotations
 
-import time
 import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from ..fl.metrics import RunHistory
+from ..runtime.pool import TIMEOUT, Exhausted, WorkerPool
 from .cache import ResultCache
 from .progress import SweepProgress, rounds_completed
 from .registry import RunRegistry
 from .spec import RunSpec, SweepSpec
 
 __all__ = ["RunOutcome", "SweepResult", "SweepScheduler", "execute_run"]
-
-#: Seconds between progress polls while waiting on pool workers.
-_POLL_S = 0.5
 
 
 def _finite(value: Optional[float]) -> Optional[float]:
@@ -243,7 +238,7 @@ class SweepScheduler:
                     payloads, progress,
                 )
             else:
-                executed = self._run_pool(
+                executed = self._run_parallel(
                     [runs[i] for i in pending], [keys[i] for i in pending],
                     payloads, progress,
                 )
@@ -295,77 +290,38 @@ class SweepScheduler:
         return executed
 
     # ------------------------------------------------------------------
-    # pool execution (sharded runs, timeout/retry like repro.runtime)
+    # pool execution (sharded runs under the runtime's fault contract)
     # ------------------------------------------------------------------
-    def _run_pool(self, runs, keys, payloads, progress) -> List[RunOutcome]:
-        n = len(runs)
+    def _run_parallel(self, runs, keys, payloads, progress) -> List[RunOutcome]:
         resumed_flags = [self._resumable(key) for key in keys]
-        raw: List[Optional[Dict[str, Any]]] = [None] * n
-        attempts = [0] * n
-        pool = ProcessPoolExecutor(max_workers=self.run_workers)
-        futures = {i: pool.submit(_pool_worker, payloads[i]) for i in range(n)}
         for key, run in zip(keys, runs):
             progress.transition(key, run.label(), "running")
-        pending = list(range(n))
-        try:
-            while pending:
-                i = pending[0]
-                started = time.perf_counter()
-                while raw[i] is None:
-                    try:
-                        raw[i] = futures[i].result(timeout=_POLL_S)
-                        break
-                    except FuturesTimeout:
-                        self._poll_traces(runs, keys, pending, progress)
-                        waited = time.perf_counter() - started
-                        if self.run_timeout_s is None or waited <= self.run_timeout_s:
-                            continue
-                        cause = f"timeout: no result within {self.run_timeout_s}s"
-                    except BrokenExecutor:
-                        cause = (
-                            "worker death: the run kept crashing its worker "
-                            "process"
-                        )
-                    attempts[i] += 1
-                    if attempts[i] > self.run_retries:
-                        raw[i] = {
-                            "ok": False,
-                            "error": f"{cause} after {attempts[i]} attempt(s)",
-                        }
-                    pool = self._recycle(pool, futures, payloads, pending, raw)
-                    started = time.perf_counter()
-                pending.pop(0)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+        on_wait = None
+        if self.trace:  # live per-run round counts while runs are in flight
+            on_wait = partial(self._poll_traces, runs, keys, progress)
+        with WorkerPool(self.run_workers) as pool:
+            answers = pool.run(
+                _pool_worker, payloads, self.run_timeout_s, self.run_retries, on_wait
+            )
 
         executed: List[RunOutcome] = []
-        for run, key, resumed, outcome in zip(runs, keys, resumed_flags, raw):
-            if outcome is None or not outcome.get("ok"):
-                error = (outcome or {}).get("error", "no result")
+        for run, key, resumed, answer in zip(runs, keys, resumed_flags, answers):
+            if isinstance(answer, Exhausted):
+                cause = (
+                    f"timeout: no result within {self.run_timeout_s}s"
+                    if answer.cause == TIMEOUT
+                    else "worker death: the run kept crashing its worker process"
+                )
+                error = f"{cause} after {answer.attempts} attempt(s)"
                 executed.append(self._fail(run, key, error, progress))
+            elif not answer["ok"]:
+                executed.append(self._fail(run, key, answer["error"], progress))
             else:
-                history = RunHistory.from_dict(outcome["history"])
+                history = RunHistory.from_dict(answer["history"])
                 executed.append(self._finish(run, key, history, resumed, progress))
         return executed
 
-    def _recycle(self, pool, futures, payloads, pending, raw):
-        """Replace a collapsed/hung pool: bank the runs that already
-        finished, resubmit only the ones that did not."""
-        for j in pending:
-            future = futures[j]
-            if raw[j] is None and future.done() and not future.cancelled():
-                if future.exception() is None:
-                    raw[j] = future.result()
-        pool.shutdown(wait=False, cancel_futures=True)
-        pool = ProcessPoolExecutor(max_workers=self.run_workers)
-        for j in pending:
-            if raw[j] is None:
-                futures[j] = pool.submit(_pool_worker, payloads[j])
-        return pool
-
-    def _poll_traces(self, runs, keys, pending, progress) -> None:
-        if not self.trace:
-            return
+    def _poll_traces(self, runs, keys, progress, pending) -> None:
         for j in pending:
             rounds = rounds_completed(self.cache.trace_path(keys[j]))
             if rounds:

@@ -38,7 +38,6 @@ SAMPLES = {
     "executor": "parallel",
     "max_workers": 2,
     "task_timeout_s": 30.0,
-    "retry_backoff_s": 0.5,
     "max_live_clients": 2,
     "profile": True,
     "checkpoint_path": "run.ckpt",
@@ -143,7 +142,7 @@ def test_run_option_strings_golden():
     assert options == {"-h", "--help"} | set(
         "--algorithm --dataset --partition --scale --heterogeneous --rounds "
         "--seed --clients-per-round --max-live-clients --eval-clients "
-        "--executor --max-workers --task-timeout-s --retry-backoff-s --engine "
+        "--executor --max-workers --task-timeout-s --engine "
         "--max-staleness --staleness-alpha --buffer-size --fault-plan "
         "--checkpoint --checkpoint-every --resume --trace --metrics-out "
         "--profile --out --verbose".split()
@@ -171,8 +170,8 @@ def test_sweep_spec_fields_golden():
         "dataset", "partition", "heterogeneous", "scale", "seed",
         "scale_overrides", "engine", "max_staleness", "staleness_alpha",
         "buffer_size", "fault_plan", "clients_per_round", "eval_clients",
-        "executor", "max_workers", "task_timeout_s", "retry_backoff_s",
-        "max_live_clients", "profile",
+        "executor", "max_workers", "task_timeout_s", "max_live_clients",
+        "profile",
     }
     assert set(sweep_spec._MANAGED_FIELDS) == {
         "checkpoint_every", "checkpoint_path", "trace_path", "metrics_path",

@@ -137,6 +137,34 @@ class TestFaultTolerance:
         assert history.records[0].extras["runtime_dropouts"] == 1.0
         assert history.records[0].extras["participants"] == 2.0
 
+    def test_every_stalled_task_times_out_however_many_recycles(
+        self, tiny_bundle, fault_hook
+    ):
+        # each timeout replaces the workers; no task may escape its
+        # deadline by running inline once the pool has been replaced often
+        def stall_first_five(task):
+            if task.client_id < 5 and task.method == "train_local":
+                time.sleep(60.0)
+
+        fault_hook(stall_first_five)
+        fed = make_tiny_federation(
+            tiny_bundle,
+            num_clients=6,
+            server_model="mlp_small",
+            executor="parallel",
+            max_workers=2,
+            task_timeout_s=0.5,
+            task_retries=0,
+        )
+        algo = build_algorithm("fedavg", fed, seed=0, epoch_scale=0.2)
+        try:
+            algo.run(1, eval_every=1)
+        finally:
+            fed.close()
+        assert [(e.client_id, e.reason) for e in algo.dropout_log.events] == [
+            (client_id, "timeout") for client_id in range(5)
+        ]
+
     def test_worker_death_never_aborts_run(self, tiny_bundle, fault_hook):
         def kill_client_zero(task):
             if task.client_id == 0 and task.method == "train_local":
@@ -161,57 +189,3 @@ class TestFaultTolerance:
         # fires inside workers), so nobody drops and the round completes
         assert len(history.records) == 1
         assert history.records[0].extras["participants"] == 3.0
-
-
-class TestRetryBackoff:
-    """Capped exponential backoff with seeded jitter between retries."""
-
-    def test_disabled_by_default(self, monkeypatch):
-        ex = ParallelExecutor()
-        slept = []
-        monkeypatch.setattr(time, "sleep", lambda s: slept.append(s))
-        assert ex._backoff_sleep(1, "local_train") == 0.0
-        assert slept == []
-
-    def test_delay_schedule_is_capped_exponential(self, monkeypatch):
-        ex = ParallelExecutor(retry_backoff_s=2.0, backoff_seed=0)
-        slept = []
-        monkeypatch.setattr(time, "sleep", lambda s: slept.append(s))
-        for attempt in (1, 2, 3, 10):
-            delay = ex._backoff_sleep(attempt, "local_train")
-            assert delay == slept[-1]
-            base = min(ex._BACKOFF_CAP_S, 2.0 * 2.0 ** (attempt - 1))
-            # equal jitter keeps the delay within [base/2, base]
-            assert base * 0.5 <= delay <= base
-        # attempt 10 would be 1024s uncapped; the cap bounds it
-        assert slept[-1] <= ex._BACKOFF_CAP_S
-
-    def test_jitter_is_seeded_and_reproducible(self, monkeypatch):
-        monkeypatch.setattr(time, "sleep", lambda s: None)
-
-        def delays(seed):
-            ex = ParallelExecutor(retry_backoff_s=1.0, backoff_seed=seed)
-            return [ex._backoff_sleep(k, "stage") for k in (1, 1, 2, 3)]
-
-        assert delays(7) == delays(7)
-        assert delays(7) != delays(8)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="retry_backoff_s"):
-            ParallelExecutor(retry_backoff_s=-1.0)
-
-    def test_make_executor_wires_config(self):
-        class _Cfg:
-            executor = "parallel"
-            max_workers = 2
-            task_timeout_s = None
-            task_retries = 1
-            retry_backoff_s = 0.25
-            seed = 42
-
-        ex = make_executor(_Cfg())
-        assert isinstance(ex, ParallelExecutor)
-        assert ex.retry_backoff_s == 0.25
-        # same seed, same jitter stream
-        twin = ParallelExecutor(retry_backoff_s=0.25, backoff_seed=42)
-        assert float(ex._backoff_rng.random()) == float(twin._backoff_rng.random())

@@ -238,3 +238,38 @@ class TestPoolExecution:
         assert all(by_seed[s].status == "completed" for s in (0, 1, 2, 4, 5))
         executions = log.read_text().split()
         assert sorted(executions) == ["0", "1", "2", "3", "4", "5"]
+
+    def test_worker_death_is_charged_to_the_run_that_died(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker death breaks every in-flight run; only the run that
+        kills its worker while alone in flight may be charged for it."""
+        import time
+
+        from repro.fl.metrics import RoundRecord, RunHistory
+
+        log = tmp_path / "executions.log"
+
+        def fake_execute(payload):
+            run = payload["run"]
+            seed = run["setting_fields"]["seed"]
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{seed}\n")
+            if seed == 1:
+                os._exit(1)
+            time.sleep(1.0)
+            history = RunHistory(run["algorithm"])
+            history.append(RoundRecord(1, 0.5, [0.5], 1, 1))
+            return history
+
+        monkeypatch.setattr(scheduler_mod, "execute_run", fake_execute)
+        spec = make_spec(seeds=(0, 1, 2, 3))
+        scheduler = make_scheduler(spec, tmp_path, run_workers=2)
+        result = scheduler.run()
+
+        by_seed = {o.spec.setting_fields["seed"]: o for o in result.outcomes}
+        assert by_seed[1].status == "failed"
+        assert "worker death" in by_seed[1].error
+        assert all(by_seed[s].status == "completed" for s in (0, 2, 3))
+        executions = log.read_text().split()
+        assert executions.count("1") <= scheduler.run_retries + 2

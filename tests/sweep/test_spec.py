@@ -221,14 +221,6 @@ class TestEngineRunKeys:
         explicit = RunSpec("fedpkd", {"seed": 0, "engine": "sync"}, rounds=1)
         assert implicit.run_key() == explicit.run_key()
 
-    def test_retry_backoff_is_runtime_only(self):
-        # backoff changes retry *timing*, never the recorded history
-        plain = RunSpec("fedpkd", {"seed": 0}, rounds=1)
-        backoff = RunSpec(
-            "fedpkd", {"seed": 0}, {"retry_backoff_s": 1.5}, rounds=1
-        )
-        assert plain.run_key() == backoff.run_key()
-
     def test_fault_plan_path_and_dict_share_key(self, tmp_path):
         plan = {
             "seed": 4,
