@@ -16,7 +16,6 @@ Six subcommands::
     python -m repro lint src --baseline .reprolint-baseline.json
 
     python -m repro trace summarize trace.jsonl --metrics metrics.jsonl
-    python -m repro trace compare bench.json --baseline BENCH_8.json
 
 ``run`` executes one algorithm and writes its RunHistory as JSON (with
 optional observability outputs; see docs/OBSERVABILITY.md); ``sweep``
@@ -28,8 +27,7 @@ tabulates saved history JSON files or queries a sweep registry (with
 ``lint`` runs the repo's static analysis rules (or, with ``--traces``,
 validates observability output; see docs/LINT.md); ``trace``
 post-processes a run's JSONL trace into stage-time tables, hot-op
-rankings, async critical paths, and perf-regression diffs
-(docs/OBSERVABILITY.md).
+rankings and async critical paths (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -167,26 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cp_p.add_argument("trace", help="JSONL trace of an --engine async run")
 
-    cmp_p = trace_sub.add_parser(
-        "compare",
-        help="diff a bench trajectory against a baseline; exit 1 on regression",
-    )
-    cmp_p.add_argument(
-        "current", help="bench JSON from scripts/bench_trajectory.py"
-    )
-    cmp_p.add_argument(
-        "--baseline", required=True, metavar="BENCH_N.json",
-        help="checked-in trajectory file to compare against",
-    )
-    cmp_p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        metavar="FRAC",
-        help="fractional ops/sec drop that counts as a regression "
-        "(default 0.2 = 20%%)",
-    )
-
     res_p = sub.add_parser(
         "results", help="tabulate saved RunHistory JSON files or registry runs"
     )
@@ -290,44 +268,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .experiments.harness import format_table
     from .obs import trace_analysis as ta
-
-    if args.trace_command == "compare":
-        try:
-            with open(args.current) as f:
-                current = json.load(f)
-            with open(args.baseline) as f:
-                baseline = json.load(f)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read bench file: {exc}", file=sys.stderr)
-            return 2
-        try:
-            result = ta.compare_benchmarks(
-                current, baseline, threshold=args.threshold
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        rows = [
-            [
-                r["op"],
-                r["baseline_ops_per_sec"],
-                r["current_ops_per_sec"],
-                "N/A" if r["delta_frac"] is None else f"{100 * r['delta_frac']:+.1f}%",
-                "REGRESSED" if r["regressed"] else "ok",
-            ]
-            for r in result["rows"]
-        ]
-        print(
-            format_table(
-                ["op", "baseline_ops/s", "current_ops/s", "delta", "status"],
-                rows,
-                title=f"bench compare (threshold {100 * args.threshold:.0f}%)",
-            )
-        )
-        if result["regressed"]:
-            print("perf regression detected", file=sys.stderr)
-            return 1
-        return 0
 
     try:
         events = ta.load_trace(args.trace)

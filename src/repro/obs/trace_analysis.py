@@ -10,9 +10,7 @@ through :class:`repro.obs.Tracer` and the metrics export from
   the owning stage's wall time,
 * critical-path reconstruction for async-engine runs (per-client
   dispatch→arrival timelines, staleness distributions, fault causes),
-* cohort registry summaries from ``registry/*`` metric records,
-* benchmark comparison against a checked-in ``BENCH_N.json`` trajectory
-  (the perf-regression gate).
+* cohort registry summaries from ``registry/*`` metric records.
 
 Imports only the stdlib and numpy: the analysis layer must not pull in
 the experiment harness (which imports ``repro.nn`` and would create an
@@ -35,7 +33,6 @@ __all__ = [
     "stage_coverage",
     "critical_path",
     "registry_summary",
-    "compare_benchmarks",
 ]
 
 
@@ -219,7 +216,7 @@ def critical_path(events: Sequence[dict]) -> Dict[str, Any]:
             dispatches.setdefault(int(a["client_id"]), []).append(a)
         elif name == "engine/stale_drop":
             stale.append(int(a.get("staleness", 0)))
-        elif name in ("engine/fault", "engine/timeout"):
+        elif name in ("engine/fault", "engine/churn"):
             cause = str(a.get("cause", "unknown"))
             faults[cause] = faults.get(cause, 0) + 1
     if not dispatches and not stale and not faults:
@@ -282,44 +279,3 @@ def registry_summary(metric_records: Sequence[dict]) -> Dict[str, float]:
             out[name] = float(record["value"])
     return out
 
-
-# ----------------------------------------------------------------------
-# perf-regression gate
-# ----------------------------------------------------------------------
-def compare_benchmarks(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    threshold: float = 0.2,
-) -> Dict[str, Any]:
-    """Diff two bench-trajectory dicts (``scripts/bench_trajectory.py``).
-
-    Compares ``ops.<name>.ops_per_sec`` for every op present in *both*
-    files.  An op has **regressed** when its throughput dropped by more
-    than ``threshold`` (fractional: 0.2 = 20%).  Ops only in one file
-    are listed but never regress.  Returns::
-
-        {"rows": [...], "regressed": bool, "threshold": float}
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    cur_ops = current.get("ops", {}) or {}
-    base_ops = baseline.get("ops", {}) or {}
-    rows = []
-    regressed = False
-    for name in sorted(set(cur_ops) | set(base_ops)):
-        cur = cur_ops.get(name, {}).get("ops_per_sec")
-        base = base_ops.get(name, {}).get("ops_per_sec")
-        row: Dict[str, Any] = {
-            "op": name,
-            "baseline_ops_per_sec": base,
-            "current_ops_per_sec": cur,
-            "delta_frac": None,
-            "regressed": False,
-        }
-        if cur is not None and base is not None and base > 0:
-            delta = (float(cur) - float(base)) / float(base)
-            row["delta_frac"] = delta
-            row["regressed"] = delta < -threshold
-            regressed = regressed or row["regressed"]
-        rows.append(row)
-    return {"rows": rows, "regressed": regressed, "threshold": threshold}

@@ -217,6 +217,45 @@ class TestVirtualClock:
         assert engine.in_flight >= 1
         algo.federation.close()
 
+    @pytest.mark.parametrize(
+        "fast_only, calls, in_flight", [(True, 0, 1), (False, 1, 0)]
+    )
+    def test_in_flight_straggler_work_is_never_computed(
+        self, tiny_bundle, fast_only, calls, in_flight
+    ):
+        # compute is lazy at arrival: a buffer the fast clients fill closes
+        # the round before the 10x straggler arrives, so its local training
+        # never runs; the full barrier waits for it and trains it once
+        num_clients = 4
+        straggler = num_clients - 1
+        algo = make_fedpkd(tiny_bundle, num_clients=num_clients)
+        client = algo.clients[straggler]
+        train_local = client.train_local
+        counter = {"calls": 0}
+
+        def counted_train_local(*args, **kwargs):
+            counter["calls"] += 1
+            return train_local(*args, **kwargs)
+
+        client.train_local = counted_train_local
+        plan = {
+            "faults": [
+                {"kind": "straggler", "client_id": straggler, "factor": 10.0}
+            ]
+        }
+        engine = AsyncRoundEngine(
+            algo,
+            max_staleness=2,
+            buffer_size=num_clients - 1 if fast_only else num_clients,
+            fault_plan=plan,
+        )
+        try:
+            engine.run(1)
+        finally:
+            algo.federation.close()
+        assert counter["calls"] == calls
+        assert engine.in_flight == in_flight
+
 
 class TestBufferAndStaleness:
     def test_buffer_size_triggers_early_aggregation(self, tiny_bundle):

@@ -11,6 +11,7 @@ enforces both here.
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -595,6 +596,64 @@ class TestBoundedRunEquivalence:
                 max_live_clients=2,
                 executor="parallel",
             )
+
+
+#: per-round peak traced allocation ceiling.  The live set is bounded at
+#: max_live carried clients + one round's touches (participants + eval
+#: sample) over a tiny model, so rounds allocate a few MB; 64 MiB is an
+#: order of magnitude of headroom while still catching any O(N)
+#: materialisation regression (100k live clients would blow far past it).
+COHORT_PEAK_CEILING_BYTES = 64 * 1024 * 1024
+
+
+def test_100k_client_cohort_rounds_stay_under_the_memory_ceiling():
+    """100k registered clients, 16 sampled per round, 32 live at most:
+    every round's memory is O(cohort), not O(N)."""
+    from repro.data import SyntheticImageTask
+    from repro.fl import build_federation
+
+    task = SyntheticImageTask(
+        num_classes=4,
+        image_shape=(1, 4, 4),
+        latent_dim=4,
+        class_separation=2.0,
+        seed=0,
+        name="cohort-smoke",
+    )
+    bundle = task.make_bundle(n_train=120_000, n_test=400, n_public=100, seed=1)
+    config = FederationConfig(
+        num_clients=100_000,
+        partition=("iid", {}),
+        client_models="mlp_small",
+        server_model=None,
+        feature_dim=8,
+        seed=0,
+        clients_per_round=16,
+        max_live_clients=32,
+        eval_clients=64,
+    )
+    federation = build_federation(bundle, config)
+    try:
+        algo = build_algorithm("fedproto", federation, seed=0, epoch_scale=0.1)
+        # trace only round-time allocations: the bounded-registry guarantee
+        # is about what a *round* touches, not the one-off bundle build
+        per_round_peak = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                algo.run(1, eval_every=1)
+                per_round_peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        stats = federation.registry.stats()
+        num_clients = federation.num_clients
+    finally:
+        federation.close()
+
+    assert max(per_round_peak) < COHORT_PEAK_CEILING_BYTES, per_round_peak
+    assert stats["live"] <= 32, stats
+    assert num_clients >= 100_000
 
 
 class TestCohortSampling:

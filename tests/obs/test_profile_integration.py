@@ -4,7 +4,7 @@ The acceptance bar for the op-level profiler is that it only *observes*:
 a profiled run's history (accuracies, per-client accuracies, comm bytes,
 deterministic extras) matches the unprofiled run bit for bit, under both
 executors and for a KD algorithm (fedpkd) and a prototype one (fedproto).
-CI's perf-smoke job runs this file.
+CI's observability-smoke job runs this file.
 """
 
 import math
