@@ -62,8 +62,9 @@ def prototype_ensemble_distill(
             targets = prototypes[yb.astype(np.int64)]
             valid = ~np.isnan(targets).any(axis=1)
             if valid.any():
-                diff = feats[np.flatnonzero(valid)] - Tensor(targets[valid])
-                loss = loss + (1.0 - delta) * (diff**2).mean()
+                loss = loss + (1.0 - delta) * L.mse_loss(
+                    feats[np.flatnonzero(valid)], targets[valid]
+                )
         return loss
 
     return train_with_loss(

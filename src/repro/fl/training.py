@@ -126,8 +126,9 @@ def train_supervised(
             targets = prototypes[yb.astype(np.int64)]
             valid = ~np.isnan(targets).any(axis=1)
             if valid.any():
-                diff = feats[np.flatnonzero(valid)] - Tensor(targets[valid])
-                loss = loss + prototype_weight * (diff**2).mean()
+                loss = loss + prototype_weight * L.mse_loss(
+                    feats[np.flatnonzero(valid)], targets[valid]
+                )
         if prox_mu > 0.0 and prox_reference is not None:
             prox = L.proximal_term(m.named_parameters(), prox_reference, prox_mu)
             if prox is not None:
@@ -176,8 +177,9 @@ def train_distill(
             targets = prototypes[pb.astype(np.int64)]
             valid = ~np.isnan(targets).any(axis=1)
             if valid.any():
-                diff = feats[np.flatnonzero(valid)] - Tensor(targets[valid])
-                loss = loss + prototype_weight * (diff**2).mean()
+                loss = loss + prototype_weight * L.mse_loss(
+                    feats[np.flatnonzero(valid)], targets[valid]
+                )
         return loss
 
     return train_with_loss(

@@ -37,17 +37,87 @@ def relu(x: Tensor) -> Tensor:
     return x.relu()
 
 
+def _log_softmax_forward(
+    x: np.ndarray, axis: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-softmax of ``x`` along ``axis``, with the ``exp`` of the shifted
+    input and its sums along ``axis`` that :func:`_log_softmax_backward`
+    needs.
+
+    The numpy operations are those of the Tensor chain
+    ``shifted = x + (-max)``, ``log_norm = log(sum(exp(shifted)))``,
+    ``shifted + (-log_norm)``, in that order, so every value is the
+    chain's to the bit.
+    """
+    shifted = x + -x.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    norm = exp.sum(axis=axis, keepdims=True)
+    return shifted + -np.log(norm), exp, norm
+
+
+def _log_softmax_backward(
+    grad: np.ndarray, exp: np.ndarray, norm: np.ndarray, axis: int
+) -> np.ndarray:
+    """Input gradient of :func:`_log_softmax_forward` for the output
+    gradient ``grad``, as the chain's backward pass computes it.
+
+    The pass-through into ``shifted`` is a copy (``+ 0.0``, which turns
+    ``-0.0`` into ``0.0``) because the chain's gradient accumulator copies
+    a gradient it does not own; the ``log_norm`` branch is summed along
+    ``axis``, negated, divided by ``norm`` and multiplied by ``exp``, then
+    added to it.  The caller hands the result on unowned, as the chain's
+    ``x + (-max)`` node did.
+
+    Along an axis of length 1 the chain copied the gradient where this sums
+    it; the values agree, since ``exp`` and ``norm`` are 1 there and the
+    pass-through has already made every zero positive.
+    """
+    dx = grad + 0.0
+    dx += -grad.sum(axis=(axis % grad.ndim,), keepdims=True) / norm * exp
+    return dx
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    shifted = x - shift
-    log_norm = shifted.exp().sum(axis=axis, keepdims=True).log()
-    return shifted - log_norm
+    """Numerically stable log-softmax along ``axis``, as one graph node."""
+    prof = _profile.ACTIVE
+    start = time.perf_counter() if prof is not None else 0.0
+    out_data, exp, norm = _log_softmax_forward(x.data, axis)
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(_log_softmax_backward(grad, exp, norm, axis), False)
+
+    out = x._make(out_data, (x,), backward)
+    if prof is not None:
+        # max, shift, exp, sum, shift again; backward: copy, sum, scale, add
+        prof.record(
+            "log_softmax", time.perf_counter() - start, 5.0 * x.size,
+            out_data.nbytes,
+        )
+        _profile.wrap_backward(out, "log_softmax", 4.0 * x.size)
+    return out
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``."""
-    return log_softmax(x, axis=axis).exp()
+    """Softmax along ``axis``: ``exp`` of :func:`log_softmax`, as one graph
+    node."""
+    prof = _profile.ACTIVE
+    start = time.perf_counter() if prof is not None else 0.0
+    log_probs, exp, norm = _log_softmax_forward(x.data, axis)
+    out_data = np.exp(log_probs)
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(
+            _log_softmax_backward(grad * out_data, exp, norm, axis), False
+        )
+
+    out = x._make(out_data, (x,), backward)
+    if prof is not None:
+        prof.record(
+            "softmax", time.perf_counter() - start, 6.0 * x.size,
+            out_data.nbytes,
+        )
+        _profile.wrap_backward(out, "softmax", 5.0 * x.size)
+    return out
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

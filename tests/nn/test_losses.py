@@ -27,6 +27,13 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             losses.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0]))
 
+    @pytest.mark.parametrize("labels", [[-1, 0], [3, 0]])
+    def test_rejects_out_of_range_labels(self, labels):
+        # a -1 label must not train toward the last class
+        logits = Tensor(np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="labels"):
+            losses.cross_entropy(logits, labels)
+
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(0)
         logits = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -84,6 +91,12 @@ class TestKLDivergence:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             losses.kl_divergence(np.zeros((2, 3)), Tensor(np.zeros((2, 4))))
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    def test_rejects_non_positive_temperature(self, temperature):
+        student = Tensor(np.array([[1.0, 0.0]]), requires_grad=True)
+        with pytest.raises(ValueError, match="temperature"):
+            losses.kl_divergence(np.array([[0.0, 1.0]]), student, temperature)
 
 
 class TestMSE:

@@ -3,7 +3,8 @@
 The acceptance bar for the op-level profiler is that it only *observes*:
 a profiled run's history (accuracies, per-client accuracies, comm bytes,
 deterministic extras) matches the unprofiled run bit for bit, under both
-executors and for a KD algorithm (fedpkd) and a prototype one (fedproto).
+executors and for a KD algorithm (fedpkd), a prototype one (fedproto) and
+one with a proximal term (fedprox).
 CI's observability-smoke job runs this file.
 """
 
@@ -54,6 +55,7 @@ def assert_histories_match(off, on):
 CASES = [
     ("fedpkd", "mlp_small"),
     ("fedproto", None),
+    ("fedprox", "mlp_small"),
 ]
 
 
