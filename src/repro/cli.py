@@ -13,9 +13,11 @@ Six subcommands::
     python -m repro results history1.json history2.json --target 0.5
     python -m repro results --registry results/registry --where algorithm=fedpkd
 
-    python -m repro lint src --baseline .reprolint-baseline.json
+    python -m repro lint src
 
     python -m repro trace summarize trace.jsonl --metrics metrics.jsonl
+    python -m repro trace validate trace.jsonl --metrics metrics.jsonl \
+        --expect-scopes run,round --expect-events server_distill
 
 ``run`` executes one algorithm and writes its RunHistory as JSON (with
 optional observability outputs; see docs/OBSERVABILITY.md); ``sweep``
@@ -24,10 +26,10 @@ the result cache and run registry (docs/SWEEP.md); ``experiment``
 regenerates one paper figure/table and prints its rows; ``results``
 tabulates saved history JSON files or queries a sweep registry (with
 ``--aggregate seed`` collapsing same-config runs into mean±std rows);
-``lint`` runs the repo's static analysis rules (or, with ``--traces``,
-validates observability output; see docs/LINT.md); ``trace``
+``lint`` runs the repo's static analysis rules (docs/LINT.md); ``trace``
 post-processes a run's JSONL trace into stage-time tables, hot-op
-rankings and async critical paths (docs/OBSERVABILITY.md).
+rankings and async critical paths, or validates it (and a metrics
+export) against the observability schema (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ EXPERIMENTS = {
 }
 
 _METAVARS = {int: "N", float: "X", str: "PATH"}
+
+
+def _csv(value: str) -> List[str]:
+    return [item for item in value.split(",") if item]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,6 +170,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="async-engine dispatch/arrival timelines and staleness",
     )
     cp_p.add_argument("trace", help="JSONL trace of an --engine async run")
+
+    val_p = trace_sub.add_parser(
+        "validate",
+        help="check a trace (and metrics export) against the obs schema",
+    )
+    val_p.add_argument("trace", help="JSONL trace from `repro run --trace`")
+    val_p.add_argument(
+        "--metrics", default=None, metavar="PATH",
+        help="also validate this metrics export",
+    )
+    val_p.add_argument(
+        "--expect-scopes", type=_csv, default=(), metavar="S1,S2",
+        help="fail unless every listed scope appears",
+    )
+    val_p.add_argument(
+        "--expect-events", type=_csv, default=(), metavar="N1,N2",
+        help="fail unless every listed span/event name appears",
+    )
 
     res_p = sub.add_parser(
         "results", help="tabulate saved RunHistory JSON files or registry runs"
@@ -265,7 +289,27 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_trace_validate(args: argparse.Namespace) -> int:
+    from .obs import SchemaError, validate_metrics_file, validate_trace_file
+
+    path = args.trace
+    try:
+        count = validate_trace_file(path, args.expect_scopes, args.expect_events)
+        print(f"ok {path}: {count} records")
+        if args.metrics:
+            path = args.metrics
+            count = validate_metrics_file(path)
+            print(f"ok {path}: {count} metrics")
+    except (SchemaError, OSError) as exc:
+        print(f"INVALID {path}: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
+    if args.trace_command == "validate":
+        return _cmd_trace_validate(args)
+
     from .experiments.harness import format_table
     from .obs import trace_analysis as ta
 

@@ -20,11 +20,14 @@ def batch_iterator(
     x: np.ndarray,
     y: Optional[np.ndarray] = None,
     batch_size: int = 32,
-    rng: Optional[np.random.Generator] = None,
-    shuffle: bool = True,
+    *,
+    rng: np.random.Generator,
     extras: Tuple[np.ndarray, ...] = (),
 ) -> Iterator[tuple]:
-    """Yield minibatches of ``(x[, y][, *extras])``.
+    """Yield shuffled minibatches of ``(x[, y][, *extras])``.
+
+    The order is ``rng.permutation(len(x))``; there is no unshuffled or
+    unseeded mode, so every epoch's order traces back to the caller's seed.
 
     ``extras`` are additional per-sample arrays (e.g. teacher logits) sliced
     with the same permutation, which the distillation training loops need.
@@ -35,12 +38,7 @@ def batch_iterator(
     for extra in extras:
         if len(extra) != n:
             raise ValueError("extras must have the same length as x")
-    if shuffle:
-        if rng is None:
-            rng = np.random.default_rng()
-        order = rng.permutation(n)
-    else:
-        order = np.arange(n)
+    order = rng.permutation(n)
     for start in range(0, n, batch_size):
         sel = order[start : start + batch_size]
         batch = [x[sel]]

@@ -72,7 +72,7 @@ def train_with_loss(
     for epoch in range(config.epochs):
         last_epoch_losses = []
         for batch in batch_iterator(
-            x, None, config.batch_size, rng, shuffle=True, extras=extras
+            x, None, config.batch_size, rng=rng, extras=extras
         ):
             loss = loss_builder(model, batch)
             # the optimiser holds model.parameters() in the same order;

@@ -8,50 +8,35 @@ dependencies: parsing is stdlib :mod:`ast`.
 Pieces:
 
 - :class:`LintEngine` — walks files, parses, dispatches registered rules,
-  honours ``# lint: disable=`` pragmas;
+  honours ``# lint: disable=`` pragmas (the only exception mechanism);
 - rule packs under :mod:`repro.lint.rules` (determinism, comm, autograd,
   obs, hygiene, flow), self-registered with catalog metadata;
 - :mod:`repro.lint.flow` — the whole-program layer: per-module summaries
   assembled into a :class:`ProjectModel` (class hierarchy, call graph,
   interprocedural float64 taint) that the ``flow-*`` packs query;
-- :class:`LintCache` — mtime+content-hash incremental cache so warm
-  full-repo passes skip re-parsing unchanged files;
-- :class:`Baseline` — checked-in grandfathered findings
-  (``.reprolint-baseline.json``) with per-entry justifications;
-- reporters (text with ``file:line:col`` output, JSON, SARIF for GitHub
-  code-scanning annotations);
-- :mod:`repro.lint.traces` — trace/metrics schema validation, exposed as
-  ``repro lint --traces`` so CI has one lint entrypoint.
+- :meth:`LintResult.render` — the ``file:line:col`` text report.
 
 Quickstart::
 
-    repro lint src/ --baseline .reprolint-baseline.json
+    repro lint src/
 
-See ``docs/LINT.md`` for the rule catalog and the pragma/baseline
-workflow.
+See ``docs/LINT.md`` for the rule catalog and the pragma workflow.
 """
 
-from .baseline import Baseline, BaselineEntry
-from .cache import LintCache, cache_signature
 from .engine import LintEngine, LintResult, ModuleContext, module_name_for
 from .findings import SEVERITIES, Finding
 from .flow import ProjectModel, summarize_module
 from .pragmas import PragmaIndex
 from .registry import Rule, all_rules, get_rule, packs, register
-from .reporters import render_json, render_sarif, render_text
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "SEVERITIES",
-    "LintCache",
     "LintEngine",
     "LintResult",
     "ModuleContext",
     "ProjectModel",
     "module_name_for",
-    "cache_signature",
     "summarize_module",
     "PragmaIndex",
     "Rule",
@@ -59,7 +44,4 @@ __all__ = [
     "all_rules",
     "get_rule",
     "packs",
-    "render_text",
-    "render_json",
-    "render_sarif",
 ]

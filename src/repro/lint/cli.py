@@ -1,200 +1,44 @@
-"""``repro lint`` subcommand.
+"""``repro lint`` subcommand::
 
-Two modes behind one entrypoint:
+    repro lint src/
+    repro lint src/ --rules det-unseeded-rng,flow-extra-state
 
-- static analysis (default)::
-
-      repro lint src/ --baseline .reprolint-baseline.json
-      repro lint src/ --format json
-      repro lint src/ --format sarif > reprolint.sarif
-      repro lint src/ --changed            # findings in changed files only
-      repro lint src/ --baseline .reprolint-baseline.json --prune-baseline
-      repro lint src/ --write-baseline .reprolint-baseline.json
-
-  A per-file incremental cache (``.reprolint-cache.json``; override with
-  ``--cache PATH``, disable with ``--no-cache``) makes warm passes skip
-  parsing/summarising unchanged files — flow findings are recomputed
-  from cached summaries every pass, so results never depend on cache
-  state.
-
-- trace validation (``--traces``): the files are JSONL traces, checked
-  against the :mod:`repro.obs` schema::
-
-      repro lint --traces run.trace.jsonl --metrics run.metrics.jsonl \\
-          --expect-scopes run,round --expect-events fedpkd/filter
-
-Exit codes: 0 clean, 1 findings/validation failures, 2 usage errors.
+Every file under the given paths is analysed as one program and reported
+as ``file:line:col`` text.  Exit codes: 0 clean, 1 findings, 2 usage
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
-from typing import List, Optional, Set
+from typing import List, Optional
 
-from .baseline import Baseline
-from .cache import LintCache, cache_signature
 from .engine import LintEngine
-from .reporters import render_json, render_sarif, render_text
 
 __all__ = ["add_lint_parser", "cmd_lint", "main"]
-
-DEFAULT_CACHE_PATH = ".reprolint-cache.json"
-
-
-def _csv(value: str) -> List[str]:
-    return [item for item in value.split(",") if item]
 
 
 def add_lint_parser(sub) -> argparse.ArgumentParser:
     """Attach the ``lint`` subparser to a ``repro`` subparsers object."""
-    lint_p = sub.add_parser(
-        "lint",
-        help="static analysis of the source tree (or --traces validation)",
-    )
+    lint_p = sub.add_parser("lint", help="static analysis of the source tree")
     lint_p.add_argument(
         "paths",
         nargs="*",
         default=["src"],
-        help="files/directories to lint (default: src); trace files with --traces",
-    )
-    lint_p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="grandfathered-findings file; matching findings do not fail the run",
-    )
-    lint_p.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write all current findings to PATH as the new baseline and exit 0",
-    )
-    lint_p.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="rewrite --baseline with stale entries removed, then report as usual",
-    )
-    lint_p.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        dest="output_format",
-        help="report format (default: text)",
+        help="files/directories to lint (default: src)",
     )
     lint_p.add_argument(
         "--rules",
-        type=_csv,
+        type=lambda value: [item for item in value.split(",") if item],
         default=None,
         metavar="R1,R2",
         help="run only these rule ids",
     )
-    lint_p.add_argument(
-        "--cache",
-        default=DEFAULT_CACHE_PATH,
-        metavar="PATH",
-        help=f"incremental cache file (default: {DEFAULT_CACHE_PATH})",
-    )
-    lint_p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache for this run",
-    )
-    lint_p.add_argument(
-        "--changed",
-        action="store_true",
-        help="report findings only in files changed per git (working tree "
-        "vs HEAD, plus untracked); the whole program is still analysed",
-    )
-    lint_p.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also list baselined (grandfathered) findings",
-    )
-    lint_p.add_argument(
-        "--traces",
-        action="store_true",
-        help="treat the paths as JSONL traces and validate them against "
-        "the obs schema instead of linting source",
-    )
-    lint_p.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="with --traces: also validate this metrics export",
-    )
-    lint_p.add_argument(
-        "--expect-scopes",
-        type=_csv,
-        default=[],
-        metavar="S1,S2",
-        help="with --traces: fail unless every listed scope appears",
-    )
-    lint_p.add_argument(
-        "--expect-events",
-        type=_csv,
-        default=[],
-        metavar="N1,N2",
-        help="with --traces: fail unless every listed span/event name appears",
-    )
     return lint_p
 
 
-def _cmd_traces(args: argparse.Namespace) -> int:
-    from .traces import validate_traces
-
-    if not args.paths:
-        print("--traces needs at least one trace file", file=sys.stderr)
-        return 2
-    exit_code = 0
-    for trace in args.paths:
-        result = validate_traces(
-            trace,
-            metrics_path=args.metrics,
-            expect_scopes=args.expect_scopes,
-            expect_events=args.expect_events,
-        )
-        for line in result.messages:
-            print(line)
-        for line in result.errors:
-            print(line, file=sys.stderr)
-        if not result.ok:
-            exit_code = 1
-    return exit_code
-
-
-def _git_changed_files() -> Set[str]:
-    """Display paths (relative, ``/``-separated) git considers changed."""
-    changed: Set[str] = set()
-    for cmd in (
-        ["git", "diff", "--name-only", "HEAD", "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, check=True
-        )
-        changed.update(
-            line.strip()
-            for line in proc.stdout.splitlines()
-            if line.strip().endswith(".py")
-        )
-    return changed
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
-    if args.traces:
-        return _cmd_traces(args)
-
-    if args.prune_baseline and not args.baseline:
-        print("--prune-baseline requires --baseline", file=sys.stderr)
-        return 2
-    if args.prune_baseline and args.changed:
-        # --changed sees only part of the program's findings, so every
-        # entry elsewhere would look stale and pruning would eat them
-        print("--prune-baseline cannot be combined with --changed", file=sys.stderr)
-        return 2
-
     engine = LintEngine()
     if args.rules:
         known = {rule.id: rule for rule in engine.rules}
@@ -203,63 +47,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print(f"unknown rule id(s): {', '.join(unknown)}", file=sys.stderr)
             return 2
         engine.rules = [known[r] for r in args.rules]
-
     try:
-        baseline = Baseline.load(args.baseline) if args.baseline else None
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot read baseline '{args.baseline}': {exc}", file=sys.stderr)
-        return 2
-
-    report_only: Optional[Set[str]] = None
-    if args.changed:
-        try:
-            report_only = _git_changed_files()
-        except (OSError, subprocess.CalledProcessError) as exc:
-            print(f"--changed needs a git checkout: {exc}", file=sys.stderr)
-            return 2
-
-    cache = None
-    if not args.no_cache:
-        cache = LintCache(args.cache, cache_signature(engine.rules))
-
-    try:
-        result = engine.lint_paths(
-            args.paths, baseline=baseline, cache=cache, report_only=report_only
-        )
+        result = engine.lint_paths(args.paths)
     except OSError as exc:
         print(f"cannot lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        merged = result.findings + result.baselined
-        Baseline.from_findings(merged, justification="TODO: justify").save(
-            args.write_baseline
-        )
-        print(
-            f"baseline with {len(merged)} finding(s) written to "
-            f"{args.write_baseline}; fill in the justifications"
-        )
-        return 0
-
-    if args.prune_baseline:
-        stale_keys = {entry.key() for entry in result.stale_baseline}
-        kept = [e for e in baseline.entries if e.key() not in stale_keys]
-        removed = len(baseline.entries) - len(kept)
-        if removed:
-            baseline.entries = kept
-            baseline.save(args.baseline)
-        print(
-            f"pruned {removed} stale entr{'y' if removed == 1 else 'ies'} "
-            f"from {args.baseline} ({len(kept)} kept)"
-        )
-        result.stale_baseline = []
-
-    if args.output_format == "json":
-        print(render_json(result))
-    elif args.output_format == "sarif":
-        print(render_sarif(result))
-    else:
-        print(render_text(result, verbose=args.verbose))
+    print(result.render())
     return 0 if result.ok else 1
 
 

@@ -7,22 +7,16 @@ code imported (fixture files with deliberate violations stay inert).
 Two rule tiers run per pass:
 
 - **syntactic** rules see one parsed module at a time (``ctx.tree``);
-  their findings are cacheable per file because nothing outside the
-  file can change them;
 - **flow** rules (``requires_project=True``) run once all files are
   summarised, against the :class:`~repro.lint.flow.ProjectModel`;
-  their findings depend on the whole program and are recomputed every
-  pass — the incremental cache only skips the per-file parse/summarise
-  step, never the global propagation, so warm results are identical to
-  cold ones by construction.
+  their findings depend on the whole program.
 
 Suppression: a ``# lint: disable`` pragma suppresses a finding if it
 sits on any *candidate line* of the flagged construct — the anchor line,
 any line of a multi-line simple statement, or the ``def``/decorator
 lines of a function — so decorating or wrapping a statement never
-strands a pragma.  Baseline application is a separate step
-(:meth:`repro.lint.baseline.Baseline.apply`) so callers can distinguish
-*new* findings from *grandfathered* ones.
+strands a pragma.  The pragma is the only exception mechanism: a pass
+with findings fails.
 """
 
 from __future__ import annotations
@@ -30,10 +24,8 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .baseline import Baseline, BaselineEntry
-from .cache import LintCache, content_hash
 from .findings import Finding
 from .flow import ProjectModel, summarize_module
 from .pragmas import PragmaIndex
@@ -64,9 +56,9 @@ def module_name_for(path: str) -> str:
 class ModuleContext:
     """Everything a rule needs to inspect one module.
 
-    For flow rules replayed from cached summaries, ``source`` is empty
-    and ``tree`` is None — only ``module``, ``path`` and ``project`` are
-    meaningful, which is all a ``requires_project`` rule may touch.
+    For flow rules ``source`` is empty and ``tree`` is None — only
+    ``module``, ``path`` and ``project`` are meaningful, which is all a
+    ``requires_project`` rule may touch.
     """
 
     path: str
@@ -95,25 +87,24 @@ class ModuleContext:
 
 @dataclass
 class LintResult:
-    """Outcome of one lint pass (before and after baseline application)."""
+    """Outcome of one lint pass."""
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     files: int = 0
-    cache_hits: int = 0
-    reanalysed: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """True when nothing new was found (baselined findings pass)."""
         return not self.findings
 
-    def extend(self, other: "LintResult") -> None:
-        self.findings.extend(other.findings)
-        self.suppressed += other.suppressed
-        self.files += other.files
+    def render(self) -> str:
+        """Text report: one ``file:line:col`` line per finding, then a tally."""
+        lines = [f.render() for f in self.findings]
+        lines.append(
+            f"{self.files} file(s): {len(self.findings)} finding(s), "
+            f"{self.suppressed} suppressed"
+        )
+        return "\n".join(lines)
 
 
 def _iter_py_files(paths: Sequence[str]) -> Iterable[str]:
@@ -130,6 +121,11 @@ def _iter_py_files(paths: Sequence[str]) -> Iterable[str]:
                         yield os.path.join(dirpath, name)
         else:
             yield path
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _position(node) -> Tuple[int, int]:
@@ -208,90 +204,17 @@ class LintEngine:
         Flow rules see a single-module :class:`ProjectModel` built from
         this source alone — exactly the view the fixture tests need.
         """
-        result = LintResult(files=1)
-        record = self._analyse(source, path, module=module)
-        for data in record["findings"]:
-            result.findings.append(Finding(**data))
-        result.suppressed += record["suppressed"]
-        if self.flow_rules and record["summary"] is not None:
-            project = ProjectModel({record["module"]: record["summary"]})
-            flow = self._run_flow_rules(project, [record])
-            result.findings.extend(flow.findings)
-            result.suppressed += flow.suppressed
-        result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        return result
+        return self._lint([(source, path, module)])
 
     def lint_file(self, path: str) -> LintResult:
-        with open(path, encoding="utf-8") as f:
-            source = f.read()
-        return self.lint_source(source, path=self._display(path))
+        return self.lint_source(_read(path), path=self._display(path))
 
-    def lint_paths(
-        self,
-        paths: Sequence[str],
-        baseline: Optional[Baseline] = None,
-        cache: Optional[LintCache] = None,
-        report_only: Optional[Set[str]] = None,
-    ) -> LintResult:
-        """Lint a file set with optional caching and report filtering.
-
-        ``report_only`` (the ``--changed`` mode) restricts *reported*
-        findings to the given display paths while still analysing every
-        file — flow rules need the whole program either way.  Stale
-        baseline detection is disabled in that mode: entries for files
-        outside the filter would all look stale.
-        """
-        result = LintResult()
-        records: List[dict] = []
-        for path in _iter_py_files(paths):
-            display = self._display(path)
-            record = self._cached_record(path, display, cache)
-            if record is None:
-                with open(path, encoding="utf-8") as f:
-                    source = f.read()
-                record = self._analyse(source, display)
-                if cache is not None:
-                    stat = os.stat(path)
-                    cache.put(
-                        display,
-                        content_hash(source.encode("utf-8")),
-                        stat.st_mtime_ns,
-                        stat.st_size,
-                        record,
-                    )
-                result.reanalysed.append(display)
-            else:
-                result.cache_hits += 1
-            records.append(record)
-            result.files += 1
-            result.suppressed += record["suppressed"]
-            for data in record["findings"]:
-                result.findings.append(Finding(**data))
-
-        if self.flow_rules:
-            summaries = {}
-            for record in records:
-                if record["summary"] is not None:
-                    summaries.setdefault(record["module"], record["summary"])
-            flow = self._run_flow_rules(ProjectModel(summaries), records)
-            result.findings.extend(flow.findings)
-            result.suppressed += flow.suppressed
-
-        if cache is not None:
-            cache.prune([record["path"] for record in records])
-            cache.save()
-
-        result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        if report_only is not None:
-            result.findings = [
-                f for f in result.findings if f.path in report_only
-            ]
-        if baseline is not None:
-            new, baselined, stale = baseline.apply(result.findings)
-            result.findings = new
-            result.baselined = baselined
-            result.stale_baseline = [] if report_only is not None else stale
-        return result
+    def lint_paths(self, paths: Sequence[str]) -> LintResult:
+        """Lint every ``.py`` file under ``paths`` as one program."""
+        return self._lint(
+            (_read(path), self._display(path), None)
+            for path in _iter_py_files(paths)
+        )
 
     # ------------------------------------------------------------------
     # internals
@@ -302,120 +225,68 @@ class LintEngine:
             display = path
         return display.replace(os.sep, "/")
 
-    def _cached_record(
-        self, path: str, display: str, cache: Optional[LintCache]
-    ) -> Optional[dict]:
-        if cache is None:
-            return None
-        entry = cache.get(display)
-        if entry is None:
-            return None
-        try:
-            stat = os.stat(path)
-        except OSError:
-            return None
-        if (
-            entry["mtime_ns"] == stat.st_mtime_ns
-            and entry["size"] == stat.st_size
-        ):
-            return entry["record"]
-        try:
-            with open(path, "rb") as f:
-                digest = content_hash(f.read())
-        except OSError:
-            return None
-        if digest == entry["sha256"]:
-            cache.touch(display, stat.st_mtime_ns, stat.st_size)
-            return entry["record"]
-        return None
+    def _lint(
+        self, sources: Iterable[Tuple[str, str, Optional[str]]]
+    ) -> LintResult:
+        """Syntactic rules per file, then flow rules on the whole program."""
+        result = LintResult()
+        flow_rules = self.flow_rules
+        summaries: dict = {}
+        flow_modules: List[Tuple[str, str, PragmaIndex]] = []
+        for source, display, module in sources:
+            result.files += 1
+            try:
+                ctx = ModuleContext.from_source(source, display, module=module)
+            except SyntaxError as exc:
+                result.findings.append(
+                    Finding(
+                        rule="syntax-error",
+                        path=display,
+                        line=exc.lineno or 1,
+                        col=(exc.offset or 1) - 1,
+                        message=f"cannot parse: {exc.msg}",
+                    )
+                )
+                continue
+            pragmas = PragmaIndex.from_source(source)
+            self._check(self.syntactic_rules, ctx, pragmas, result)
+            if flow_rules and isinstance(ctx.tree, ast.Module):
+                summaries.setdefault(
+                    ctx.module, summarize_module(ctx.tree, ctx.module, display)
+                )
+                flow_modules.append((display, ctx.module, pragmas))
 
-    def _analyse(
-        self, source: str, display: str, module: Optional[str] = None
-    ) -> dict:
-        """Produce the cacheable per-file record (syntactic tier only)."""
-        try:
-            ctx = ModuleContext.from_source(source, display, module=module)
-        except SyntaxError as exc:
-            finding = Finding(
-                rule="syntax-error",
-                path=display,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                message=f"cannot parse: {exc.msg}",
+        project = ProjectModel(summaries)
+        for display, module, pragmas in flow_modules:
+            ctx = ModuleContext(
+                path=display, module=module, source="", tree=None, project=project
             )
-            return {
-                "module": module or module_name_for(display),
-                "path": display,
-                "findings": [finding.to_dict()],
-                "suppressed": 0,
-                "summary": None,
-            }
-        pragmas = PragmaIndex.from_source(source)
-        findings: List[Finding] = []
-        suppressed = 0
-        for rule in self.syntactic_rules:
+            self._check(flow_rules, ctx, pragmas, result)
+        result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        return result
+
+    @staticmethod
+    def _check(
+        rules: Sequence[Rule],
+        ctx: ModuleContext,
+        pragmas: PragmaIndex,
+        result: LintResult,
+    ) -> None:
+        for rule in rules:
             if not rule.applies_to(ctx.module):
                 continue
             for node, message in rule.check(ctx):
-                line, col = _position(node)
                 if pragmas.suppresses_any(rule.id, _pragma_lines(node)):
-                    suppressed += 1
+                    result.suppressed += 1
                     continue
-                findings.append(
+                line, col = _position(node)
+                result.findings.append(
                     Finding(
                         rule=rule.id,
-                        path=display,
+                        path=ctx.path,
                         line=line,
                         col=col,
                         message=message,
                         severity=rule.severity,
                     )
                 )
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        summary = None
-        if isinstance(ctx.tree, ast.Module):
-            summary = summarize_module(ctx.tree, ctx.module, display, source)
-        return {
-            "module": ctx.module,
-            "path": display,
-            "findings": [f.to_dict() for f in findings],
-            "suppressed": suppressed,
-            "summary": summary,
-        }
-
-    def _run_flow_rules(
-        self, project: ProjectModel, records: Sequence[dict]
-    ) -> LintResult:
-        """Run ``requires_project`` rules against the assembled model."""
-        result = LintResult()
-        for record in records:
-            summary = record["summary"]
-            if summary is None:
-                continue
-            pragmas = PragmaIndex.from_dict(summary["pragmas"])
-            ctx = ModuleContext(
-                path=record["path"],
-                module=record["module"],
-                source="",
-                tree=None,
-                project=project,
-            )
-            for rule in self.flow_rules:
-                if not rule.applies_to(ctx.module):
-                    continue
-                for node, message in rule.check(ctx):
-                    line, col = _position(node)
-                    if pragmas.suppresses_any(rule.id, _pragma_lines(node)):
-                        result.suppressed += 1
-                        continue
-                    result.findings.append(
-                        Finding(
-                            rule=rule.id,
-                            path=record["path"],
-                            line=line,
-                            col=col,
-                            message=message,
-                            severity=rule.severity,
-                        )
-                    )
-        return result

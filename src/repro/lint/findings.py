@@ -9,7 +9,8 @@ __all__ = ["Finding", "SEVERITIES"]
 
 #: Recognised severities, most severe first.  ``error`` findings are meant
 #: to gate CI; ``warning`` findings inform but still fail a clean run so
-#: they cannot silently accumulate (baseline them instead).
+#: they cannot silently accumulate (suppress them with a justified pragma
+#: instead).
 SEVERITIES: Tuple[str, ...] = ("error", "warning")
 
 
@@ -18,10 +19,7 @@ class Finding:
     """One rule violation at a source location.
 
     ``line``/``col`` are 1-based line and 0-based column, matching the
-    ``ast`` node they came from.  Baseline matching deliberately ignores
-    them (see :meth:`key`): unrelated edits move code around, and a
-    grandfathered finding should stay grandfathered until its content
-    changes.
+    ``ast`` node they came from.
     """
 
     rule: str
@@ -30,20 +28,6 @@ class Finding:
     col: int
     message: str
     severity: str = "error"
-
-    def key(self) -> Tuple[str, str, str]:
-        """Identity used by the baseline: rule + file + message."""
-        return (self.rule, self.path, self.message)
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity,
-        }
 
     def render(self) -> str:
         """``file:line:col: severity RULE message`` (clickable in editors)."""

@@ -18,8 +18,8 @@ currently reporting on:
   attributes written from *outside* the class via annotated handles
   such as ``self.optimizer.scheduled_base_lr``).
 
-The model is rebuilt from summaries on every pass (it is cheap — no
-parsing); only the summaries themselves are cached per file.
+The model is built from summaries on every pass (it is cheap — no
+parsing).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Per-module extraction for the whole-program flow analyses.
 
-One pass over a module's AST produces a :class:`ModuleSummary` — a plain
-JSON-shaped dict bundle that captures everything the project-level
+One pass over a module's AST produces a module summary — a plain dict
+bundle that captures everything the project-level
 analyses need, so the original source never has to be re-parsed:
 
 - the import table (local name → dotted target, relative imports
@@ -21,7 +21,7 @@ containers and numpy passthrough calls, and die at explicit conversions
 (``.astype``, ``np.asarray(..., dtype=...)``, ``float()``/``int()`` and
 index-producing reductions).  Precision is deliberately modest — the
 point is that a float64 buffer which *can* reach a wire payload or the
-training hot path is flagged, with pragmas/baseline as the escape hatch
+training hot path is flagged, with an inline pragma as the escape hatch
 for deliberate exceptions.
 """
 
@@ -30,14 +30,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..pragmas import PragmaIndex
-
-__all__ = ["SUMMARY_VERSION", "ModuleSummary", "summarize_module"]
-
-#: Bump whenever the summary schema or the extraction logic changes —
-#: the incremental cache folds this into its signature, so stale
-#: summaries are discarded wholesale instead of mixing schemas.
-SUMMARY_VERSION = 3
+__all__ = ["summarize_module"]
 
 _NP_NAMES = {"np", "numpy"}
 _NP_ALLOC_FNS = {"full", "zeros", "ones", "empty"}
@@ -631,22 +624,7 @@ def _class_summary(cnode: ast.ClassDef) -> dict:
 # ----------------------------------------------------------------------
 # assembly
 # ----------------------------------------------------------------------
-class ModuleSummary:
-    """Thin named wrapper so call sites read ``summary.data["classes"]``."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: dict) -> None:
-        self.data = data
-
-    @property
-    def module(self) -> str:
-        return self.data["module"]
-
-
-def summarize_module(
-    tree: ast.Module, module: str, path: str, source: str
-) -> dict:
+def summarize_module(tree: ast.Module, module: str, path: str) -> dict:
     """Extract the whole-program summary of one parsed module."""
     imports = _module_imports(tree, module)
     module_defs = {
@@ -670,20 +648,11 @@ def summarize_module(
                         sub, qualname, module_defs, imports
                     ).run()
 
-    pragmas = PragmaIndex.from_source(source)
     return {
-        "version": SUMMARY_VERSION,
         "module": module,
         "path": path,
         "imports": imports,
         "defs": sorted(module_defs),
         "classes": classes,
         "functions": functions,
-        "pragmas": {
-            "by_line": {
-                str(line): sorted(rules)
-                for line, rules in pragmas.by_line.items()
-            },
-            "file_wide": sorted(pragmas.file_wide),
-        },
     }

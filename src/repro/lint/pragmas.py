@@ -1,4 +1,4 @@
-"""Inline suppression pragmas.
+"""Inline suppression pragmas — the linter's only exception mechanism.
 
 Two forms, both ordinary comments:
 
@@ -10,12 +10,16 @@ Two forms, both ordinary comments:
 - ``# lint: disable-file=rule-id[,other-rule]`` anywhere in the file
   suppresses those rules for the whole module.
 
-``all`` is accepted as a rule id and matches every rule.
+``all`` is accepted as a rule id and matches every rule.  Pragmas are
+read from real comment tokens only: the same text inside a string
+literal (a docstring quoting the syntax, say) suppresses nothing.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from typing import Dict, Set
 
 __all__ = ["PragmaIndex"]
@@ -30,6 +34,18 @@ def _split(spec: str) -> Set[str]:
     return {part.strip() for part in spec.split(",") if part.strip()}
 
 
+def _comments(source: str) -> Dict[int, tokenize.TokenInfo]:
+    """``lineno -> COMMENT token`` for every comment the tokenizer sees."""
+    comments: Dict[int, tokenize.TokenInfo] = {}
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT:
+                comments[tok.start[0]] = tok
+    except (tokenize.TokenError, SyntaxError):
+        pass  # keep the comments seen before the malformed tail
+    return comments
+
+
 class PragmaIndex:
     """Per-file index of suppression pragmas, built once per lint pass."""
 
@@ -40,24 +56,27 @@ class PragmaIndex:
     @classmethod
     def from_source(cls, source: str) -> "PragmaIndex":
         index = cls()
+        if "lint:" not in source:
+            return index  # the common case: no pragma, no tokenize pass
+        comments = _comments(source)
         # Rules from standalone pragma comment lines waiting for the next
         # code line to attach to.
         pending: Set[str] = set()
         for lineno, line in enumerate(source.splitlines(), start=1):
             stripped = line.strip()
-            is_comment_only = stripped.startswith("#")
+            if not stripped:
+                continue
+            tok = comments.get(lineno)
             rules: Set[str] = set()
-            if "#" in line and "lint:" in line:
-                file_match = _FILE_RE.search(line)
+            if tok is not None and "lint:" in tok.string:
+                file_match = _FILE_RE.search(tok.string)
                 if file_match:
                     index.file_wide |= _split(file_match.group(1))
-                line_match = _LINE_RE.search(line)
+                line_match = _LINE_RE.search(tok.string)
                 if line_match:
                     rules = _split(line_match.group(1))
-            if is_comment_only:
-                pending |= rules
-                continue
-            if not stripped:
+            if tok is not None and tok.start[1] == len(line) - len(line.lstrip()):
+                pending |= rules  # a comment-only line
                 continue
             # A code line: same-line pragmas plus any pending from the
             # comment block directly above.
@@ -75,23 +94,3 @@ class PragmaIndex:
     def suppresses_any(self, rule_id: str, lines) -> bool:
         """Suppressed on *any* candidate line (statement span, decorators)."""
         return any(self.suppresses(rule_id, line) for line in lines)
-
-    # -- (de)serialisation so the incremental cache can replay pragma
-    # -- decisions for flow findings without re-reading the source
-    def to_dict(self) -> dict:
-        return {
-            "by_line": {
-                str(line): sorted(rules) for line, rules in self.by_line.items()
-            },
-            "file_wide": sorted(self.file_wide),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PragmaIndex":
-        index = cls()
-        index.by_line = {
-            int(line): set(rules)
-            for line, rules in data.get("by_line", {}).items()
-        }
-        index.file_wide = set(data.get("file_wide", []))
-        return index

@@ -36,8 +36,7 @@ class Rule:
     packages: Tuple[str, ...] = ()
     exclude: Tuple[str, ...] = ()
     #: Flow rules read ``ctx.project`` (the whole-program model) instead
-    #: of ``ctx.tree``; the engine runs them after all files are
-    #: summarised and never caches their findings.
+    #: of ``ctx.tree``; the engine runs them after all files are summarised.
     requires_project: bool = False
 
     def applies_to(self, module: str) -> bool:

@@ -75,8 +75,9 @@ def check_banned_np_random(ctx):
     description=(
         "`np.random.default_rng()` with no arguments pulls OS entropy, so "
         "two runs of the same experiment diverge. Thread a seed (or an "
-        "existing Generator) through instead. Intentional fresh-entropy "
-        "fallbacks belong in the baseline with a justification."
+        "existing Generator) through instead; an API that needs an RNG "
+        "takes it as a required argument rather than falling back to "
+        "fresh entropy when none is given."
     ),
     packages=("repro",),
 )

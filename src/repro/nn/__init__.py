@@ -3,7 +3,7 @@
 Public surface::
 
     from repro import nn
-    model = nn.build_model("resnet20", num_classes=10, image_shape=(3, 8, 8))
+    model = nn.build_model("resnet20", num_classes=10, image_shape=(3, 8, 8), rng=0)
     logits, feats = model.forward_with_features(nn.Tensor(x))
     loss = nn.losses.cross_entropy(logits, y)
     loss.backward()

@@ -8,16 +8,22 @@ import numpy as np
 
 __all__ = ["ensure_rng", "kaiming_uniform", "xavier_uniform", "normal"]
 
-RngLike = Union[None, int, np.random.Generator]
+RngLike = Union[int, np.random.Generator]
 
 
 def ensure_rng(rng: RngLike) -> np.random.Generator:
-    """Coerce ``None`` / seed / Generator into a ``numpy.random.Generator``."""
-    if rng is None:
-        return np.random.default_rng()
+    """Coerce a seed or Generator into a ``numpy.random.Generator``.
+
+    There is no unseeded fallback: every weight draw and shuffle traces
+    back to a seed the caller chose.
+    """
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng(rng)
+    if isinstance(rng, (int, np.integer)):
+        return np.random.default_rng(rng)
+    raise TypeError(
+        f"rng must be an int seed or a numpy Generator, got {type(rng).__name__}"
+    )
 
 
 def kaiming_uniform(

@@ -166,7 +166,12 @@ class Linear(Module):
     """Affine layer ``y = x W^T + b``."""
 
     def __init__(
-        self, in_features: int, out_features: int, bias: bool = True, rng=None
+        self,
+        in_features: int,
+        out_features: int,
+        bias: bool = True,
+        *,
+        rng: init.RngLike,
     ) -> None:
         super().__init__()
         self.in_features = in_features
@@ -198,7 +203,8 @@ class Conv2d(Module):
         stride: int = 1,
         padding: int = 0,
         bias: bool = True,
-        rng=None,
+        *,
+        rng: init.RngLike,
     ) -> None:
         super().__init__()
         self.in_channels = in_channels
@@ -321,7 +327,7 @@ class Flatten(Module):
 
 
 class Dropout(Module):
-    def __init__(self, p: float = 0.5, rng=None) -> None:
+    def __init__(self, p: float = 0.5, *, rng: init.RngLike) -> None:
         super().__init__()
         self.p = p
         self.rng = init.ensure_rng(rng)

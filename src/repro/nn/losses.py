@@ -4,8 +4,8 @@ All losses take raw (pre-softmax) logits where applicable; soft-target losses
 optionally apply a distillation temperature.  Each returns a scalar
 :class:`~repro.nn.Tensor` (mean over the batch) ready for ``backward()``.
 
-``cross_entropy``, ``kl_divergence``, ``mse_loss`` and ``proximal_term`` are
-one graph node each.  Their forward and backward passes run the numpy
+Every loss here — ``cross_entropy``, ``kl_divergence``, ``mse_loss`` and
+``proximal_term`` — is one graph node.  Their forward and backward passes run the numpy
 operations of the Tensor-op chains they replace, in the chain's order and
 with the ``+ 0.0`` copies the chain's gradient accumulator made, so values
 and gradients are the chain's to the bit (``tests/nn/test_fused_losses.py``
@@ -25,7 +25,6 @@ from .tensor import Tensor
 
 __all__ = [
     "cross_entropy",
-    "soft_cross_entropy",
     "kl_divergence",
     "mse_loss",
     "proximal_term",
@@ -80,23 +79,6 @@ def cross_entropy(logits: Tensor, labels: Union[np.ndarray, list]) -> Tensor:
         # mean are per row
         _book(prof, "cross_entropy", start, out, 5.0 * logits.size, 4.0 * logits.size)
     return out
-
-
-def soft_cross_entropy(
-    logits: Tensor, target_probs: Union[Tensor, np.ndarray]
-) -> Tensor:
-    """Mean cross-entropy against a soft target distribution.
-
-    ``target_probs`` must be a valid probability distribution per row; it is
-    treated as a constant (no gradient flows into it).
-    """
-    target = _lift_targets(target_probs)
-    if target.shape != logits.shape:
-        raise ValueError(
-            f"target shape {target.shape} must match logits {logits.shape}"
-        )
-    log_probs = F.log_softmax(logits, axis=1)
-    return -(log_probs * Tensor(target)).sum(axis=1).mean()
 
 
 def _softmax_np(logits: np.ndarray, temperature: float) -> np.ndarray:

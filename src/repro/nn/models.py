@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .init import ensure_rng
+from .init import RngLike, ensure_rng
 from .layers import (
     BatchNorm2d,
     Conv2d,
@@ -118,7 +118,8 @@ class MLPClassifier(ClassifierModel):
         hidden_dims: Sequence[int],
         num_classes: int,
         feature_dim: int = 32,
-        rng=None,
+        *,
+        rng: RngLike,
     ) -> None:
         super().__init__()
         rng = ensure_rng(rng)
@@ -144,7 +145,9 @@ class MLPClassifier(ClassifierModel):
 class BasicBlock(Module):
     """Pre-activation-free residual basic block (as in CIFAR ResNets)."""
 
-    def __init__(self, in_channels: int, out_channels: int, stride: int = 1, rng=None) -> None:
+    def __init__(
+        self, in_channels: int, out_channels: int, stride: int = 1, *, rng: RngLike
+    ) -> None:
         super().__init__()
         rng = ensure_rng(rng)
         self.conv1 = Conv2d(
@@ -182,7 +185,8 @@ class ResNetClassifier(ClassifierModel):
         blocks_per_stage: Sequence[int],
         widths: Sequence[int] = (8, 16, 32),
         feature_dim: int = 32,
-        rng=None,
+        *,
+        rng: RngLike,
     ) -> None:
         super().__init__()
         if len(blocks_per_stage) != len(widths):
@@ -241,7 +245,8 @@ def build_model(
     num_classes: int,
     image_shape: Tuple[int, int, int],
     feature_dim: int = 32,
-    rng=None,
+    *,
+    rng: RngLike,
 ) -> ClassifierModel:
     """Instantiate a registry model.
 

@@ -27,13 +27,14 @@ are validated by :func:`validate_metrics_record`.
 
 The validator raises :class:`SchemaError` with a message naming the
 offending field; the CI smoke job runs it over every line of a real traced
-run (``repro lint --traces``).
+run (``repro trace validate``), together with the scopes and span/event
+names that run must have produced.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Sequence
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -164,16 +165,24 @@ def validate_record(record: Any, line: Optional[int] = None) -> str:
     return rtype
 
 
-def validate_trace_lines(lines: Iterable[str]) -> int:
+def validate_trace_lines(
+    lines: Iterable[str],
+    expect_scopes: Sequence[str] = (),
+    expect_events: Sequence[str] = (),
+) -> int:
     """Validate a whole trace, line by line; returns the record count.
 
     Beyond per-record checks this enforces the file-level invariants: the
     first record of the file is a marker, and ``seq`` increases by exactly
     one between consecutive records except across a marker (each writing
-    process restarts its sequence at its opening marker).
+    process restarts its sequence at its opening marker).  In the same
+    pass it collects the scopes and span/event names seen, and fails if
+    any of ``expect_scopes``/``expect_events`` never occurs.
     """
     count = 0
     expected_seq: Optional[int] = None
+    scopes = set()
+    names = set()
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
@@ -199,16 +208,32 @@ def validate_trace_lines(lines: Iterable[str]) -> int:
                     lineno,
                 )
             expected_seq += 1
+            scopes.add(record["scope"])
+        names.add(record["name"])
         count += 1
     if count == 0:
         raise SchemaError("trace is empty")
+    missing = [
+        f"missing {kind}: {sorted(set(wanted) - seen)}"
+        for kind, wanted, seen in (
+            ("scopes", expect_scopes, scopes),
+            ("events", expect_events, names),
+        )
+        if set(wanted) - seen
+    ]
+    if missing:
+        raise SchemaError("; ".join(missing))
     return count
 
 
-def validate_trace_file(path: str) -> int:
+def validate_trace_file(
+    path: str,
+    expect_scopes: Sequence[str] = (),
+    expect_events: Sequence[str] = (),
+) -> int:
     """Validate a JSONL trace file; returns the record count."""
     with open(path, "r", encoding="utf-8") as f:
-        return validate_trace_lines(f)
+        return validate_trace_lines(f, expect_scopes, expect_events)
 
 
 def validate_metrics_record(record: Any, line: Optional[int] = None) -> str:

@@ -22,15 +22,15 @@ class TestBatchIterator:
     def test_covers_all_samples(self):
         x = np.arange(25).reshape(25, 1)
         seen = []
-        for (xb,) in batch_iterator(x, batch_size=4, shuffle=False):
+        for (xb,) in batch_iterator(x, batch_size=4, rng=np.random.default_rng(3)):
             seen.extend(xb[:, 0].tolist())
-        assert seen == list(range(25))
+        assert sorted(seen) == list(range(25))
 
     def test_shuffle_permutes(self):
         x = np.arange(50).reshape(50, 1)
         rng = np.random.default_rng(0)
         seen = []
-        for (xb,) in batch_iterator(x, batch_size=50, rng=rng, shuffle=True):
+        for (xb,) in batch_iterator(x, batch_size=50, rng=rng):
             seen.extend(xb[:, 0].tolist())
         assert sorted(seen) == list(range(50))
         assert seen != list(range(50))
@@ -51,11 +51,18 @@ class TestBatchIterator:
             np.testing.assert_array_equal(xb[:, 0] * 2.0, lb[:, 0])
 
     def test_mismatched_lengths_raise(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            list(batch_iterator(np.zeros((5, 1)), np.zeros(4)))
+            list(batch_iterator(np.zeros((5, 1)), np.zeros(4), rng=rng))
         with pytest.raises(ValueError):
-            list(batch_iterator(np.zeros((5, 1)), extras=(np.zeros(3),)))
+            list(batch_iterator(np.zeros((5, 1)), extras=(np.zeros(3),), rng=rng))
 
     def test_batch_sizes(self):
-        sizes = [len(b[0]) for b in batch_iterator(np.zeros((10, 1)), batch_size=4, shuffle=False)]
+        batches = batch_iterator(np.zeros((10, 1)), batch_size=4, rng=np.random.default_rng(0))
+        sizes = [len(b[0]) for b in batches]
         assert sizes == [4, 4, 2]
+
+    def test_rng_is_required(self):
+        """No unseeded fallback: an omitted rng is an error, not a fresh seed."""
+        with pytest.raises(TypeError):
+            batch_iterator(np.zeros((4, 1)))

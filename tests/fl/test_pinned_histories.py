@@ -1,4 +1,5 @@
-"""One pinned history per algorithm, under every executor and a resume.
+"""One pinned history per algorithm, under every executor, a resume, a
+bounded registry and tracing with the op profiler on.
 
 Each value is the sha256 of :func:`bench.workloads.canonical_history`
 (per-round server accuracy, client accuracies and uplink/downlink bytes)
@@ -16,6 +17,7 @@ from bench.workloads import canonical_history
 from repro.algorithms import build_algorithm
 from repro.experiments.harness import ExperimentSetting, run_algorithm
 from repro.fl import TrainingConfig
+from repro.obs import validate_trace_file
 
 from ..conftest import make_tiny_federation
 
@@ -32,6 +34,13 @@ PINNED_HISTORIES = {
 }
 
 ROUNDS = 2
+
+#: Algorithms whose round trains the server model by distillation, and
+#: so must trace a ``server_distill`` span.
+SERVER_DISTILL_EVENTS = {
+    "fedpkd": ("server_distill",),
+    "feddf": ("server_distill", "feddf/distill"),
+}
 
 
 def history_digest(history) -> str:
@@ -67,8 +76,31 @@ def bounded_resumed_at_round_1(algorithm, tmp_path):
     return run_algorithm(setting, algorithm, rounds=ROUNDS, resume=True)
 
 
+def bounded(algorithm, tmp_path):
+    """One live client, no resume: every round spills and hydrates."""
+    setting = ExperimentSetting(scale="tiny", max_live_clients=1)
+    return run_algorithm(setting, algorithm, rounds=ROUNDS)
+
+
+def traced_profiled(algorithm, tmp_path):
+    """Tracing, metrics export and the op profiler leave the history alone,
+    and the trace they write passes the schema with the expected shape."""
+    trace = tmp_path / "run.trace.jsonl"
+    setting = ExperimentSetting(
+        scale="tiny", profile=True, trace_path=str(trace),
+        metrics_path=str(tmp_path / "run.metrics.jsonl"),
+    )
+    history = run_algorithm(setting, algorithm, rounds=ROUNDS)
+    validate_trace_file(
+        str(trace), expect_scopes=("run", "round", "stage", "profile"),
+        expect_events=SERVER_DISTILL_EVENTS.get(algorithm, ("round_record",)),
+    )
+    return history
+
+
 @pytest.mark.parametrize("mode", [serial, parallel, resumed_at_round_1,
-                                  bounded_resumed_at_round_1],
+                                  bounded_resumed_at_round_1, bounded,
+                                  traced_profiled],
                          ids=lambda mode: mode.__name__)
 @pytest.mark.parametrize("algorithm", sorted(PINNED_HISTORIES))
 def test_history_is_pinned(algorithm, mode, tmp_path):

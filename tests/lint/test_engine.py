@@ -78,6 +78,20 @@ def test_disable_all_keyword():
     assert _lint(source).findings == []
 
 
+def test_pragma_text_inside_a_string_suppresses_nothing():
+    source = textwrap.dedent(
+        """\
+        import random
+        DOC = "use # lint: disable-file=all to silence"
+        x = random.random()
+        """
+    )
+    engine = LintEngine(rules=[get_rule("det-stdlib-random")])
+    result = engine.lint_source(source, module="repro.fl.fixture")
+    assert [(f.rule, f.line) for f in result.findings] == [("det-stdlib-random", 1)]
+    assert result.suppressed == 0
+
+
 def test_syntax_error_becomes_a_finding():
     result = _lint("def broken(:\n")
     (finding,) = result.findings

@@ -142,7 +142,7 @@ def test_flow_finding_suppressed_by_pragma(tmp_path):
 def test_seeded_checkpoint_violation_fails_the_cli_gate(tmp_path, capsys):
     """The acceptance-criteria proof: un-checkpointed state → exit 1."""
     root = _tree(tmp_path, {"repro/baselines/leaky.py": LEAKY_ALGO_SOURCE})
-    assert main(["lint", str(root), "--no-cache"]) == 1
+    assert main(["lint", str(root)]) == 1
     out = capsys.readouterr().out
     assert "flow-extra-state" in out
     assert "temperature" in out
@@ -153,5 +153,5 @@ def test_extra_state_round_trip_passes_the_cli_gate(tmp_path, capsys):
         "return {}", 'return {"temperature": self.temperature}'
     ).replace("pass", 'self.temperature = float(state["temperature"])')
     root = _tree(tmp_path, {"repro/baselines/leaky.py": fixed})
-    assert main(["lint", str(root), "--no-cache"]) == 0
+    assert main(["lint", str(root)]) == 0
     assert "0 finding(s)" in capsys.readouterr().out

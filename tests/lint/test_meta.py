@@ -65,18 +65,6 @@ def test_catalog_documents_no_ghost_rules():
 
 def test_ci_runs_the_lint_gate():
     workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    assert "repro lint src" in workflow
-    assert ".reprolint-baseline.json" in workflow
-
-
-def test_baseline_file_entries_reference_existing_rules_and_files():
-    from repro.lint import Baseline
-
-    baseline = Baseline.load(str(REPO_ROOT / ".reprolint-baseline.json"))
-    registered = {rule.id for rule in RULES}
-    for entry in baseline.entries:
-        assert entry.rule in registered, f"baseline references unknown rule {entry.rule}"
-        assert (REPO_ROOT / entry.path).exists(), f"baseline references missing {entry.path}"
-        assert len(entry.justification.strip()) > 20, (
-            f"baseline entry for {entry.path} lacks a real justification"
-        )
+    assert "python -m repro lint src\n" in workflow
+    assert "repro trace validate" in workflow
+    assert "repro lint --traces" not in workflow

@@ -44,20 +44,6 @@ class TestCrossEntropy:
         np.testing.assert_allclose(logits.grad, expected, atol=1e-10)
 
 
-class TestSoftCrossEntropy:
-    def test_reduces_to_hard_ce_on_onehot(self):
-        rng = np.random.default_rng(1)
-        logits = rng.normal(size=(5, 4))
-        labels = np.array([0, 1, 2, 3, 1])
-        hard = losses.cross_entropy(Tensor(logits), labels).item()
-        soft = losses.soft_cross_entropy(Tensor(logits), F.one_hot(labels, 4)).item()
-        assert abs(hard - soft) < 1e-10
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            losses.soft_cross_entropy(Tensor(np.zeros((2, 3))), np.zeros((2, 4)))
-
-
 class TestKLDivergence:
     def test_zero_when_identical(self):
         logits = np.random.default_rng(2).normal(size=(6, 5))

@@ -25,7 +25,7 @@ class TestRegistry:
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
-            build_model("resnet9000", 10, IMG)
+            build_model("resnet9000", 10, IMG, rng=0)
 
     def test_capacity_ordering_matches_paper_roles(self):
         counts = [
@@ -34,6 +34,16 @@ class TestRegistry:
         ]
         assert counts == sorted(counts)
         assert counts[0] < counts[-1]
+
+    def test_rng_is_required(self):
+        """No unseeded fallback: weights always trace back to a seed."""
+        from repro.nn.init import ensure_rng
+
+        with pytest.raises(TypeError):
+            ensure_rng(None)
+        with pytest.raises(TypeError):
+            build_model("mlp_small", 10, IMG)
+        assert isinstance(ensure_rng(3), np.random.Generator)
 
     def test_mlp_capacity_ordering(self):
         counts = [
@@ -58,7 +68,7 @@ class TestMLP:
 class TestResNet:
     def test_blocks_widths_mismatch_raises(self):
         with pytest.raises(ValueError):
-            ResNetClassifier(3, 10, blocks_per_stage=[1, 1], widths=(8, 16, 32))
+            ResNetClassifier(3, 10, blocks_per_stage=[1, 1], widths=(8, 16, 32), rng=0)
 
     def test_invalid_depth_raises(self):
         from repro.nn.models import _resnet_blocks

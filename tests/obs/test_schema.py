@@ -1,9 +1,11 @@
-"""Schema validator: accepts what the tracer writes, rejects corruption."""
+"""Schema validator: accepts what the tracer writes, rejects corruption,
+and checks a trace's expected scopes/events (``repro trace validate``)."""
 
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs import SCHEMA_VERSION, SchemaError, validate_record, validate_trace_lines
 from repro.obs.schema import validate_metrics_record
 
@@ -161,3 +163,49 @@ def test_metrics_records():
             {"metric": "a/b", "kind": "histogram", "count": 0, "sum": 0.0,
              "buckets": "none"}
         )
+
+
+# ----------------------------------------------------------------------
+# repro trace validate
+# ----------------------------------------------------------------------
+
+
+def test_expectations_checked_in_the_validating_pass():
+    lines = as_lines(marker(), event(1, name="fedpkd/filter", scope="server"), span(2))
+    assert validate_trace_lines(lines, ("round", "server"), ("fedpkd/filter",)) == 3
+    with pytest.raises(SchemaError, match=r"missing scopes: \['client'\]"):
+        validate_trace_lines(lines, expect_scopes=("client",))
+    with pytest.raises(SchemaError, match=r"missing events: \['nope'\]"):
+        validate_trace_lines(lines, expect_events=("nope", "round"))
+
+
+@pytest.fixture
+def trace_file(tmp_path):
+    path = tmp_path / "run.trace.jsonl"
+    records = (marker(), event(1, name="fedpkd/filter", scope="server"), span(2))
+    path.write_text("".join(line + "\n" for line in as_lines(*records)))
+    return path
+
+
+def test_trace_validate_valid(trace_file, capsys):
+    code = main(
+        [
+            "trace", "validate", str(trace_file),
+            "--expect-scopes", "round,server",
+            "--expect-events", "fedpkd/filter",
+        ]
+    )
+    assert code == 0
+    assert "ok" in capsys.readouterr().out
+
+
+def test_trace_validate_missing_expectation(trace_file, capsys):
+    assert main(["trace", "validate", str(trace_file), "--expect-scopes", "client"]) == 1
+    assert "missing scopes" in capsys.readouterr().err
+
+
+def test_trace_validate_schema_violation(tmp_path, capsys):
+    path = tmp_path / "broken.trace.jsonl"
+    path.write_text('{"v": 1, "type": "event"}\n')
+    assert main(["trace", "validate", str(path)]) == 1
+    assert "INVALID" in capsys.readouterr().err
