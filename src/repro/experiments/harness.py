@@ -20,6 +20,7 @@ from ..fl.checkpoint import load_checkpoint, load_history, read_checkpoint_meta
 from ..fl.config import RUN_KNOBS, FederationConfig, RunKnobs, knob
 from ..fl.metrics import RunHistory
 from ..fl.simulation import build_federation
+from ..runtime.pool import Exhausted, WorkerPool, usable_cores
 
 __all__ = [
     "ScaleConfig",
@@ -282,17 +283,70 @@ def compare_algorithms(
     eval_every: int = 1,
     per_algorithm_overrides: Optional[Dict[str, dict]] = None,
 ) -> Dict[str, RunHistory]:
-    """Run several algorithms on the *same* data bundle for fair comparison."""
-    bundle = make_bundle(setting)
+    """Run several algorithms on the *same* data bundle for fair comparison.
+
+    The runs are independent, so they fan out over a
+    :class:`~repro.runtime.pool.WorkerPool` with one worker per usable core
+    (at most one per algorithm); histories come back in input order and
+    equal those of sequential :func:`run_algorithm` calls.  They run inline
+    with one usable core, one algorithm, or ``executor="parallel"`` (whose
+    client pool already owns the cores).  Each algorithm writes its own
+    artifacts: ``.<algorithm>`` goes before the first dot of every
+    ``*_path`` basename (``fig5.trace.jsonl`` -> ``fig5.fedavg.trace.jsonl``).
+    An algorithm's exception propagates with its type; a run whose worker
+    process dies raises a ``RuntimeError`` naming the algorithm.
+    """
     per_algorithm_overrides = per_algorithm_overrides or {}
-    results: Dict[str, RunHistory] = {}
-    for name in algorithms:
-        overrides = per_algorithm_overrides.get(name, {})
-        results[name] = run_algorithm(
-            setting, name, bundle=bundle, rounds=rounds, eval_every=eval_every,
-            **overrides,
-        )
-    return results
+    payloads = [
+        (_own_artifacts(setting, name), name, rounds, eval_every,
+         per_algorithm_overrides.get(name, {}))
+        for name in algorithms
+    ]
+    bundle = make_bundle(setting)
+    workers = 1 if setting.executor == "parallel" else usable_cores(len(payloads))
+    if workers == 1:
+        histories = [_run_one(payload, bundle) for payload in payloads]
+    else:
+        with WorkerPool(workers, initializer=_hold_bundle, initargs=(bundle,)) as pool:
+            histories = pool.run(_run_one, payloads)
+        for name, outcome in zip(algorithms, histories):
+            if isinstance(outcome, Exhausted):
+                raise RuntimeError(
+                    f"compare_algorithms: {name} did not finish "
+                    f"({outcome.cause} after {outcome.attempts} attempt(s))"
+                )
+    return dict(zip(algorithms, histories))
+
+
+#: the bundle inside a compare_algorithms worker, installed by the pool's
+#: initializer (fork hands it over once, not pickled per run)
+_WORKER_BUNDLE: Optional[FederatedDataBundle] = None
+
+
+def _hold_bundle(bundle: FederatedDataBundle) -> None:
+    global _WORKER_BUNDLE
+    _WORKER_BUNDLE = bundle
+
+
+def _run_one(payload: tuple, bundle: Optional[FederatedDataBundle] = None) -> RunHistory:
+    setting, algorithm, rounds, eval_every, overrides = payload
+    return run_algorithm(
+        setting, algorithm, bundle=_WORKER_BUNDLE if bundle is None else bundle,
+        rounds=rounds, eval_every=eval_every, **overrides,
+    )
+
+
+def _own_artifacts(setting: ExperimentSetting, algorithm: str) -> ExperimentSetting:
+    """``setting`` with ``.<algorithm>`` inserted before the first dot of
+    every artifact path's basename (no dot: appended)."""
+    own = {}
+    for f in RUN_KNOBS:
+        path = getattr(setting, f.name)
+        if f.name.endswith("_path") and path:
+            head, base = os.path.split(path)
+            stem, dot, suffix = base.partition(".")
+            own[f.name] = os.path.join(head, f"{stem}.{algorithm}{dot}{suffix}")
+    return replace(setting, **own)
 
 
 def format_table(

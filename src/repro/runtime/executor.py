@@ -22,7 +22,6 @@ worker is re-executed inline, in this process.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from contextlib import nullcontext
@@ -31,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..nn.serialize import deserialize_state, serialize_state
 from ..obs import NULL_OBS
 from ..obs.metrics import DEFAULT_TIME_BUCKETS
-from .pool import TIMEOUT, Exhausted, WorkerPool
+from .pool import TIMEOUT, Exhausted, WorkerPool, usable_cores
 from .task import ClientSpec, ClientTask, TaskFailure, TaskResult
 from .worker import init_worker, resolve_kwargs, run_task
 
@@ -197,7 +196,8 @@ class ParallelExecutor(Executor):
     Parameters
     ----------
     max_workers:
-        Pool size; defaults to ``min(num_clients, os.cpu_count())``.
+        Pool size; defaults to ``usable_cores(num_clients)``
+        (:func:`~repro.runtime.pool.usable_cores`).
     task_timeout_s:
         Seconds to wait for each task's result; ``None`` waits
         indefinitely.  On timeout the workers are replaced and the task
@@ -254,11 +254,9 @@ class ParallelExecutor(Executor):
             if self._federation is None:
                 raise RuntimeError("ParallelExecutor must be bound to a federation")
             specs, shared = self._build_specs()
-            workers = self.max_workers or min(
-                len(self._federation.clients), os.cpu_count() or 1
-            )
+            workers = self.max_workers or usable_cores(len(self._federation.clients))
             self._pool = WorkerPool(
-                max(1, workers), initializer=init_worker, initargs=(specs, shared)
+                workers, initializer=init_worker, initargs=(specs, shared)
             )
         return self._pool
 

@@ -1,8 +1,9 @@
 """One supervised process pool for every fan-out in the repo.
 
-Client stages (:class:`~repro.runtime.executor.ParallelExecutor`) and sweep
-runs (:class:`~repro.sweep.scheduler.SweepScheduler`) both call
-:meth:`WorkerPool.run`, which returns one outcome per payload, in input
+Client stages (:class:`~repro.runtime.executor.ParallelExecutor`), sweep
+runs (:class:`~repro.sweep.scheduler.SweepScheduler`) and the algorithms of
+one comparison (:func:`~repro.experiments.harness.compare_algorithms`) all
+call :meth:`WorkerPool.run`, which returns one outcome per payload, in input
 order: the function's return value, or :class:`Exhausted` once the item
 used its ``retries + 1`` attempts.  ``run`` waits on the oldest unfinished
 item; its attempt times out ``timeout_s`` after that wait began.  A timeout
@@ -17,17 +18,30 @@ propagates, as it would from an inline call.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, wait
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
-__all__ = ["TIMEOUT", "WORKER_DEATH", "Exhausted", "WorkerPool"]
+__all__ = ["TIMEOUT", "WORKER_DEATH", "Exhausted", "WorkerPool", "usable_cores"]
 
 TIMEOUT = "timeout"
 WORKER_DEATH = "worker death"
 
 #: Seconds between ``on_wait`` calls while ``run`` waits on a worker.
 _POLL_S = 0.5
+
+
+def usable_cores(n: int) -> int:
+    """``min(n, cores this process may run on)``, at least 1: the worker
+    count of a fan-out over ``n`` items.  The cores are the process's CPU
+    affinity set where the platform has one (a container or ``taskset``
+    may allow fewer than ``os.cpu_count()``)."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(n, cores))
 
 
 class Exhausted(NamedTuple):

@@ -87,8 +87,10 @@ class TestRunners:
 
     def test_compare_shares_bundle(self):
         setting = ExperimentSetting(**FAST)
-        results = compare_algorithms(setting, ("fedavg", "fedpkd"))
-        assert set(results) == {"fedavg", "fedpkd"}
+        order = ("fedpkd", "fedavg", "fedproto")  # not alphabetical
+        results = compare_algorithms(setting, order)
+        assert list(results) == list(order)
+        assert [h.algorithm for h in results.values()] == list(order)
 
     def test_partition_shorthand_complete(self):
         for key in ("iid", "dir0.1", "dir0.5", "shards3", "shards30"):
