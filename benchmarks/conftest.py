@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro  # noqa: F401  pins BLAS to one thread before a test module loads numpy
+
 
 def run_once(benchmark, fn, **kwargs):
     """Run ``fn(**kwargs)`` once under pytest-benchmark and return its result."""

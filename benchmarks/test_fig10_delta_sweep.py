@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 10 (server accuracy vs server-loss mix δ)."""
 
-from repro.experiments import fig10_delta
+from repro.experiments import FIGURES, fedpkd_sweep
 
 from .conftest import run_once
 
@@ -8,7 +8,8 @@ from .conftest import run_once
 def test_fig10_delta_sweep(benchmark, scale):
     deltas = (0.1, 0.5, 0.9)
     results = run_once(
-        benchmark, fig10_delta.run, scale=scale, seed=0, deltas=deltas
+        benchmark, FIGURES["fig10"].run, scale=scale, seed=0, datasets=("cifar10",),
+        arms=fedpkd_sweep("delta", deltas),
     )
     cell = results["cifar10"]
     benchmark.extra_info["results"] = {str(d): round(a, 4) for d, a in cell.items()}
@@ -16,4 +17,4 @@ def test_fig10_delta_sweep(benchmark, scale):
     for acc in cell.values():
         assert 0 <= acc <= 1
     print()
-    print(fig10_delta.as_table(results))
+    print(FIGURES["fig10"].table(results))

@@ -1,13 +1,13 @@
 """Bench: regenerate Fig. 1 (FedAvg vs KD-based, IID vs non-IID)."""
 
-from repro.experiments import fig1_motivation
+from repro.experiments import FIGURES
 
 from .conftest import run_once
 
 
 def test_fig1_motivation(benchmark, scale):
     results = run_once(
-        benchmark, fig1_motivation.run, scale=scale, seed=0, datasets=("cifar10",)
+        benchmark, FIGURES["fig1"].run, scale=scale, seed=0, datasets=("cifar10",)
     )
     cell = results["cifar10"]
     benchmark.extra_info["results"] = {
@@ -18,4 +18,4 @@ def test_fig1_motivation(benchmark, scale):
         for algo in ("fedavg", "naive_kd"):
             assert 0.0 <= cell[partition][algo] <= 1.0
     print()
-    print(fig1_motivation.as_table(results))
+    print(FIGURES["fig1"].table(results))

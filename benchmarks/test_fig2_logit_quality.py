@@ -3,14 +3,14 @@ non-IID) and check the paper's specialisation claim."""
 
 import numpy as np
 
-from repro.experiments import fig2_logit_quality
+from repro.experiments import FIGURES
 
 from .conftest import run_once
 
 
 def test_fig2_logit_quality(benchmark, scale):
     results = run_once(
-        benchmark, fig2_logit_quality.run, scale=scale, seed=0, local_epochs=40
+        benchmark, FIGURES["fig2"].run, scale=scale, seed=0, local_epochs=40
     )
     acc = results["client_acc"]
     benchmark.extra_info["client1_acc"] = np.round(np.nan_to_num(acc[0]), 3).tolist()

@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 3 (communication and accuracy vs public-set size)."""
 
-from repro.experiments import fig3_comm_vs_publicsize
+from repro.experiments import FIGURES
 
 from .conftest import run_once
 
@@ -8,7 +8,7 @@ from .conftest import run_once
 def test_fig3_comm_scaling(benchmark, scale):
     sizes = (100, 200, 400)
     results = run_once(
-        benchmark, fig3_comm_vs_publicsize.run, scale=scale, seed=0,
+        benchmark, FIGURES["fig3"].run, scale=scale, seed=0,
         public_sizes=sizes,
     )
     sweep = results["sweep"]
@@ -31,4 +31,4 @@ def test_fig3_comm_scaling(benchmark, scale):
     benchmark.extra_info["crossover_public_size"] = int(crossover)
     assert crossover > 0
     print()
-    print(fig3_comm_vs_publicsize.as_table(results))
+    print(FIGURES["fig3"].table(results))

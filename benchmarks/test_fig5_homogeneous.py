@@ -1,7 +1,7 @@
 """Bench: regenerate Fig. 5 (homogeneous-model accuracy comparison)."""
 
 from repro.algorithms import algorithm_supports
-from repro.experiments import fig5_homogeneous
+from repro.experiments import FIGURES
 
 from .conftest import run_once
 
@@ -9,7 +9,7 @@ from .conftest import run_once
 def test_fig5_homogeneous(benchmark, scale):
     results = run_once(
         benchmark,
-        fig5_homogeneous.run,
+        FIGURES["fig5"].run,
         scale=scale,
         seed=0,
         datasets=("cifar10",),
@@ -31,4 +31,4 @@ def test_fig5_homogeneous(benchmark, scale):
                 assert s_acc is None
             assert 0 <= c_acc <= 1
     print()
-    print(fig5_homogeneous.as_table(results))
+    print(FIGURES["fig5"].table(results))

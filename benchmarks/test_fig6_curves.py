@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 6 (accuracy-vs-round curves, highly non-IID)."""
 
-from repro.experiments import fig6_curves
+from repro.experiments import FIGURES
 
 from .conftest import run_once
 
@@ -9,11 +9,11 @@ def test_fig6_curves(benchmark, scale):
     algorithms = ("fedpkd", "fedavg", "fedmd", "naive_kd")
     results = run_once(
         benchmark,
-        fig6_curves.run,
+        FIGURES["fig6"].run,
         scale=scale,
         seed=0,
-        partition="dir0.1",
-        algorithms=algorithms,
+        partitions=("dir0.1",),
+        arms=algorithms,
     )
     benchmark.extra_info["curves"] = {
         name: {

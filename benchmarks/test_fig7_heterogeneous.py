@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 7 (heterogeneous-model accuracy comparison)."""
 
-from repro.experiments import fig7_heterogeneous
+from repro.experiments import FIGURES
 
 from .conftest import run_once
 
@@ -8,7 +8,7 @@ from .conftest import run_once
 def test_fig7_heterogeneous(benchmark, scale):
     results = run_once(
         benchmark,
-        fig7_heterogeneous.run,
+        FIGURES["fig7"].run,
         scale=scale,
         seed=0,
         datasets=("cifar10",),
@@ -26,4 +26,4 @@ def test_fig7_heterogeneous(benchmark, scale):
         # FedPKD and FedET train a (larger) server model
         assert cell["fedpkd"][0] is not None and cell["fedet"][0] is not None
     print()
-    print(fig7_heterogeneous.as_table(results))
+    print(FIGURES["fig7"].table(results))

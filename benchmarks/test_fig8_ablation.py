@@ -1,7 +1,7 @@
 """Bench: regenerate Fig. 8 (ablation of prototypes and data filtering),
 plus the extended ablation arms from DESIGN.md."""
 
-from repro.experiments import fig8_ablation
+from repro.experiments import EXTENDED_ARMS, FIGURES
 
 from .conftest import run_once
 
@@ -9,10 +9,11 @@ from .conftest import run_once
 def test_fig8_ablation(benchmark, scale):
     results = run_once(
         benchmark,
-        fig8_ablation.run,
+        FIGURES["fig8"].run,
         scale=scale,
         seed=0,
-        arms=fig8_ablation.EXTENDED_ARMS,
+        datasets=("cifar10",),
+        arms=EXTENDED_ARMS,
     )
     cell = results["cifar10"]["dir0.1"]
     benchmark.extra_info["results"] = {
@@ -22,4 +23,4 @@ def test_fig8_ablation(benchmark, scale):
     for arm, (s_acc, c_acc) in cell.items():
         assert 0 <= s_acc <= 1 and 0 <= c_acc <= 1
     print()
-    print(fig8_ablation.as_table(results))
+    print(FIGURES["fig8"].table(results))

@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 9 (server accuracy vs filter select-ratio θ)."""
 
-from repro.experiments import fig9_theta
+from repro.experiments import FIGURES, fedpkd_sweep
 
 from .conftest import run_once
 
@@ -8,7 +8,8 @@ from .conftest import run_once
 def test_fig9_theta_sweep(benchmark, scale):
     thetas = (0.3, 0.5, 0.7)
     results = run_once(
-        benchmark, fig9_theta.run, scale=scale, seed=0, thetas=thetas
+        benchmark, FIGURES["fig9"].run, scale=scale, seed=0, datasets=("cifar10",),
+        arms=fedpkd_sweep("select_ratio", thetas),
     )
     cell = results["cifar10"]
     benchmark.extra_info["results"] = {str(t): round(a, 4) for t, a in cell.items()}
@@ -16,4 +17,4 @@ def test_fig9_theta_sweep(benchmark, scale):
     for acc in cell.values():
         assert 0 <= acc <= 1
     print()
-    print(fig9_theta.as_table(results))
+    print(FIGURES["fig9"].table(results))

@@ -5,7 +5,7 @@ methods — holds at any scale because FedPKD ships logits over a filtered
 subset while FedAvg/FedProx/FedDF ship full model states every round.
 """
 
-from repro.experiments import table1_comm
+from repro.experiments import FIGURES
 
 from .conftest import run_once
 
@@ -13,7 +13,7 @@ from .conftest import run_once
 def test_table1_comm_overhead(benchmark, scale):
     results = run_once(
         benchmark,
-        table1_comm.run,
+        FIGURES["table1"].run,
         scale=scale,
         seed=0,
         datasets=("cifar10",),
@@ -42,4 +42,4 @@ def test_table1_comm_overhead(benchmark, scale):
         if reached is not None:
             assert pkd_server < reached
     print()
-    print(table1_comm.as_table(results))
+    print(FIGURES["table1"].table(results))

@@ -1,57 +1,25 @@
-"""Run every figure/table experiment at the 'small' scale and save outputs."""
-import json, sys, time
-import numpy as np
-from repro.experiments import (
-    fig1_motivation, fig2_logit_quality, fig3_comm_vs_publicsize,
-    fig5_homogeneous, fig6_curves, fig7_heterogeneous,
-    fig8_ablation, fig9_theta, fig10_delta, table1_comm,
-)
+"""Run every figure/table experiment at the 'small' scale and save outputs.
+
+Writes ``small_scale_results.json`` next to this script.  Run from the repo
+root with ``PYTHONPATH=src python results/run_all_small.py``.
+"""
+import time
+from pathlib import Path
+
+from repro.experiments import FIGURES, save_results
 
 SCALE = "small"
+OPTIONS = {
+    "fig2": {"local_epochs": 40},
+    "fig3": {"public_sizes": (150, 300, 600, 1200)},
+}
 out = {}
-
-def run(name, fn, **kw):
+for name in ("fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "table1", "fig8", "fig9", "fig10"):
     t0 = time.time()
     print(f"=== {name} ===", flush=True)
-    res = fn(scale=SCALE, seed=0, **kw)
+    out[name] = FIGURES[name].run(scale=SCALE, seed=0, **OPTIONS.get(name, {}))
     print(f"--- {name} done in {time.time()-t0:.0f}s", flush=True)
-    return res
+    print(FIGURES[name].table(out[name]), flush=True)
 
-out["fig1"] = run("fig1", fig1_motivation.run, datasets=("cifar10", "cifar100"))
-print(fig1_motivation.as_table(out["fig1"]), flush=True)
-
-r2 = run("fig2", fig2_logit_quality.run, local_epochs=40)
-out["fig2"] = {k: np.asarray(v).tolist() for k, v in r2.items()}
-np.set_printoptions(precision=2, suppress=True)
-print("client1:", np.array(r2["client_acc"][0]))
-print("client2:", np.array(r2["client_acc"][1]))
-print("equal-avg:", np.array(r2["aggregated_acc"]))
-print("var-weighted:", np.array(r2["variance_weighted_acc"]), flush=True)
-
-out["fig3"] = run("fig3", fig3_comm_vs_publicsize.run, public_sizes=(150, 300, 600, 1200))
-print(fig3_comm_vs_publicsize.as_table(out["fig3"]), flush=True)
-
-out["fig5"] = run("fig5", fig5_homogeneous.run, datasets=("cifar10", "cifar100"))
-print(fig5_homogeneous.as_table(out["fig5"]), flush=True)
-
-out["fig6"] = run("fig6", fig6_curves.run)
-print(fig6_curves.as_table(out["fig6"]), flush=True)
-
-out["fig7"] = run("fig7", fig7_heterogeneous.run, datasets=("cifar10", "cifar100"))
-print(fig7_heterogeneous.as_table(out["fig7"]), flush=True)
-
-out["table1"] = run("table1", table1_comm.run, datasets=("cifar10", "cifar100"))
-print(table1_comm.as_table(out["table1"]), flush=True)
-
-out["fig8"] = run("fig8", fig8_ablation.run, datasets=("cifar10", "cifar100"))
-print(fig8_ablation.as_table(out["fig8"]), flush=True)
-
-out["fig9"] = run("fig9", fig9_theta.run, datasets=("cifar10", "cifar100"))
-print(fig9_theta.as_table(out["fig9"]), flush=True)
-
-out["fig10"] = run("fig10", fig10_delta.run, datasets=("cifar10", "cifar100"))
-print(fig10_delta.as_table(out["fig10"]), flush=True)
-
-with open("/root/repo/results/small_scale_results.json", "w") as f:
-    json.dump(out, f, indent=1, default=float)
+save_results(out, str(Path(__file__).parent), "small_scale_results")
 print("ALL DONE", flush=True)

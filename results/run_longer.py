@@ -1,42 +1,40 @@
-"""Longer-horizon checks: do weak-skew cells converge toward the paper?"""
-import json, time
-from repro.experiments import fig5_homogeneous, fig8_ablation
+"""Longer-horizon checks: do weak-skew cells converge toward the paper?
 
-def save(name, obj):
-    with open(f"/root/repo/results/{name}.json", "w") as f:
-        json.dump(obj, f, indent=1, default=float)
-    print(f"saved {name}", flush=True)
+Writes ``fig5_long_rounds.json`` and ``fig8_long_rounds.json`` next to this
+script.  Run from the repo root with
+``PYTHONPATH=src python results/run_longer.py``.
+"""
+from pathlib import Path
 
-t0=time.time()
-r = fig5_homogeneous.run(
+from repro.experiments import FIGURES, ExperimentSetting, compare_algorithms, save_results
+
+HERE = str(Path(__file__).parent)
+
+# the scale's own rounds first, then the same cell over 14 rounds
+r = FIGURES["fig5"].run(
     scale="small", seed=0, datasets=("cifar10",), partitions=("dir0.5",),
-    algorithms=("fedpkd", "fedavg", "feddf"),
+    arms=("fedpkd", "fedavg", "feddf"),
 )
-# note: run() uses scale rounds; rerun with overrides via ExperimentSetting
-print(fig5_homogeneous.as_table(r), flush=True)
+print(FIGURES["fig5"].table(r), flush=True)
 
-from repro.experiments import ExperimentSetting, make_bundle, run_algorithm
 setting = ExperimentSetting(dataset="cifar10", partition="dir0.5", scale="small",
                             seed=0, scale_overrides={"rounds": 14})
-bundle = make_bundle(setting)
 out = {}
-for name in ("fedpkd", "fedavg", "feddf"):
-    hist = run_algorithm(setting, name, bundle=bundle)
+for name, hist in compare_algorithms(setting, ("fedpkd", "fedavg", "feddf")).items():
     out[name] = {"server_curve": hist.server_acc_curve(),
                  "client_curve": hist.client_acc_curve(),
                  "comm_curve": hist.comm_curve_mb()}
     print(name, "best S:", max(hist.server_acc_curve()), flush=True)
-save("fig5_long_rounds", out)
+save_results(out, HERE, "fig5_long_rounds")
+print("saved fig5_long_rounds", flush=True)
 
 setting8 = ExperimentSetting(dataset="cifar10", partition="dir0.1", scale="small",
                              seed=0, scale_overrides={"rounds": 14})
-bundle8 = make_bundle(setting8)
 out8 = {}
-for arm, ov in {"fedpkd": {}, "w/o Pro": {"server_prototype_loss": False},
-                "w/o D.F.": {"use_filtering": False}}.items():
-    hist = run_algorithm(setting8, "fedpkd", bundle=bundle8, **ov)
+for arm, hist in compare_algorithms(setting8, FIGURES["fig8"].arms).items():
     out8[arm] = {"server_curve": hist.server_acc_curve(),
                  "best": max(hist.server_acc_curve())}
     print(arm, "best S:", out8[arm]["best"], flush=True)
-save("fig8_long_rounds", out8)
+save_results(out8, HERE, "fig8_long_rounds")
+print("saved fig8_long_rounds", flush=True)
 print("ALL DONE", flush=True)

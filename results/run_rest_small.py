@@ -1,59 +1,35 @@
-"""Economised small-scale runs for fig5-fig10 + table1 (saves per-experiment JSON)."""
-import json, time
-from repro.experiments import (
-    fig5_homogeneous, fig6_curves, fig7_heterogeneous,
-    fig8_ablation, fig9_theta, fig10_delta, table1_comm,
-)
+"""Economised small-scale runs for fig5-fig10 + table1 (saves per-experiment JSON).
 
-def save(name, obj):
-    with open(f"/root/repo/results/{name}_small.json", "w") as f:
-        json.dump(obj, f, indent=1, default=lambda o: o.tolist() if hasattr(o, "tolist") else float(o))
+Writes ``<name>_small.json`` next to this script.  Run from the repo root
+with ``PYTHONPATH=src python results/run_rest_small.py``.
+"""
+import time
+from pathlib import Path
+
+from repro.experiments import EXTENDED_ARMS, FIGURES, fedpkd_sweep, save_results
+
+HERE = str(Path(__file__).parent)
+C10 = ("cifar10",)
+RUNS = [
+    ("fig5_c10", "fig5", dict(datasets=C10, partitions=("dir0.1", "dir0.5"))),
+    ("table1", "table1", dict(datasets=C10, partitions=("dir0.5",))),
+    ("fig8", "fig8", dict(datasets=C10, partitions=("dir0.1",), arms=EXTENDED_ARMS)),
+    ("fig7", "fig7", dict(datasets=C10, partitions=("dir0.1", "dir0.5"))),
+    ("fig9", "fig9", dict(datasets=C10, arms=fedpkd_sweep("select_ratio", (0.3, 0.5, 0.7, 1.0)))),
+    ("fig10", "fig10", dict(datasets=C10)),
+    ("fig6", "fig6", dict(arms=("fedpkd", "fedavg", "fedmd", "dsfl", "feddf"))),
+    ("fig5_c100", "fig5", dict(datasets=("cifar100",), partitions=("dir0.5",),
+                               arms=("fedpkd", "fedavg", "fedmd", "feddf"))),
+    ("fig7_c100", "fig7", dict(datasets=("cifar100",), partitions=("dir0.5",),
+                               arms=("fedpkd", "fedmd", "fedet"))),
+]
+
+for name, figure, options in RUNS:
+    t0 = time.time()
+    r = FIGURES[figure].run(scale="small", seed=0, **options)
+    print(FIGURES[figure].table(r), flush=True)
+    save_results(r, HERE, f"{name}_small")
     print(f"saved {name}", flush=True)
-
-def stamp(name, t0):
     print(f"--- {name} done in {time.time()-t0:.0f}s", flush=True)
-
-t0=time.time()
-r = fig5_homogeneous.run(scale="small", seed=0, datasets=("cifar10",),
-                         partitions=("dir0.1", "dir0.5"))
-print(fig5_homogeneous.as_table(r), flush=True); save("fig5_c10", r); stamp("fig5_c10", t0)
-
-t0=time.time()
-r = table1_comm.run(scale="small", seed=0, datasets=("cifar10",), partitions=("dir0.5",))
-print(table1_comm.as_table(r), flush=True); save("table1", r); stamp("table1", t0)
-
-t0=time.time()
-r = fig8_ablation.run(scale="small", seed=0, datasets=("cifar10",), partitions=("dir0.1",),
-                      arms=fig8_ablation.EXTENDED_ARMS)
-print(fig8_ablation.as_table(r), flush=True); save("fig8", r); stamp("fig8", t0)
-
-t0=time.time()
-r = fig7_heterogeneous.run(scale="small", seed=0, datasets=("cifar10",),
-                           partitions=("dir0.1", "dir0.5"))
-print(fig7_heterogeneous.as_table(r), flush=True); save("fig7", r); stamp("fig7", t0)
-
-t0=time.time()
-r = fig9_theta.run(scale="small", seed=0, datasets=("cifar10",), thetas=(0.3, 0.5, 0.7, 1.0))
-print(fig9_theta.as_table(r), flush=True); save("fig9", r); stamp("fig9", t0)
-
-t0=time.time()
-r = fig10_delta.run(scale="small", seed=0, datasets=("cifar10",))
-print(fig10_delta.as_table(r), flush=True); save("fig10", r); stamp("fig10", t0)
-
-t0=time.time()
-r = fig6_curves.run(scale="small", seed=0,
-                    algorithms=("fedpkd", "fedavg", "fedmd", "dsfl", "feddf"))
-print(fig6_curves.as_table(r), flush=True); save("fig6", r); stamp("fig6", t0)
-
-t0=time.time()
-r = fig5_homogeneous.run(scale="small", seed=0, datasets=("cifar100",),
-                         partitions=("dir0.5",),
-                         algorithms=("fedpkd", "fedavg", "fedmd", "feddf"))
-print(fig5_homogeneous.as_table(r), flush=True); save("fig5_c100", r); stamp("fig5_c100", t0)
-
-t0=time.time()
-r = fig7_heterogeneous.run(scale="small", seed=0, datasets=("cifar100",),
-                           partitions=("dir0.5",), algorithms=("fedpkd", "fedmd", "fedet"))
-print(fig7_heterogeneous.as_table(r), flush=True); save("fig7_c100", r); stamp("fig7_c100", t0)
 
 print("ALL DONE", flush=True)

@@ -39,7 +39,19 @@ Subpackages
     Deployment diagnostics (prototype geometry, client communities,
     logit quality, fairness).  Imported on demand: ``import repro`` does
     not load it, so write ``from repro.analysis import ...``.
+
+BLAS threads: repro parallelises across processes (client executors,
+``compare_algorithms``, sweeps), never inside BLAS.  Importing the package
+sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+to ``1`` unless they are already set; it takes effect only if numpy was
+not loaded before ``repro``.
 """
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
 
 from . import baselines, core, data, fl, nn, runtime
 from .algorithms import ALGORITHMS, algorithm_supports, build_algorithm

@@ -41,35 +41,9 @@ from typing import List, Optional, get_args, get_type_hints
 
 from .algorithms import ALGORITHMS
 from .experiments import (
-    PARTITIONS,
-    SCALES,
-    ExperimentSetting,
-    fig1_motivation,
-    fig2_logit_quality,
-    fig3_comm_vs_publicsize,
-    fig5_homogeneous,
-    fig6_curves,
-    fig7_heterogeneous,
-    fig8_ablation,
-    fig9_theta,
-    fig10_delta,
-    run_algorithm,
-    table1_comm,
+    FIGURES, PARTITIONS, SCALES, ExperimentSetting, run_algorithm, save_results,
 )
 from .fl.config import RUN_KNOBS, RunKnobs
-
-EXPERIMENTS = {
-    "fig1": fig1_motivation,
-    "fig2": fig2_logit_quality,
-    "fig3": fig3_comm_vs_publicsize,
-    "fig5": fig5_homogeneous,
-    "fig6": fig6_curves,
-    "fig7": fig7_heterogeneous,
-    "fig8": fig8_ablation,
-    "fig9": fig9_theta,
-    "fig10": fig10_delta,
-    "table1": table1_comm,
-}
 
 _METAVARS = {int: "N", float: "X", str: "PATH"}
 
@@ -122,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--verbose", action="store_true")
 
     exp_p = sub.add_parser("experiment", help="regenerate one paper figure/table")
-    exp_p.add_argument("name", choices=sorted(EXPERIMENTS))
+    exp_p.add_argument("name", choices=sorted(FIGURES))
     exp_p.add_argument("--scale", choices=sorted(SCALES), default="tiny")
     exp_p.add_argument("--seed", type=int, default=0)
     exp_p.add_argument(
@@ -282,9 +256,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    module = EXPERIMENTS[args.name]
-    module.main(scale=args.scale, seed=args.seed, out_dir=args.out_dir)
+    figure = FIGURES[args.name]
+    results = figure.run(scale=args.scale, seed=args.seed)
+    print(figure.table(results))
     if args.out_dir:
+        save_results(results, args.out_dir, args.name)
         print(f"results written to {args.out_dir}/{args.name}.json")
     return 0
 

@@ -1,26 +1,19 @@
 """Experiment runners regenerating every figure and table of the paper.
 
-Each module exposes ``run(scale=..., seed=...) -> dict`` returning raw
-numbers and ``main()`` printing a formatted table.  The ``benchmarks/``
+``harness`` holds the shared pieces (scales, settings, ``run_algorithm``,
+``compare_algorithms`` over arms, table formatting, ``save_results``);
+``figures.FIGURES`` declares each figure/table once, keyed by its
+``python -m repro experiment`` name, with ``run(scale=..., seed=...,
+**options) -> dict`` and ``table(results) -> str``.  The ``benchmarks/``
 tree wraps these with pytest-benchmark; the per-experiment index lives in
 DESIGN.md.
 """
 
-from . import (
-    fig1_motivation,
-    fig2_logit_quality,
-    fig3_comm_vs_publicsize,
-    fig5_homogeneous,
-    fig6_curves,
-    fig7_heterogeneous,
-    fig8_ablation,
-    fig9_theta,
-    fig10_delta,
-    table1_comm,
-)
+from .figures import EXTENDED_ARMS, FIGURES, Figure, fedpkd_sweep
 from .harness import (
     PARTITIONS,
     SCALES,
+    Arm,
     ExperimentSetting,
     ScaleConfig,
     compare_algorithms,
@@ -29,6 +22,7 @@ from .harness import (
     make_bundle,
     model_roles,
     run_algorithm,
+    save_results,
 )
 
 __all__ = [
@@ -40,16 +34,12 @@ __all__ = [
     "model_roles",
     "federation_for",
     "run_algorithm",
+    "Arm",
     "compare_algorithms",
     "format_table",
-    "fig1_motivation",
-    "fig2_logit_quality",
-    "fig3_comm_vs_publicsize",
-    "fig5_homogeneous",
-    "fig6_curves",
-    "fig7_heterogeneous",
-    "fig8_ablation",
-    "fig9_theta",
-    "fig10_delta",
-    "table1_comm",
+    "save_results",
+    "Figure",
+    "FIGURES",
+    "EXTENDED_ARMS",
+    "fedpkd_sweep",
 ]

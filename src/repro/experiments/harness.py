@@ -1,16 +1,20 @@
 """Shared experiment harness: scales, settings, runners, and formatting.
 
-Every figure/table module builds on this.  The paper's experiments are GPU-
-scale; the harness exposes three scale presets so the same code runs as a
-seconds-long benchmark (``tiny``), a minutes-long trend check (``small``),
-or the full paper configuration (``paper``) given enough compute.
+Every figure/table declaration (:mod:`repro.experiments.figures`) builds on
+this.  The paper's experiments are GPU-scale; the harness exposes three
+scale presets so the same code runs as a seconds-long benchmark (``tiny``),
+a minutes-long trend check (``small``), or the full paper configuration
+(``paper``) given enough compute.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import (
+    Dict, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -30,6 +34,7 @@ __all__ = [
     "model_roles",
     "federation_for",
     "run_algorithm",
+    "Arm",
     "compare_algorithms",
     "format_table",
     "save_results",
@@ -276,31 +281,54 @@ def run_algorithm(
     return history
 
 
+class Arm(NamedTuple):
+    """One run of a comparison: ``algorithm`` built with the config
+    ``overrides``, reported under ``label`` (any hashable: Fig. 9 keys its
+    arms by the swept value)."""
+
+    label: Hashable
+    algorithm: str
+    overrides: Mapping[str, object]
+
+    @classmethod
+    def of(cls, item: Union[str, "Arm"]) -> "Arm":
+        """An ``Arm`` as given; a plain algorithm name is ``Arm(name, name, {})``."""
+        return item if isinstance(item, Arm) else cls(item, item, {})
+
+
 def compare_algorithms(
     setting: ExperimentSetting,
-    algorithms: Sequence[str],
+    arms: Sequence[Union[str, Arm]],
     rounds: Optional[int] = None,
     eval_every: int = 1,
-    per_algorithm_overrides: Optional[Dict[str, dict]] = None,
-) -> Dict[str, RunHistory]:
-    """Run several algorithms on the *same* data bundle for fair comparison.
+) -> Dict[Hashable, RunHistory]:
+    """Run several arms on the *same* data bundle for fair comparison.
 
-    The runs are independent, so they fan out over a
+    An arm is an algorithm name or an :class:`Arm` (label, algorithm,
+    config overrides); the result maps each label to its history.  The
+    runs are independent, so they fan out over a
     :class:`~repro.runtime.pool.WorkerPool` with one worker per usable core
-    (at most one per algorithm); histories come back in input order and
-    equal those of sequential :func:`run_algorithm` calls.  They run inline
-    with one usable core, one algorithm, or ``executor="parallel"`` (whose
-    client pool already owns the cores).  Each algorithm writes its own
-    artifacts: ``.<algorithm>`` goes before the first dot of every
-    ``*_path`` basename (``fig5.trace.jsonl`` -> ``fig5.fedavg.trace.jsonl``).
-    An algorithm's exception propagates with its type; a run whose worker
-    process dies raises a ``RuntimeError`` naming the algorithm.
+    (at most one per arm); histories come back in input order and equal
+    those of sequential :func:`run_algorithm` calls.  They run inline with
+    one usable core, one arm, or ``executor="parallel"`` (whose client pool
+    already owns the cores).  Each arm writes its own artifacts: ``.<label>``
+    goes before the first dot of every ``*_path`` basename
+    (``fig5.trace.jsonl`` -> ``fig5.fedavg.trace.jsonl``), with characters
+    other than letters, digits, ``_``, ``.`` and ``-`` mapped to ``_``
+    (``w/o Pro`` -> ``w_o_Pro``).  Labels that coincide after that mapping
+    raise ``ValueError`` before any run starts.  An arm's exception
+    propagates with its type; a run whose worker process dies raises a
+    ``RuntimeError`` naming the arm.
     """
-    per_algorithm_overrides = per_algorithm_overrides or {}
+    arms = [Arm.of(item) for item in arms]
+    infixes = [_file_safe(arm.label) for arm in arms]
+    clashes = sorted({name for name in infixes if infixes.count(name) > 1})
+    if clashes:
+        raise ValueError(f"compare_algorithms: arm labels clash: {clashes}")
     payloads = [
-        (_own_artifacts(setting, name), name, rounds, eval_every,
-         per_algorithm_overrides.get(name, {}))
-        for name in algorithms
+        (_own_artifacts(setting, infix), arm.algorithm, rounds, eval_every,
+         dict(arm.overrides))
+        for arm, infix in zip(arms, infixes)
     ]
     bundle = make_bundle(setting)
     workers = 1 if setting.executor == "parallel" else usable_cores(len(payloads))
@@ -309,13 +337,13 @@ def compare_algorithms(
     else:
         with WorkerPool(workers, initializer=_hold_bundle, initargs=(bundle,)) as pool:
             histories = pool.run(_run_one, payloads)
-        for name, outcome in zip(algorithms, histories):
+        for arm, outcome in zip(arms, histories):
             if isinstance(outcome, Exhausted):
                 raise RuntimeError(
-                    f"compare_algorithms: {name} did not finish "
+                    f"compare_algorithms: {arm.label} did not finish "
                     f"({outcome.cause} after {outcome.attempts} attempt(s))"
                 )
-    return dict(zip(algorithms, histories))
+    return {arm.label: history for arm, history in zip(arms, histories)}
 
 
 #: the bundle inside a compare_algorithms worker, installed by the pool's
@@ -336,16 +364,20 @@ def _run_one(payload: tuple, bundle: Optional[FederatedDataBundle] = None) -> Ru
     )
 
 
-def _own_artifacts(setting: ExperimentSetting, algorithm: str) -> ExperimentSetting:
-    """``setting`` with ``.<algorithm>`` inserted before the first dot of
-    every artifact path's basename (no dot: appended)."""
+def _file_safe(label: Hashable) -> str:
+    return re.sub(r"[^\w.-]", "_", str(label))
+
+
+def _own_artifacts(setting: ExperimentSetting, infix: str) -> ExperimentSetting:
+    """``setting`` with ``.<infix>`` inserted before the first dot of every
+    artifact path's basename (no dot: appended)."""
     own = {}
     for f in RUN_KNOBS:
         path = getattr(setting, f.name)
         if f.name.endswith("_path") and path:
             head, base = os.path.split(path)
             stem, dot, suffix = base.partition(".")
-            own[f.name] = os.path.join(head, f"{stem}.{algorithm}{dot}{suffix}")
+            own[f.name] = os.path.join(head, f"{stem}.{infix}{dot}{suffix}")
     return replace(setting, **own)
 
 
@@ -381,9 +413,9 @@ def _cell(value: object) -> str:
 def save_results(results: object, out_dir: str, name: str) -> str:
     """Write an experiment's raw result dict as ``<out_dir>/<name>.json``.
 
-    The shared artifact sink of every fig/table module's ``main(out_dir=)``
-    — the directory is injected, so callers (the sweep scheduler, CI, the
-    CLI ``--out-dir`` flag) redirect artifacts without chdir tricks.
+    The artifact sink of ``repro experiment NAME --out-dir DIR`` (and the
+    ``results/`` scripts): the directory is injected, so callers redirect
+    artifacts without chdir tricks.
     Non-JSON scalars (numpy floats/arrays) are coerced via ``default``.
     """
     import json

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+# repro before numpy: importing repro pins BLAS to one thread per process
+# (unless the environment says otherwise), which must precede numpy's load
+# so the pool tests' forked workers do not oversubscribe the cores
+import repro  # noqa: F401  isort: skip
+
 import numpy as np
 import pytest
 

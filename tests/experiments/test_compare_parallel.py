@@ -1,9 +1,10 @@
-"""``compare_algorithms`` fans its algorithms out over the ``WorkerPool``.
+"""``compare_algorithms`` fans its arms out over the ``WorkerPool``.
 
 Whether the runs go to worker processes or stay inline, every history must
-equal a direct ``run_algorithm`` call; each algorithm keeps its own
-artifacts; and a lost worker or an algorithm's own error surfaces as a
-named exception instead of a hang.
+equal a direct ``run_algorithm`` call with the arm's overrides; each arm
+keeps its own artifacts; clashing labels are refused up front; and a lost
+worker or an algorithm's own error surfaces as a named exception instead
+of a hang.
 """
 
 import json
@@ -14,7 +15,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.algorithms import ALGORITHMS as REGISTRY
-from repro.experiments import ExperimentSetting, compare_algorithms, run_algorithm
+from repro.experiments import Arm, ExperimentSetting, compare_algorithms, run_algorithm
 from repro.experiments import harness
 from repro.obs.schema import validate_trace_file
 from repro.obs.trace_analysis import load_trace
@@ -93,9 +94,8 @@ def test_parallel_executor_stays_inline_and_matches_run_algorithm(two_cores):
 
 def test_overrides_reach_their_algorithm_only(two_cores):
     setting = ExperimentSetting(**FAST)
-    overrides = {"naive_kd": {"distill_to_clients": False}}
     results = compare_algorithms(
-        setting, ["fedavg", "naive_kd"], per_algorithm_overrides=overrides
+        setting, ["fedavg", Arm("naive_kd", "naive_kd", {"distill_to_clients": False})]
     )
     assert _comparable(results["naive_kd"]) == _comparable(
         run_algorithm(setting, "naive_kd", distill_to_clients=False)
@@ -103,6 +103,64 @@ def test_overrides_reach_their_algorithm_only(two_cores):
     assert _comparable(results["fedavg"]) == _comparable(
         run_algorithm(setting, "fedavg")
     )
+
+
+def test_two_arms_of_one_algorithm_keep_their_own_overrides(two_cores):
+    setting = ExperimentSetting(**FAST)
+    arms = [
+        Arm("theta=0.3", "fedpkd", {"select_ratio": 0.3}),
+        Arm("no filter", "fedpkd", {"use_filtering": False}),
+    ]
+    results = compare_algorithms(setting, arms)
+    assert len(two_cores) == 1
+    assert list(results) == ["theta=0.3", "no filter"]
+    for arm in arms:
+        assert results[arm.label].algorithm == "fedpkd"
+        assert _comparable(results[arm.label]) == _comparable(
+            run_algorithm(setting, "fedpkd", **arm.overrides)
+        ), arm.label
+
+
+@pytest.mark.parametrize(
+    "arms",
+    [
+        ["fedavg", Arm("fedavg", "fedprox", {})],
+        [Arm("w/o Pro", "fedpkd", {}), Arm("w_o Pro", "fedpkd", {})],
+    ],
+    ids=["same-label", "same-file-name"],
+)
+def test_clashing_labels_raise_before_any_run(two_cores, monkeypatch, arms):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "make_bundle", no_run)
+    monkeypatch.setattr(harness, "run_algorithm", no_run)
+    with pytest.raises(ValueError, match="arm labels clash"):
+        compare_algorithms(ExperimentSetting(**FAST), arms)
+    assert two_cores == []
+
+
+def test_a_labelled_arm_names_its_artifacts_file_safely(tmp_path, two_cores):
+    setting = ExperimentSetting(
+        out_dir=str(tmp_path),
+        trace_path="fig8.trace.jsonl",
+        metrics_path="fig8.metrics.jsonl",
+        **FAST,
+    )
+    compare_algorithms(
+        setting, ["fedpkd", Arm("w/o Pro", "fedpkd", {"server_prototype_loss": False})]
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fig8.fedpkd.metrics.jsonl",
+        "fig8.fedpkd.trace.jsonl",
+        "fig8.w_o_Pro.metrics.jsonl",
+        "fig8.w_o_Pro.trace.jsonl",
+    ]  # no w/ subdirectory
+    for infix in ("fedpkd", "w_o_Pro"):
+        trace = tmp_path / f"fig8.{infix}.trace.jsonl"
+        validate_trace_file(str(trace), expect_scopes=["run", "round"])
+        runs = [e for e in load_trace(str(trace)) if e.get("name") == "run"]
+        assert len(runs) == 1 and runs[0]["attrs"]["algorithm"] == "fedpkd"
 
 
 @pytest.mark.parametrize("pool", [True, False], ids=["pool", "inline"])

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.experiments import FIGURES
 
 
 class TestRunCommand:
@@ -41,7 +42,7 @@ class TestRunCommand:
 
 class TestExperimentCommand:
     def test_experiment_names_registered(self):
-        assert set(EXPERIMENTS) == {
+        assert set(FIGURES) == {
             "fig1", "fig2", "fig3", "fig5", "fig6",
             "fig7", "fig8", "fig9", "fig10", "table1",
         }
