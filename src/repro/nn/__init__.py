@@ -8,6 +8,12 @@ Public surface::
     loss = nn.losses.cross_entropy(logits, y)
     loss.backward()
     nn.Adam(model.parameters()).step()
+
+``loss.backward()`` releases the graph it consumed: each interior node's
+gradient, parents and backward closure are dropped once the closure has run,
+so only the parameters' ``.grad`` and the forward values outlive the pass.
+``loss.backward(retain_graph=True)`` keeps the graph for a second pass; a
+pass that reaches a released node raises ``RuntimeError``.
 """
 
 from . import functional, init, losses, optim

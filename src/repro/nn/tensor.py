@@ -47,6 +47,15 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+def _released_backward(grad: np.ndarray) -> None:
+    """Stands in for the closure of an interior node a backward pass freed."""
+    raise RuntimeError(
+        "backward() reached a graph node an earlier backward() already "
+        "released; pass retain_graph=True to the earlier call to backpropagate "
+        "through the same graph twice"
+    )
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting.
 
@@ -561,30 +570,45 @@ class Tensor:
     # ------------------------------------------------------------------
     # backward pass
     # ------------------------------------------------------------------
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
+    def backward(
+        self, grad: Optional[np.ndarray] = None, *, retain_graph: bool = False
+    ) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
         Parameters
         ----------
         grad:
-            Seed gradient.  Defaults to 1 for scalar tensors; required for
-            non-scalar outputs.
+            Seed gradient of this tensor's shape.  Defaults to 1 for scalar
+            tensors; required for non-scalar outputs.
+        retain_graph:
+            Keep the graph after the pass.  By default each interior node is
+            released as soon as its backward closure has run: its ``.grad``,
+            parents and closure (with the forward buffers it holds) are
+            dropped, so a training step's graph dies with the pass.  Leaves
+            accumulate either way.
+
+        Raises
+        ------
+        ValueError
+            If ``grad`` does not have this tensor's shape.
+        RuntimeError
+            If the pass would reach a node an earlier pass released.
         """
         prof = _profile.ACTIVE
         if prof is None:
-            self._backward_impl(grad)
+            self._backward_impl(grad, retain_graph)
             return
         # Attribute the pass machinery (topo sort, graph walk, grad
         # accumulation glue) that per-op ``.bwd`` closures can't see, so
         # the profiled op table covers backward wall time end to end.
         start = time.perf_counter()
         before = prof.total_seconds()
-        self._backward_impl(grad)
+        self._backward_impl(grad, retain_graph)
         total = time.perf_counter() - start
         inner = prof.total_seconds() - before
         prof.record("backward.overhead", max(total - inner, 0.0))
 
-    def _backward_impl(self, grad: Optional[np.ndarray] = None) -> None:
+    def _backward_impl(self, grad: Optional[np.ndarray], retain_graph: bool) -> None:
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor without grad")
         if grad is None:
@@ -592,6 +616,11 @@ class Tensor:
                 raise RuntimeError("backward() on non-scalar output needs a seed grad")
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != self.shape:
+            raise ValueError(
+                f"backward() seed grad has shape {grad.shape}, "
+                f"but the tensor has shape {self.shape}"
+            )
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -603,6 +632,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released_backward:
+                _released_backward(grad)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -613,3 +644,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if not retain_graph:
+                    node.grad = None
+                    node._parents = ()
+                    node._backward = _released_backward

@@ -339,7 +339,7 @@ def test_conv2d_matches_the_einsum_route(case, use_bias, kernel, padding, stride
         bias = Tensor(b_data, requires_grad=True) if use_bias else None
         out = conv(x, weight, bias, stride=stride, padding=padding)
         seed = np.random.default_rng(8).normal(size=out.shape)
-        out.backward(seed)
+        out.backward(seed, retain_graph=True)  # keeps out.grad
         results.append((out, x, weight, bias))
     (out, x, weight, bias), (ref_out, ref_x, ref_weight, ref_bias) = results
     assert_close(out.data, ref_out.data)

@@ -119,7 +119,7 @@ def test_no_two_gradients_share_memory(names, shape):
     for name in names:
         out = OPS[name](out)
     seed = np.ones(out.shape)
-    out.backward(seed)
+    out.backward(seed, retain_graph=True)
     nodes = graph_tensors(out)
     assert_grads_are_exclusively_owned(nodes)
     assert not any(np.shares_memory(seed, n.grad) for n in nodes)
@@ -130,7 +130,7 @@ def test_scalar_chain_gradients_stay_arrays():
     """0-d numpy arithmetic returns scalars; ``.grad`` is always an ndarray."""
     x = Tensor(3.0, requires_grad=True)
     out = (x * x + x) ** 2
-    out.backward()
+    out.backward(retain_graph=True)
     for node in graph_tensors(out):
         assert isinstance(node.grad, np.ndarray) and node.grad.shape == ()
     assert x.grad == 2 * 12.0 * 7.0
@@ -149,7 +149,7 @@ def test_mlp_step_gradients_are_exclusively_owned():
     layers = [Linear(6, 8, rng=rng), Linear(8, 8, bias=False, rng=rng),
               Linear(8, 3, rng=rng)]
     loss = mlp_loss(layers, Tensor(rng.normal(size=(5, 6))), rng.integers(0, 3, 5))
-    loss.backward()
+    loss.backward(retain_graph=True)
     assert_grads_are_exclusively_owned(graph_tensors(loss))
     for layer in layers:
         assert layer.weight.grad.shape == layer.weight.shape
@@ -160,7 +160,7 @@ def test_in_place_clip_leaves_forward_buffers_untouched():
     rng = np.random.default_rng(1)
     layers = [Linear(6, 8, rng=rng), Linear(8, 3, rng=rng)]
     loss = mlp_loss(layers, Tensor(rng.normal(size=(5, 6))), rng.integers(0, 3, 5))
-    loss.backward()
+    loss.backward(retain_graph=True)
     nodes = graph_tensors(loss)
     forward = [n.data.copy() for n in nodes]
     interior = [None if n.grad is None else n.grad.copy() for n in nodes]
@@ -181,7 +181,7 @@ def test_gradients_accumulate_across_graphs_and_retained_backward():
 
     y = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     loss = (y * 2.0).sum()
-    loss.backward()
+    loss.backward(retain_graph=True)
     assert np.array_equal(y.grad, [2.0, 2.0])
     # interior gradients persist on a retained graph: the second pass sends
     # 1 + 1 through ``sum`` and 1 + 2 through ``mul``
@@ -199,7 +199,7 @@ def test_basic_block_step_gradients_are_exclusively_owned():
     block = BasicBlock(2, 4, stride=2, rng=rng)  # 1x1 conv + BatchNorm shortcut
     x = Tensor(rng.normal(size=(3, 2, 6, 6)), requires_grad=True)
     loss = block_loss(block, x)
-    loss.backward()
+    loss.backward(retain_graph=True)
     nodes = graph_tensors(loss)
     stats = [b for _, b in block.named_buffers()]
     assert len(stats) == 6
@@ -213,7 +213,7 @@ def test_basic_block_step_gradients_are_exclusively_owned():
     # a second pass over the retained graph adds into the same buffers
     buffers = [p.grad for p in block.parameters()]
     first = [g.copy() for g in buffers]
-    loss.backward()
+    loss.backward(retain_graph=True)
     for p, buffer, before in zip(block.parameters(), buffers, first):
         assert p.grad is buffer and not np.array_equal(buffer, before)
     assert_grads_are_exclusively_owned(graph_tensors(loss), extra=stats)
@@ -236,7 +236,7 @@ def test_second_backward_on_a_retained_graph_accumulates_for_the_resnet_ops():
             leaf.zero_grad()
         out = build()
         seed = rng.normal(size=out.shape)
-        out.backward(seed)
+        out.backward(seed, retain_graph=True)
         once = [leaf.grad.copy() for leaf in leaves]
         # the root now holds seed + seed: one pass of 1 and one of 2
         out.backward(seed)
