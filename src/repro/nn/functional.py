@@ -375,15 +375,18 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution over NCHW input, as three plain GEMMs.
 
-    The zero-padded patches are gathered once into a
-    ``(C_in*kH*kW, N*out_h*out_w)`` matrix owned by this call; forward is
-    ``W_mat @ cols`` and backward reuses the same matrix for
-    ``dW = G @ cols.T`` and forms ``dcols = W_mat.T @ G`` only when ``x``
-    takes a gradient.  A call that records a backward gathers through its
-    geometry's cached index plan, and the same plan scatters ``dcols``
-    back onto ``x``; a call that records none (inference) gathers from a
-    strided window view of a padded copy and builds no plan.  Output and
-    gradients are C-contiguous NCHW.
+    The zero-padded patches are gathered into a
+    ``(C_in*kH*kW, N*out_h*out_w)`` matrix owned by this call, and forward
+    is ``W_mat @ cols``.  A call that records a backward gathers through
+    its geometry's cached index plan and keeps only that plan and the
+    input array, not the matrix: backward gathers the same patches again
+    for ``dW = G @ cols.T`` and drops them before it forms
+    ``dcols = W_mat.T @ G`` (only when ``x`` takes a gradient), which the
+    same plan scatters back onto ``x``.  So a training step holds no patch
+    matrix between its forward and backward passes, and never two at once.
+    A call that records none (inference) gathers from a strided window
+    view of a padded copy and builds no plan.  Output and gradients are
+    C-contiguous NCHW.
 
     Parameters
     ----------
@@ -412,12 +415,14 @@ def conv2d(
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    # gathered per call, never cached: the same shape recurs in consecutive
-    # blocks of one forward pass and every backward closure needs its own
-    # patches (only the index plan is shared)
+    # gathered per call, never cached, and not kept for backward: it is
+    # kh*kw times the input at stride 1, so backward gathers it again from
+    # the input array (only the index plan is shared)
     if requires:
         plan = _patch_plan(n, c, h, w, kh, kw, stride, padding)
-        cols = _gather(x.data, plan)
+        # the forward's input array: the graph holds it as ``x.data``
+        x_data = x.data
+        cols = _gather(x_data, plan)
     else:
         padded = x.data
         if padding:
@@ -447,7 +452,10 @@ def conv2d(
             # the output gradient in GEMM layout, shared by both products
             grad_mat = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).reshape(c_out, -1)
             if weight.requires_grad:
-                weight._accumulate((grad_mat @ cols.T).reshape(weight.shape), True)
+                patches = _gather(x_data, plan)
+                weight._accumulate((grad_mat @ patches.T).reshape(weight.shape), True)
+                # freed before dcols, so two patch-sized buffers never coexist
+                del patches
             if x.requires_grad:
                 x._accumulate(_scatter(plan, w_mat.T @ grad_mat, (n, c, h, w)), True)
 
@@ -504,10 +512,12 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
     if plan is None:
         out = Tensor(out_data)
     else:
+        # backward keeps the window indices and shape, not the windows
+        window_shape = cols.shape
 
         def backward(grad: np.ndarray) -> None:
             grad_flat = grad.reshape(n * c, 1, out_h * out_w)
-            dcols = np.zeros_like(cols)
+            dcols = np.zeros(window_shape, dtype=np.float64)
             np.put_along_axis(dcols, arg[:, None, :], grad_flat, axis=1)
             x._accumulate(_scatter(plan, dcols, (n, c, h, w)), True)
 
@@ -538,10 +548,12 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
         out = Tensor(out_data)
     else:
         k2 = kernel_size * kernel_size
+        # backward keeps the window shape, not the windows
+        window_shape = cols.shape
 
         def backward(grad: np.ndarray) -> None:
             grad_flat = grad.reshape(n * c, 1, out_h * out_w)
-            dcols = np.broadcast_to(grad_flat / k2, cols.shape)
+            dcols = np.broadcast_to(grad_flat / k2, window_shape)
             x._accumulate(_scatter(plan, dcols, (n, c, h, w)), True)
 
         out = Tensor(

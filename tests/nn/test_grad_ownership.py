@@ -4,7 +4,7 @@
 allocated instead of copying it into a zero-filled buffer.  That is only
 sound while no adopted array is reachable from anywhere else: another
 tensor's ``.grad``, a forward buffer, an array a backward closure keeps
-(conv2d's patch matrix, batch_norm's normalised activations), a running
+(conv2d's input array, batch_norm's normalised activations), a running
 statistic, or the caller's seed.  These tests walk whole graphs and check it.
 """
 
@@ -88,7 +88,7 @@ def graph_tensors(root):
 
 def closure_arrays(nodes):
     """Every array a backward closure of the graph keeps alive: forward
-    buffers such as conv2d's patch matrix and batch_norm's ``x_hat``."""
+    buffers such as conv2d's index plan and batch_norm's ``x_hat``."""
     kept = []
     for node in nodes:
         for cell in getattr(node._backward, "__closure__", None) or ():
@@ -203,7 +203,13 @@ def test_basic_block_step_gradients_are_exclusively_owned():
     nodes = graph_tensors(loss)
     stats = [b for _, b in block.named_buffers()]
     assert len(stats) == 6
-    assert any(a.shape == (2 * 3 * 3, 3 * 3 * 3) for a in closure_arrays(nodes))  # cols
+    # (C_in*kh*kw, N*out_h*out_w) of conv1, conv2 and the shortcut conv: the
+    # closures keep each geometry's intp index plan, never a float64 patch
+    # matrix of that shape
+    patch_shapes = {(2 * 3 * 3, 3 * 3 * 3), (4 * 3 * 3, 3 * 3 * 3), (2, 3 * 3 * 3)}
+    kept = closure_arrays(nodes)
+    assert {a.shape for a in kept if a.dtype == np.intp} == patch_shapes
+    assert not any(a.dtype == np.float64 and a.shape in patch_shapes for a in kept)
     assert_grads_are_exclusively_owned(nodes, extra=stats)
     for p in block.parameters() + [x]:
         assert p.grad.shape == p.shape and p.grad.flags.c_contiguous
@@ -217,6 +223,28 @@ def test_basic_block_step_gradients_are_exclusively_owned():
     for p, buffer, before in zip(block.parameters(), buffers, first):
         assert p.grad is buffer and not np.array_equal(buffer, before)
     assert_grads_are_exclusively_owned(graph_tensors(loss), extra=stats)
+
+
+def test_conv_and_pool_closures_keep_no_float64_buffer_of_their_own():
+    """A training conv2d keeps its input array, weight and index plan, a
+    pool its plan (and max-pool its argmax): every float64 array such a
+    closure keeps is a parent's data, never a patch matrix or the windows."""
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(size=4), requires_grad=True)
+    for out in (
+        F.conv2d(x, weight, bias, padding=1),
+        F.conv2d(x, weight, stride=2),
+        F.max_pool2d(x, 2),
+        F.avg_pool2d(x, 3, stride=1),
+    ):
+        kept = closure_arrays([out])
+        assert any(a.dtype == np.intp for a in kept)  # the index plan
+        parents = [p.data for p in out._parents]
+        for array in kept:
+            if array.dtype == np.float64:
+                assert any(np.shares_memory(array, p) for p in parents), array.shape
 
 
 def test_second_backward_on_a_retained_graph_accumulates_for_the_resnet_ops():
