@@ -23,6 +23,7 @@ from .partition import (
     partition_summary,
     split_local_train_test,
 )
+from .rows import Rows
 
 __all__ = [
     "Dataset",
@@ -37,6 +38,7 @@ __all__ = [
     "gaussian_noise",
     "batch_iterator",
     "num_batches",
+    "Rows",
     "partition_iid",
     "partition_dirichlet",
     "partition_shards",

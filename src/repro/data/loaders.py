@@ -31,6 +31,9 @@ def batch_iterator(
 
     ``extras`` are additional per-sample arrays (e.g. teacher logits) sliced
     with the same permutation, which the distillation training loops need.
+    Each of them, ``x`` and ``y`` is reached only through ``len()`` and an
+    int-array index, so a :class:`~repro.data.rows.Rows` view works as well
+    as an array.
     """
     n = len(x)
     if y is not None and len(y) != n:

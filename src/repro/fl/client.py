@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import copy
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 import numpy as np
 
+from ..data.rows import Rows
 from ..nn.models import ClassifierModel
 from .config import TrainingConfig
 from .training import evaluate_accuracy, train_distill, train_supervised
@@ -25,15 +26,19 @@ class FLClient:
     parallel runtime (:mod:`repro.runtime`) uses it to rebuild a
     structurally identical client inside worker processes.  Hand-built
     clients may leave it ``None``, in which case their work runs inline.
+
+    ``x_train``/``x_test`` are plain arrays or :class:`~repro.data.rows.
+    Rows` views of a shared bundle (what the registry hands out); either
+    way they are reached only through ``len()`` and indexing.
     """
 
     def __init__(
         self,
         client_id: int,
         model: ClassifierModel,
-        x_train: np.ndarray,
+        x_train: Union[np.ndarray, Rows],
         y_train: np.ndarray,
-        x_test: np.ndarray,
+        x_test: Union[np.ndarray, Rows],
         y_test: np.ndarray,
         num_classes: int,
         seed: int = 0,

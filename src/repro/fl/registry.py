@@ -9,10 +9,12 @@ O(N).  This module provides that shape:
 - :class:`ClientRegistry` — a :class:`collections.abc.Sequence` of clients
   registered as ``(client_id, partition indices, seed, model name)``
   entries.  A concrete ``FLClient`` is *derived* on first touch: the data
-  slice is re-cut deterministically from the bundle (same per-client seeds
+  split is re-cut deterministically from the bundle (same per-client seeds
   as the eager path, so a derived client is bit-identical to an eagerly
-  built one), and the model is either built fresh from its seed or
-  hydrated from the spill store.
+  built one) and handed over as :class:`~repro.data.rows.Rows` views of
+  ``bundle.train.x`` — index-sized, so the bundle's rows are held once
+  however many clients are live — and the model is either built fresh
+  from its seed or hydrated from the spill store.
 - :class:`ClientModelStore` — one append-only log file per store plus an
   in-memory ``client id -> (offset, length)`` index.  A record is one
   :func:`repro.nn.serialize.serialize_state` blob of the model
@@ -59,6 +61,7 @@ import numpy as np
 
 from ..data.datasets import FederatedDataBundle
 from ..data.partition import split_local_train_test
+from ..data.rows import Rows
 from ..nn.models import ClassifierModel, build_model
 from ..nn.serialize import deserialize_state, state_chunks
 from .client import FLClient
@@ -367,9 +370,9 @@ class ClientRegistry(Sequence):
         client = FLClient(
             client_id=client_id,
             model=model,
-            x_train=bundle.train.x[train_idx],
+            x_train=Rows(bundle.train.x, train_idx),
             y_train=bundle.train.y[train_idx],
-            x_test=bundle.train.x[test_idx],
+            x_test=Rows(bundle.train.x, test_idx),
             y_test=bundle.train.y[test_idx],
             num_classes=bundle.num_classes,
             seed=seed + 3000 + client_id,

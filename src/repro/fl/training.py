@@ -53,8 +53,10 @@ def train_with_loss(
 ) -> float:
     """Run ``config.epochs`` of minibatch training; return mean final-epoch loss.
 
-    ``arrays`` is a tuple of aligned per-sample arrays (inputs first); each
-    minibatch slice is handed to ``loss_builder(model, batch)``.
+    ``arrays`` is a tuple of aligned per-sample arrays (inputs first; the
+    inputs may be a :class:`~repro.data.rows.Rows` view); each minibatch
+    gather is handed to ``loss_builder(model, batch)``.  The parameters'
+    ``.grad`` are dropped on return.
     """
     if len(arrays) == 0 or len(arrays[0]) == 0:
         return 0.0
@@ -83,6 +85,10 @@ def train_with_loss(
                 clip_grad_norm(optimizer.params, config.max_grad_norm)
             optimizer.step()
             last_epoch_losses.append(loss.item())
+    # every step zeroes before backward, so the last step's gradients are
+    # read by nobody; dropping them stops a trained model holding a
+    # second copy of its weights
+    optimizer.zero_grad()
     if prof is not None:
         total = time.perf_counter() - start
         inner = prof.total_seconds() - before

@@ -87,6 +87,7 @@ class ClassifierModel(Module):
             self.eval()
         outputs: List[np.ndarray] = []
         with no_grad():
+            # len() and slices only: x may be a repro.data.Rows view
             for start in range(0, len(x), batch_size):
                 outputs.append(fn(Tensor(x[start : start + batch_size])).data)
         if toggle:

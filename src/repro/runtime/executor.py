@@ -27,6 +27,9 @@ import warnings
 from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from ..data.rows import Rows
 from ..nn.serialize import deserialize_state, serialize_state
 from ..obs import NULL_OBS
 from ..obs.metrics import DEFAULT_TIME_BUCKETS
@@ -231,6 +234,9 @@ class ParallelExecutor(Executor):
     # pool lifecycle
     # ------------------------------------------------------------------
     def _build_specs(self) -> Tuple[Dict[int, ClientSpec], Dict[str, Any]]:
+        """Per-client specs plus the arrays every worker shares: the public
+        set and the bundle's train rows, each shipped once per worker."""
+        train = self._federation.bundle.train
         specs: Dict[int, ClientSpec] = {}
         for client in self._federation.clients:
             if client.model_name is None:
@@ -241,12 +247,14 @@ class ParallelExecutor(Executor):
                 num_classes=client.num_classes,
                 image_shape=tuple(client.x_train.shape[1:]),
                 feature_dim=client.model.feature_dim,
-                x_train=client.x_train,
-                y_train=client.y_train,
-                x_test=client.x_test,
-                y_test=client.y_test,
+                train_index=_bundle_index(client, client.x_train, train.x),
+                test_index=_bundle_index(client, client.x_test, train.x),
             )
-        shared = {"public_x": self._federation.public_x}
+        shared = {
+            "public_x": self._federation.public_x,
+            "train_x": train.x,
+            "train_y": train.y,
+        }
         return specs, shared
 
     def _ensure_pool(self) -> WorkerPool:
@@ -377,6 +385,17 @@ class ParallelExecutor(Executor):
             self.close()
         except Exception:
             pass
+
+
+def _bundle_index(client, rows, base) -> np.ndarray:
+    """The bundle row index behind a client's data view."""
+    if not isinstance(rows, Rows) or rows.base is not base:
+        raise ValueError(
+            f"client {client.client_id} has a model_name but its data is not "
+            "a Rows view of the federation's bundle; workers rebuild it from "
+            "bundle row indices"
+        )
+    return rows.index
 
 
 def make_executor(config) -> Executor:

@@ -57,7 +57,10 @@ class ClientSpec:
     """Static per-client context installed in every worker at pool start.
 
     Holds everything needed to rebuild a structurally identical client
-    (the weights are overwritten by each task's ``state_blob``).
+    (the weights are overwritten by each task's ``state_blob``).  The
+    client's data travels as two index vectors into the bundle rows the
+    pool's ``shared`` dict carries once (``train_x``/``train_y``), so a
+    spec is index-sized whatever the start method pickles.
     """
 
     client_id: int
@@ -65,10 +68,8 @@ class ClientSpec:
     num_classes: int
     image_shape: Tuple[int, ...]
     feature_dim: int
-    x_train: np.ndarray
-    y_train: np.ndarray
-    x_test: np.ndarray
-    y_test: np.ndarray
+    train_index: np.ndarray
+    test_index: np.ndarray
 
 
 @dataclass

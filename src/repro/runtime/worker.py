@@ -1,12 +1,13 @@
 """Worker-process side of the parallel runtime.
 
 Each worker keeps a per-client cache of rebuilt :class:`~repro.fl.client.
-FLClient` objects (model topology + private data, installed once at pool
-start-up via :func:`init_worker`).  Every incoming :class:`ClientTask`
-overwrites the cached client's weights and RNG from the task payload, runs
-the requested method, and ships back the value plus (for mutating methods)
-the updated state — so a task is a pure function of its payload and the
-static spec, regardless of which worker runs it or in what order.
+FLClient` objects (model topology + row views of the bundle, installed
+once at pool start-up via :func:`init_worker`).  Every incoming
+:class:`ClientTask` overwrites the cached client's weights and RNG from
+the task payload, runs the requested method, and ships back the value
+plus (for mutating methods) the updated state — so a task is a pure
+function of its payload and the static spec, regardless of which worker
+runs it or in what order.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ def _client_for(client_id: int):
         raise KeyError(f"worker has no spec for client {client_id}")
     # imported lazily to keep worker start-up (and the fl<->runtime import
     # graph) light
+    from ..data.rows import Rows
     from ..fl.client import FLClient
     from ..nn.models import build_model
 
@@ -61,13 +63,14 @@ def _client_for(client_id: int):
         feature_dim=spec.feature_dim,
         rng=0,  # placeholder weights; every task ships the real state
     )
+    x, y = _SHARED["train_x"], _SHARED["train_y"]
     client = FLClient(
         client_id=spec.client_id,
         model=model,
-        x_train=spec.x_train,
-        y_train=spec.y_train,
-        x_test=spec.x_test,
-        y_test=spec.y_test,
+        x_train=Rows(x, spec.train_index),
+        y_train=y[spec.train_index],
+        x_test=Rows(x, spec.test_index),
+        y_test=y[spec.test_index],
         num_classes=spec.num_classes,
     )
     _CLIENTS[client_id] = client

@@ -162,7 +162,7 @@ class TestClientRegistry:
                 model_name="mlp_small",
             )
             derived = reg[cid]
-            np.testing.assert_array_equal(derived.x_train, eager.x_train)
+            np.testing.assert_array_equal(derived.x_train[:], eager.x_train)
             np.testing.assert_array_equal(derived.y_test, eager.y_test)
             for key, value in eager.model.state_dict().items():
                 np.testing.assert_array_equal(

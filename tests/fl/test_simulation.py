@@ -52,7 +52,7 @@ class TestBuildFederation:
     def test_determinism(self, tiny_bundle):
         a = make_tiny_federation(tiny_bundle, seed=5)
         b = make_tiny_federation(tiny_bundle, seed=5)
-        np.testing.assert_allclose(a.clients[0].x_train, b.clients[0].x_train)
+        np.testing.assert_allclose(a.clients[0].x_train[:], b.clients[0].x_train[:])
         np.testing.assert_allclose(
             a.clients[1].model.classifier.weight.data,
             b.clients[1].model.classifier.weight.data,

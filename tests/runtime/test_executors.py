@@ -8,8 +8,10 @@ to a per-round dropout instead of aborting the run.
 """
 
 import os
+import pickle
 import time
 
+import numpy as np
 import pytest
 
 import repro.runtime.worker as worker_mod
@@ -77,6 +79,52 @@ class TestFactory:
     def test_task_method_whitelist(self):
         with pytest.raises(ValueError):
             ClientTask(client_id=0, method="__reduce__", kwargs={})
+
+
+class TestSpecs:
+    """A pool start ships the bundle's rows once and per-client indices, so
+    a start method that pickles its initializer arguments (spawn,
+    forkserver) never pickles the dataset once per client."""
+
+    def test_specs_are_index_sized_and_the_rows_travel_once(self, tiny_bundle):
+        fed = make_tiny_federation(tiny_bundle, num_clients=3, executor="parallel")
+        try:
+            specs, shared = fed.executor._build_specs()
+            assert sorted(specs) == [0, 1, 2]
+            assert shared["train_x"] is tiny_bundle.train.x
+            assert shared["train_y"] is tiny_bundle.train.y
+            data_bytes = tiny_bundle.train.x.nbytes
+            spec_bytes = sum(len(pickle.dumps(spec)) for spec in specs.values())
+            assert spec_bytes < data_bytes / 10, (spec_bytes, data_bytes)
+        finally:
+            fed.close()
+
+    def test_a_worker_rebuilds_the_drivers_client_data(self, tiny_bundle):
+        fed = make_tiny_federation(tiny_bundle, num_clients=3, executor="parallel")
+        try:
+            worker_mod.init_worker(*fed.executor._build_specs())
+            for cid in range(3):
+                driver, rebuilt = fed.clients[cid], worker_mod._client_for(cid)
+                for name in ("x_train", "x_test"):
+                    want = getattr(driver, name)[:]
+                    assert getattr(rebuilt, name)[:].tobytes() == want.tobytes()
+                for name in ("y_train", "y_test"):
+                    want = getattr(driver, name)
+                    got = getattr(rebuilt, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+        finally:
+            worker_mod.init_worker({}, {})
+            fed.close()
+
+    def test_a_named_client_without_a_bundle_view_is_refused(self, tiny_bundle):
+        fed = make_tiny_federation(tiny_bundle, num_clients=2, executor="parallel")
+        try:
+            client = fed.clients[1]
+            client.x_train = client.x_train[:]
+            with pytest.raises(ValueError, match="client 1"):
+                fed.executor._build_specs()
+        finally:
+            fed.close()
 
 
 class TestEquivalence:
