@@ -1,14 +1,13 @@
 """Deployment diagnostics: inspect *why* FedPKD's mechanisms work.
 
-Runs a short FedPKD training, then uses ``repro.analysis`` to report:
+Runs a short FedPKD training, then uses ``repro.core.prototypes`` to report:
 
 1. prototype separation in the server's feature space (is Algorithm 1's
    distance signal meaningful?),
-2. per-round global-prototype drift (is the dual-knowledge loop converging?),
-3. client similarity communities from label distributions (who holds
-   similar data?),
-4. a Fig.-2-style logit quality report comparing each client's per-class
-   accuracy with the variance-weighted aggregate.
+2. per-round global-prototype drift (is the dual-knowledge loop converging?).
+
+The Fig.-2 logit-quality report (each client's per-class accuracy against
+the variance-weighted aggregate) is ``python -m repro experiment fig2``.
 
 Run:  python examples/diagnostics.py
 """
@@ -17,14 +16,8 @@ import argparse
 
 import numpy as np
 
-from repro.analysis import (
-    client_communities,
-    label_distribution_similarity,
-    logit_quality_report,
-    prototype_drift,
-    prototype_separation,
-)
-from repro.core import FedPKD, FedPKDConfig, variance_weighted_aggregate
+from repro.core import FedPKD, FedPKDConfig
+from repro.core.prototypes import prototype_drift, prototype_separation
 from repro.data import synthetic_cifar10
 from repro.fl import FederationConfig, TrainingConfig, build_federation
 
@@ -73,23 +66,7 @@ def main() -> None:
     print("\n-- global prototype drift per round --")
     print(np.round(drift, 4))
 
-    # 3. client communities
-    sim = label_distribution_similarity([c.class_counts() for c in federation.clients])
-    communities = client_communities(sim, threshold=0.4)
-    print("\n-- client communities (label-distribution similarity > 0.4) --")
-    for i, community in enumerate(communities):
-        print(f"community {i}: clients {sorted(community)}")
-
-    # 4. logit quality
-    client_logits = [c.logits_on(bundle.public) for c in federation.clients]
-    aggregate = variance_weighted_aggregate(client_logits)
-    quality = logit_quality_report(
-        client_logits, aggregate, bundle.public_true_labels, bundle.num_classes
-    )
-    print("\n-- logit quality on the public set --")
-    print("per-client overall acc :", np.round(quality.overall_client_acc, 3))
-    print("per-client confidence  :", np.round(quality.mean_confidence, 3))
-    print(f"aggregated overall acc : {quality.overall_aggregated_acc:.3f}")
+    print("\nper-class logit quality: python -m repro experiment fig2")
 
 
 if __name__ == "__main__":

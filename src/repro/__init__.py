@@ -26,7 +26,8 @@ Subpackages
     fault-tolerant workers (``FederationConfig(executor="parallel")``).
 ``repro.core``
     FedPKD itself: dual knowledge transfer, variance-weighted aggregation,
-    prototype aggregation, data filtering, ensemble distillation.
+    prototype aggregation, data filtering, ensemble distillation, and
+    prototype-geometry diagnostics.
 ``repro.baselines``
     FedAvg, FedProx, FedMD, DS-FL, FedDF, FedET, and the naive-KD pilot.
 ``repro.experiments``
@@ -35,10 +36,6 @@ Subpackages
     Multi-run orchestration: declarative grid sweeps, a content-hash
     result cache, and a persistent run registry (``python -m repro
     sweep grid.json``).
-``repro.analysis``
-    Deployment diagnostics (prototype geometry, client communities,
-    logit quality, fairness).  Imported on demand: ``import repro`` does
-    not load it, so write ``from repro.analysis import ...``.
 
 BLAS threads: repro parallelises across processes (client executors,
 ``compare_algorithms``, sweeps), never inside BLAS.  Importing the package

@@ -1,6 +1,6 @@
 """FedPKD core: the paper's primary contribution.
 
-- :mod:`~repro.core.prototypes` — prototype computation/aggregation (Eqs. 5, 8)
+- :mod:`~repro.core.prototypes` — prototype computation/aggregation (Eqs. 5, 8) and geometry
 - :mod:`~repro.core.aggregation` — logit aggregation rules (Eqs. 3, 6–7, ERA)
 - :mod:`~repro.core.filtering` — prototype-based data filtering (Algorithm 1)
 - :mod:`~repro.core.distillation` — prototype-based ensemble distillation (Eqs. 11–13)
@@ -20,10 +20,13 @@ from .distillation import prototype_ensemble_distill
 from .fedpkd import FedPKD, FedPKDConfig
 from .filtering import FilterResult, prototype_filter, random_filter
 from .prototypes import (
+    SeparationReport,
     aggregate_prototypes,
     merge_prototypes,
     prototype_coverage,
     prototype_distances,
+    prototype_drift,
+    prototype_separation,
 )
 
 __all__ = [
@@ -40,6 +43,9 @@ __all__ = [
     "merge_prototypes",
     "prototype_coverage",
     "prototype_distances",
+    "prototype_separation",
+    "prototype_drift",
+    "SeparationReport",
     "prototype_filter",
     "random_filter",
     "FilterResult",

@@ -1,11 +1,5 @@
 """Dataset substrate: synthetic CIFAR-like tasks, partitioners, loaders."""
 
-from .augment import (
-    AugmentPipeline,
-    gaussian_noise,
-    random_horizontal_flip,
-    random_shift,
-)
 from .datasets import (
     Dataset,
     FederatedDataBundle,
@@ -32,10 +26,6 @@ __all__ = [
     "make_task",
     "synthetic_cifar10",
     "synthetic_cifar100",
-    "AugmentPipeline",
-    "random_horizontal_flip",
-    "random_shift",
-    "gaussian_noise",
     "batch_iterator",
     "num_batches",
     "Rows",

@@ -13,10 +13,7 @@ currently reporting on:
   allocations actually matter;
 - **checkpoint completeness** — mutable ``self.*`` attributes of every
   ``FederatedAlgorithm`` subclass diffed against the
-  ``extra_state()``/``load_extra_state()`` round-trip (and the
-  ``state_dict`` analogue for the optimizer/scheduler family, including
-  attributes written from *outside* the class via annotated handles
-  such as ``self.optimizer.scheduled_base_lr``).
+  ``extra_state()``/``load_extra_state()`` round-trip.
 
 The model is built from summaries on every pass (it is cheap — no
 parsing).
@@ -74,10 +71,6 @@ BASE_MANAGED_ATTRS = frozenset(
 _EXTRA_STATE_EXEMPT_METHODS = frozenset(
     {"__init__", "__post_init__", "load_extra_state", "load_pending_state", "load_state_dict"}
 )
-_STATE_DICT_EXEMPT_METHODS = frozenset(
-    {"__init__", "__post_init__", "load_state_dict"}
-)
-_OPTIM_BASE_NAMES = ("Optimizer", "LRScheduler")
 
 
 def _has_prefix(module: str, prefixes: Iterable[str]) -> bool:
@@ -562,91 +555,6 @@ class ProjectModel:
                     )
         findings = _dedupe(findings)
         self._analyses["extra_state"] = findings
-        return findings
-
-    def state_dict_findings(self) -> List[dict]:
-        """Optimizer/LRScheduler family state not covered by state_dict."""
-        if "state_dict" in self._analyses:
-            return self._analyses["state_dict"]
-        # attribute writes applied through an annotated handle on another
-        # class: owner class fullname → attr → (writer label, line)
-        external: Dict[str, Dict[str, Tuple[str, int]]] = {}
-        for fullname, entry in sorted(self.classes.items()):
-            module = entry["module"]
-            basename = fullname.rsplit(".", 1)[-1]
-            for mname, ms in sorted(entry["summary"].get("methods", {}).items()):
-                for store in ms["nested_stores"]:
-                    ann = ms["attr_types"].get(store["owner"]) or self._class_attr_type(
-                        fullname, store["owner"]
-                    )
-                    if ann is None:
-                        continue
-                    target = self.resolve_class(module, ann.split("."))
-                    if target is None:
-                        continue
-                    external.setdefault(target, {}).setdefault(
-                        store["attr"], (f"{basename}.{mname}", store["line"])
-                    )
-
-        findings: List[dict] = []
-        for fullname, entry in sorted(self.classes.items()):
-            basename = fullname.rsplit(".", 1)[-1]
-            if not (
-                basename in _OPTIM_BASE_NAMES
-                or any(self.is_subclass_of(fullname, b) for b in _OPTIM_BASE_NAMES)
-            ):
-                continue
-            module = entry["module"]
-            mutable = self._mutable_attrs(fullname, _STATE_DICT_EXEMPT_METHODS)
-            exempt = self._ancestor_stored(fullname)
-            mutable = {a: v for a, v in mutable.items() if a not in exempt}
-            (exported, export_all, export_site), (restored, restore_all) = (
-                self._round_trip_sets(fullname, "state_dict", "load_state_dict")
-            )
-            for attr, (line, mname) in sorted(mutable.items()):
-                if (export_all or attr in exported) and (
-                    restore_all or attr in restored
-                ):
-                    continue
-                findings.append(
-                    {
-                        "module": module,
-                        "line": line,
-                        "col": 0,
-                        "lines": [],
-                        "message": (
-                            f"{basename}.{mname} mutates 'self.{attr}' but "
-                            "state_dict()/load_state_dict() does not round-trip "
-                            "it — optimizer resume would diverge"
-                        ),
-                    }
-                )
-            for attr, (writer, _) in sorted(external.get(fullname, {}).items()):
-                if (export_all or attr in exported) and (
-                    restore_all or attr in restored
-                ):
-                    continue
-                anchor = export_site or (
-                    module,
-                    entry["summary"]["line"],
-                )
-                if anchor[0] != module:
-                    anchor = (module, entry["summary"]["line"])
-                findings.append(
-                    {
-                        "module": anchor[0],
-                        "line": anchor[1],
-                        "col": 0,
-                        "lines": [],
-                        "message": (
-                            f"'{attr}' is written onto {basename} by {writer} "
-                            "but state_dict()/load_state_dict() does not "
-                            "round-trip it — optimizer resume would diverge"
-                        ),
-                    }
-                )
-        findings = _dedupe(findings)
-        self._analyses["state_dict"] = findings
         return findings
 
 

@@ -7,8 +7,7 @@ analyses need, so the original source never has to be re-parsed:
 - the import table (local name → dotted target, relative imports
   resolved against the module's own dotted name);
 - a class model: bases, annotated (dataclass) fields, and per-method
-  ``self.*`` stores/loads including nested ``self.owner.attr`` writes
-  and dynamic ``__dict__``/``setattr`` escapes;
+  ``self.*`` stores/loads and dynamic ``__dict__``/``setattr`` escapes;
 - a per-function **dataflow summary** for the dtype pass: implicit
   float64 allocation sites (``np.zeros(...)`` with no ``dtype=``) plus
   the local escape edges of every tainted value — returns, call
@@ -527,7 +526,6 @@ def _method_summary(fnode) -> dict:
         if ann:
             annotations[arg.arg] = ann
     stores: Dict[str, List[List[int]]] = {}
-    nested: List[dict] = []
     loads: Set[str] = set()
     attr_types: Dict[str, str] = {}
     dynamic_store = dynamic_load = False
@@ -541,10 +539,6 @@ def _method_summary(fnode) -> dict:
                 if len(chain) == 2:
                     stores.setdefault(chain[1], []).append(
                         [node.lineno, node.col_offset]
-                    )
-                elif len(chain) == 3:
-                    nested.append(
-                        {"owner": chain[1], "attr": chain[2], "line": node.lineno}
                     )
             elif isinstance(node.ctx, ast.Load):
                 if len(chain) >= 2:
@@ -590,7 +584,6 @@ def _method_summary(fnode) -> dict:
         "params": params,
         "annotations": annotations,
         "stores": {k: v for k, v in sorted(stores.items())},
-        "nested_stores": nested,
         "loads": sorted(loads),
         "attr_types": attr_types,
         "dynamic_store": dynamic_store,

@@ -13,8 +13,7 @@ Packs:
   allocation is flagged where it is *created*, with the reason being
   what it can *reach* (wire payload / training hot path);
 - ``flow-checkpoint`` — exact-resume completeness for
-  ``FederatedAlgorithm`` (``extra_state`` round-trip) and the
-  optimizer/scheduler family (``state_dict`` round-trip).
+  ``FederatedAlgorithm`` (``extra_state`` round-trip).
 """
 
 from __future__ import annotations
@@ -80,26 +79,3 @@ def check_flow_implicit_float64(ctx):
 )
 def check_flow_extra_state(ctx):
     yield from _module_findings(ctx, ctx.project.extra_state_findings())
-
-
-@register(
-    "flow-state-dict",
-    pack="flow-checkpoint",
-    severity="error",
-    summary="optimizer/scheduler state not covered by state_dict",
-    description=(
-        "`Optimizer` and `LRScheduler` subclasses must persist every "
-        "mutable attribute through `state_dict()`/`load_state_dict()`, "
-        "including attributes written onto them from *other* classes "
-        "through annotated handles (e.g. a scheduler assigning "
-        "`self.optimizer.scheduled_base_lr`). Those external writes are "
-        "attributed to the owning class via `__init__` parameter "
-        "annotations, so the finding lands in the file that must add the "
-        "state_dict entry. Uncovered state makes optimizer resume "
-        "diverge from an uninterrupted run."
-    ),
-    packages=("repro.nn",),
-    requires_project=True,
-)
-def check_flow_state_dict(ctx):
-    yield from _module_findings(ctx, ctx.project.state_dict_findings())

@@ -18,21 +18,16 @@ pass that reaches a released node raises ``RuntimeError``.
 
 from . import functional, init, losses, optim
 from .layers import (
-    AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
     Dropout,
-    Flatten,
     GlobalAvgPool2d,
     Identity,
-    LeakyReLU,
     Linear,
-    MaxPool2d,
     Module,
     ReLU,
     Sequential,
-    Tanh,
 )
 from .models import (
     MODEL_REGISTRY,
@@ -44,7 +39,6 @@ from .models import (
     model_num_parameters,
 )
 from .optim import Adam, Optimizer, SGD, clip_grad_norm
-from .schedulers import CosineAnnealingLR, LRScheduler, StepLR, WarmupLR
 from .serialize import (
     WIRE_DTYPE,
     array_num_bytes,
@@ -70,12 +64,7 @@ __all__ = [
     "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
     "Dropout",
     "Identity",
     "Sequential",
@@ -90,10 +79,6 @@ __all__ = [
     "SGD",
     "Adam",
     "clip_grad_norm",
-    "LRScheduler",
-    "StepLR",
-    "CosineAnnealingLR",
-    "WarmupLR",
     "WIRE_DTYPE",
     "payload_num_bytes",
     "array_num_bytes",

@@ -1,9 +1,10 @@
 """Functional neural-network operations built on :class:`repro.nn.Tensor`.
 
 Includes the composite ops the layers need — softmax/log-softmax,
-2-D convolution through cached index plans, batch normalisation, pooling, dropout — each
-registered in the autograd graph with a hand-written backward pass where a
-composition of Tensor primitives would be too slow.
+2-D convolution through cached index plans, batch normalisation, global
+average pooling, dropout — each registered in the autograd graph with a
+hand-written backward pass where a composition of Tensor primitives would
+be too slow.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ __all__ = [
     "one_hot",
     "conv2d",
     "batch_norm",
-    "max_pool2d",
-    "avg_pool2d",
     "global_avg_pool2d",
     "dropout",
     "linear",
@@ -472,101 +471,6 @@ def conv2d(
         )
         live = weight.requires_grad + x.requires_grad
         _profile.wrap_backward(out, "conv2d", live * flops)
-    return out
-
-
-def _pool_windows(
-    x: Tensor, kernel_size: int, stride: int
-) -> Tuple[np.ndarray, Optional[np.ndarray], int, int]:
-    """Every pooling window of ``x`` as an ``(N*C, k*k, out_h*out_w)``
-    matrix, with the index plan that gathered it (``None`` when the call
-    records no backward) and ``(out_h, out_w)``."""
-    n, c, h, w = x.shape
-    out_h = (h - kernel_size) // stride + 1
-    out_w = (w - kernel_size) // stride + 1
-    plan = None
-    if is_grad_enabled() and x.requires_grad:
-        # each channel of each image is its own one-channel image
-        plan = _patch_plan(1, n * c, h, w, kernel_size, kernel_size, stride, 0)
-        cols = _gather(x.data, plan)
-    else:
-        cols = _windows(x.data.reshape(n * c, 1, h, w), kernel_size, kernel_size, stride)
-    # contiguous either way, so both routes reduce in one order: a window
-    # spanning whole rows would otherwise reshape to a strided view
-    cols = np.ascontiguousarray(cols.reshape(n * c, kernel_size**2, out_h * out_w))
-    return cols, plan, out_h, out_w
-
-
-def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
-    """Max pooling over NCHW input with square window."""
-    stride = stride or kernel_size
-    n, c, h, w = x.shape
-    prof = _profile.ACTIVE
-    start = time.perf_counter() if prof is not None else 0.0
-    cols, plan, out_h, out_w = _pool_windows(x, kernel_size, stride)
-    # cols: (N*C, k*k, P)
-    arg = cols.argmax(axis=1)
-    out_data = np.take_along_axis(cols, arg[:, None, :], axis=1)[:, 0, :]
-    out_data = out_data.reshape(n, c, out_h, out_w)
-
-    if plan is None:
-        out = Tensor(out_data)
-    else:
-        # backward keeps the window indices and shape, not the windows
-        window_shape = cols.shape
-
-        def backward(grad: np.ndarray) -> None:
-            grad_flat = grad.reshape(n * c, 1, out_h * out_w)
-            dcols = np.zeros(window_shape, dtype=np.float64)
-            np.put_along_axis(dcols, arg[:, None, :], grad_flat, axis=1)
-            x._accumulate(_scatter(plan, dcols, (n, c, h, w)), True)
-
-        out = Tensor(
-            out_data, requires_grad=True, _parents=(x,), _backward=backward
-        )
-
-    if prof is not None:
-        # one comparison per window element: k*k per output element
-        flops = float(cols.size)
-        prof.record(
-            "max_pool2d", time.perf_counter() - start, flops, out_data.nbytes
-        )
-        _profile.wrap_backward(out, "max_pool2d", 2.0 * flops)
-    return out
-
-
-def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
-    """Average pooling over NCHW input with square window."""
-    stride = stride or kernel_size
-    n, c, h, w = x.shape
-    prof = _profile.ACTIVE
-    start = time.perf_counter() if prof is not None else 0.0
-    cols, plan, out_h, out_w = _pool_windows(x, kernel_size, stride)
-    out_data = cols.mean(axis=1).reshape(n, c, out_h, out_w)
-
-    if plan is None:
-        out = Tensor(out_data)
-    else:
-        k2 = kernel_size * kernel_size
-        # backward keeps the window shape, not the windows
-        window_shape = cols.shape
-
-        def backward(grad: np.ndarray) -> None:
-            grad_flat = grad.reshape(n * c, 1, out_h * out_w)
-            dcols = np.broadcast_to(grad_flat / k2, window_shape)
-            x._accumulate(_scatter(plan, dcols, (n, c, h, w)), True)
-
-        out = Tensor(
-            out_data, requires_grad=True, _parents=(x,), _backward=backward
-        )
-
-    if prof is not None:
-        # one add per window element: k*k per output element
-        flops = float(cols.size)
-        prof.record(
-            "avg_pool2d", time.perf_counter() - start, flops, out_data.nbytes
-        )
-        _profile.wrap_backward(out, "avg_pool2d", 2.0 * flops)
     return out
 
 

@@ -6,7 +6,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-__all__ = ["ensure_rng", "kaiming_uniform", "xavier_uniform", "normal"]
+__all__ = ["ensure_rng", "kaiming_uniform"]
 
 RngLike = Union[int, np.random.Generator]
 
@@ -34,18 +34,3 @@ def kaiming_uniform(
         fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """Glorot-uniform initialisation for tanh/sigmoid networks."""
-    fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
-    fan_out = shape[0]
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def normal(
-    rng: np.random.Generator, shape: Tuple[int, ...], std: float = 0.01
-) -> np.ndarray:
-    """Zero-mean Gaussian initialisation."""
-    return rng.normal(0.0, std, size=shape)

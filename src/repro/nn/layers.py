@@ -23,12 +23,7 @@ __all__ = [
     "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
     "Dropout",
     "Identity",
     "Sequential",
@@ -282,48 +277,9 @@ class ReLU(Module):
         return x.relu()
 
 
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class MaxPool2d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-
 class GlobalAvgPool2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.global_avg_pool2d(x)
-
-
-class Flatten(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
 
 
 class Dropout(Module):

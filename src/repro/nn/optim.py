@@ -45,12 +45,7 @@ def _profiled_step(op: str, flops_per_param: float):
 
 
 class Optimizer:
-    """Base optimiser holding a parameter list.
-
-    ``initial_lr`` records the construction-time learning rate and never
-    changes; schedulers use it to recover the true base lr even after
-    another scheduler (e.g. a warmup) has rewritten ``lr``.
-    """
+    """Base optimiser holding a parameter list."""
 
     def __init__(self, params: List[Tensor], lr: float) -> None:
         if lr <= 0:
@@ -59,7 +54,6 @@ class Optimizer:
         if not self.params:
             raise ValueError("optimizer received an empty parameter list")
         self.lr = lr
-        self.initial_lr = lr
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -67,26 +61,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # persistence (exact-resume checkpointing)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serialisable snapshot of the optimiser's mutable state."""
-        state = {"lr": self.lr, "initial_lr": self.initial_lr}
-        if hasattr(self, "scheduled_base_lr"):
-            # breadcrumb left by LRScheduler._apply_lr; without it a
-            # resumed warmup→cosine chain would re-derive its base lr
-            # from the already-scaled ``lr``
-            state["scheduled_base_lr"] = self.scheduled_base_lr
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state saved by :meth:`state_dict` (same parameter list)."""
-        self.lr = float(state["lr"])
-        self.initial_lr = float(state.get("initial_lr", self.initial_lr))
-        if "scheduled_base_lr" in state:
-            self.scheduled_base_lr = float(state["scheduled_base_lr"])
 
     def _scratch(self) -> np.ndarray:
         """A flat work buffer as long as the largest parameter.
@@ -98,13 +72,6 @@ class Optimizer:
         """
         size = max(p.data.size for p in self.params)
         return np.empty(size, dtype=np.float64)
-
-    def _check_buffer_count(self, name: str, buffers) -> None:
-        if len(buffers) != len(self.params):
-            raise ValueError(
-                f"optimizer state '{name}' has {len(buffers)} entries for "
-                f"{len(self.params)} parameters"
-            )
 
 
 class SGD(Optimizer):
@@ -143,23 +110,6 @@ class SGD(Optimizer):
                 grad = np.add(velocity, grad, out=velocity)
             # rebound, not written in place: graphs may alias the old array
             p.data = p.data - np.multiply(grad, self.lr, out=work)
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["velocity"] = [
-            None if v is None else v.copy() for v in self._velocity
-        ]
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        velocity = state.get("velocity")
-        if velocity is not None:
-            self._check_buffer_count("velocity", velocity)
-            self._velocity = [
-                None if v is None else np.array(v, dtype=np.float64)
-                for v in velocity
-            ]
 
 
 class Adam(Optimizer):
@@ -216,23 +166,6 @@ class Adam(Optimizer):
             np.divide(a, b, out=a)
             # rebound, not written in place: graphs may alias the old array
             p.data = p.data - a
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["m"] = [m.copy() for m in self._m]
-        state["v"] = [v.copy() for v in self._v]
-        state["t"] = self._t
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        if "m" in state:
-            self._check_buffer_count("m", state["m"])
-            self._m = [np.array(m, dtype=np.float64) for m in state["m"]]
-        if "v" in state:
-            self._check_buffer_count("v", state["v"])
-            self._v = [np.array(v, dtype=np.float64) for v in state["v"]]
-        self._t = int(state.get("t", self._t))
 
 
 def clip_grad_norm(params: List[Tensor], max_norm: float) -> float:

@@ -123,38 +123,11 @@ class TestConv2d:
 
 
 class TestPooling:
-    def test_max_pool_values(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = F.max_pool2d(Tensor(x), 2)
-        np.testing.assert_allclose(out.data[0, 0], [[5, 7], [13, 15]])
-
-    def test_avg_pool_values(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = F.avg_pool2d(Tensor(x), 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_max_pool_grad_routes_to_argmax(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        F.max_pool2d(x, 2).sum().backward()
-        expected = np.zeros((4, 4))
-        expected[[1, 1, 3, 3], [1, 3, 1, 3]] = 1.0
-        np.testing.assert_allclose(x.grad[0, 0], expected)
-
-    def test_avg_pool_grad_uniform(self):
-        x = Tensor(np.ones((1, 2, 4, 4)), requires_grad=True)
-        F.avg_pool2d(x, 2).sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((1, 2, 4, 4), 0.25))
-
     def test_global_avg_pool(self):
         x = Tensor(np.ones((2, 3, 4, 4)) * 5.0)
         out = F.global_avg_pool2d(x)
         assert out.shape == (2, 3)
         np.testing.assert_allclose(out.data, np.full((2, 3), 5.0))
-
-    def test_pool_with_stride(self):
-        x = np.arange(25.0).reshape(1, 1, 5, 5)
-        out = F.max_pool2d(Tensor(x), 3, stride=2)
-        assert out.shape == (1, 1, 2, 2)
 
 
 class TestDropout:

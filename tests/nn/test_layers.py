@@ -128,24 +128,18 @@ class TestBatchNorm:
 
 class TestContainersAndActivations:
     def test_sequential_iteration(self):
-        model = nn.Sequential(nn.ReLU(), nn.Tanh())
+        model = nn.Sequential(nn.ReLU(), nn.Identity())
         assert len(model) == 2
-        assert isinstance(model[1], nn.Tanh)
+        assert isinstance(model[1], nn.Identity)
         assert len(list(iter(model))) == 2
-
-    def test_flatten(self):
-        out = nn.Flatten()(Tensor(np.ones((2, 3, 4))))
-        assert out.shape == (2, 12)
 
     def test_identity(self):
         x = Tensor(np.ones(3))
         assert nn.Identity()(x) is x
 
-    def test_relu_leaky_tanh(self):
+    def test_relu(self):
         x = Tensor(np.array([-1.0, 2.0]))
         np.testing.assert_allclose(nn.ReLU()(x).data, [0.0, 2.0])
-        np.testing.assert_allclose(nn.LeakyReLU(0.1)(x).data, [-0.1, 2.0])
-        np.testing.assert_allclose(nn.Tanh()(x).data, np.tanh([-1.0, 2.0]))
 
     def test_dropout_layer_respects_eval(self):
         layer = nn.Dropout(0.9, rng=0)
@@ -155,6 +149,4 @@ class TestContainersAndActivations:
 
     def test_pool_layers(self):
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        assert nn.MaxPool2d(2)(x).shape == (1, 1, 2, 2)
-        assert nn.AvgPool2d(2)(x).shape == (1, 1, 2, 2)
         assert nn.GlobalAvgPool2d()(x).shape == (1, 1)

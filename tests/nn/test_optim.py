@@ -98,99 +98,3 @@ class TestClipGradNorm:
     def test_handles_missing_grads(self):
         p = Tensor(np.zeros(4), requires_grad=True)
         assert clip_grad_norm([p], max_norm=1.0) == 0.0
-
-
-#: optimisers that update moment buffers in place, with their state keys
-STATEFUL = [
-    (lambda p: Adam([p], lr=0.1), ("m", "v")),
-    (lambda p: SGD([p], lr=0.1, momentum=0.9), ("velocity",)),
-]
-
-
-class TestStateDict:
-    """state_dict/load_state_dict round-trips: a restored optimiser must
-    continue bit-identically (momentum buffers, Adam moments and step)."""
-
-    def _clone_into(self, src_param):
-        return Tensor(src_param.data.copy(), requires_grad=True)
-
-    def test_sgd_momentum_roundtrip(self):
-        p1 = quadratic_param()
-        opt1 = SGD([p1], lr=0.05, momentum=0.9, weight_decay=0.01)
-        step_quadratic(opt1, p1, 5)
-
-        p2 = self._clone_into(p1)
-        opt2 = SGD([p2], lr=0.05, momentum=0.9, weight_decay=0.01)
-        opt2.load_state_dict(opt1.state_dict())
-
-        a = step_quadratic(opt1, p1, 5)
-        b = step_quadratic(opt2, p2, 5)
-        assert a == b
-        np.testing.assert_array_equal(p1.data, p2.data)
-
-    def test_sgd_fresh_velocity_is_none(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=0.1, momentum=0.9)
-        state = opt.state_dict()
-        assert state["velocity"] == [None]
-
-    def test_adam_roundtrip_including_step_count(self):
-        p1 = quadratic_param()
-        opt1 = Adam([p1], lr=0.1)
-        step_quadratic(opt1, p1, 7)
-
-        p2 = self._clone_into(p1)
-        opt2 = Adam([p2], lr=0.1)
-        opt2.load_state_dict(opt1.state_dict())
-        assert opt2._t == 7
-
-        a = step_quadratic(opt1, p1, 3)
-        b = step_quadratic(opt2, p2, 3)
-        assert a == b
-        np.testing.assert_array_equal(p1.data, p2.data)
-
-    def test_lr_restored(self):
-        p = quadratic_param()
-        opt = Adam([p], lr=0.1)
-        opt.lr = 0.007
-        other = Adam([quadratic_param()], lr=0.1)
-        other.load_state_dict(opt.state_dict())
-        assert other.lr == 0.007
-
-    def test_buffer_count_mismatch_rejected(self):
-        opt = SGD([quadratic_param()], lr=0.1, momentum=0.9)
-        state = opt.state_dict()
-        state["velocity"] = [None, None]
-        with pytest.raises(ValueError):
-            opt.load_state_dict(state)
-
-    def test_state_dict_is_a_snapshot(self):
-        """The moment buffers are updated in place; a snapshot must not be."""
-        for make, keys in STATEFUL:
-            p = quadratic_param()
-            opt = make(p)
-            step_quadratic(opt, p, 1)
-            state = opt.state_dict()
-            before = {key: state[key][0].copy() for key in keys}
-            step_quadratic(opt, p, 3)
-            for key in keys:
-                np.testing.assert_array_equal(state[key][0], before[key])
-
-    @pytest.mark.parametrize("make,keys", STATEFUL)
-    def test_load_state_dict_does_not_alias_the_callers_arrays(self, make, keys):
-        p = quadratic_param()
-        opt = make(p)
-        step_quadratic(opt, p, 2)
-        state = opt.state_dict()
-        before = {key: state[key][0].copy() for key in keys}
-
-        q = self._clone_into(p)
-        restored = make(q)
-        restored.load_state_dict(state)
-        step_quadratic(restored, q, 3)  # in-place updates stay in the optimiser
-        for key in keys:
-            np.testing.assert_array_equal(state[key][0], before[key])
-            state[key][0][...] = 123.0  # and the caller's writes stay outside it
-        after = restored.state_dict()
-        for key in keys:
-            assert not np.any(after[key][0] == 123.0)

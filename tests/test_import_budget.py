@@ -1,10 +1,10 @@
 """Import budget: the run path loads numpy and the standard library only.
 
 Every ``repro run``, ``repro experiment`` and sweep invocation is a fresh
-process, so whatever ``import repro`` pulls in is paid on every run.  scipy
-is not a dependency at all and networkx is an optional extra used by two
-functions of ``repro.analysis``; neither may be loaded by importing the
-package, and both must be absent-safe for everything that trains.
+process, so whatever ``import repro`` pulls in is paid on every run.
+Neither scipy nor networkx is a dependency: neither may be loaded by
+importing the package, and both must be absent-safe for everything that
+trains.
 
 Each case runs in a fresh interpreter so the test session's own imports
 cannot mask a regression.
@@ -26,7 +26,6 @@ RUN_PATH = (
     "repro.algorithms",
     "repro.sweep",
     "repro.runtime",
-    "repro.analysis",
 )
 
 
@@ -49,7 +48,6 @@ def test_run_path_imports_no_optional_dependency(tmp_path):
     code = f"""
 import sys
 import repro
-assert "repro.analysis" not in sys.modules, "import repro loaded repro.analysis"
 for name in {RUN_PATH!r}:
     __import__(name)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in {OPTIONAL!r})
@@ -79,17 +77,10 @@ from repro.experiments.harness import ExperimentSetting, run_algorithm
 history = run_algorithm(ExperimentSetting(scale="tiny", seed=0), "fedpkd", rounds=1)
 assert len(history.records) == 1
 
-from repro.analysis import client_communities, fairness_report, prototype_separation
+from repro.core.prototypes import prototype_separation
 
 report = prototype_separation(np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([0, 1]))
 assert report.inter_class_distance == 5.0
-assert 0.0 < fairness_report(history.records[-1].client_accs).jain_index <= 1.0
-try:
-    client_communities(np.eye(3))
-except ModuleNotFoundError as exc:
-    assert exc.name == "networkx", exc.name
-else:
-    raise AssertionError("client_communities ran without networkx")
 print("ok")
 """
     assert _run(code, tmp_path).strip().endswith("ok")
