@@ -203,10 +203,10 @@ class AsyncRoundEngine:
         for cid in algo.federation.participation.sample():
             if cid in self._in_flight:
                 continue  # still working against an older snapshot
-            if algo.federation.client_train_size(cid) == 0:
+            if algo.federation.registry.train_size(cid) == 0:
                 # empty derived shard (the by_classes partitioner can hand
-                # one out): never dispatched, logged as a dropout — O(1)
-                # under a registry, no client is materialised to find out
+                # one out): never dispatched, logged as a dropout — O(1),
+                # no client is materialised to find out
                 algo.dropout_log.record(
                     version + 1, cid, "async_dispatch", "empty_shard"
                 )
@@ -473,7 +473,7 @@ class AsyncRoundEngine:
                 # round boundary: evict the registry's live set back to
                 # its budget (in-flight dispatches hold no client refs —
                 # arrival-time compute re-materialises on demand)
-                algo.federation.settle_clients()
+                algo.federation.registry.settle()
         algo.obs.publish_profile()
         algo.obs.export_metrics()
         return history
@@ -481,21 +481,6 @@ class AsyncRoundEngine:
     # ------------------------------------------------------------------
     # exact-resume state (persisted by repro.fl.checkpoint)
     # ------------------------------------------------------------------
-    def align_to(self, round_index: int) -> None:
-        """Adopt the round counter of a checkpoint without engine state.
-
-        Such a checkpoint (the layout written before every algorithm ran
-        under this engine) was taken at a round barrier with nothing in
-        flight, so resuming it under any knobs is exact as long as the
-        engine starts empty at the checkpoint's version.
-        """
-        if self._heap or self._buffer:
-            raise ValueError(
-                "cannot align a non-empty engine pipeline to a checkpoint "
-                "without engine state"
-            )
-        self._version = int(round_index)
-
     def state_dict(self) -> dict:
         """JSON-serialisable engine state (arrays go via state_arrays)."""
         return {

@@ -5,8 +5,10 @@ I / Fig. 3), so a resumed run must be **bit-identical** to an uninterrupted
 one — the same determinism contract the parallel runtime already honours.
 A checkpoint therefore captures everything that carries across rounds:
 
-- every client model and the (optional) server model;
-- per-client RNG streams, the server/algorithm RNGs, and the
+- the model and RNG stream of every client the run touched (the
+  registry's dirty clients; an untouched client is a pure function of its
+  seeds and re-derives identically) and the (optional) server model;
+- the server/algorithm RNGs and the
   :class:`~repro.fl.failures.ParticipationSampler` RNG;
 - the :class:`~repro.fl.channel.CommChannel` ledgers and round marks
   (zeroing these silently corrupts every cumulative-MB result);
@@ -19,9 +21,9 @@ A checkpoint therefore captures everything that carries across rounds:
 A checkpoint file is one :mod:`repro.nn.serialize` state blob whose
 ``meta`` holds everything but the arrays.  Writes are atomic (tmp file +
 fsync + ``os.replace``), so an interrupted save leaves the previous
-checkpoint intact.  The blob's CRC-32s and a config/architecture
-fingerprint (per-client parameter keys and shapes) are checked on load; a
-corrupt, truncated, outdated or mismatched file raises
+checkpoint intact.  The blob's CRC-32s and an architecture fingerprint
+(client count, model cycle, per-model parameter shapes) are checked on
+load; a corrupt, truncated, outdated or mismatched file raises
 :class:`CheckpointError` with a precise message before anything is
 mutated.
 
@@ -64,8 +66,10 @@ __all__ = [
 #: archives (v1 weights only, v2 full RNG/channel/history/engine state, v3
 #: the bounded-registry layout that persists only *mutated* clients).
 #: Version 4 is one checksummed state blob with the metadata in its
-#: header; only v4 loads, and an ``.npz`` file is refused by name.
-CHECKPOINT_FORMAT_VERSION = 4
+#: header, still writing every client of an unbounded registry; version 5
+#: writes only the touched clients under every registry.  Only v5 loads,
+#: and an ``.npz`` file is refused by name.
+CHECKPOINT_FORMAT_VERSION = 5
 
 _NPZ_MAGIC = b"PK\x03\x04"
 _CLIENT_PREFIX = "client{cid}::"
@@ -110,41 +114,14 @@ def _model_fingerprint(model) -> Dict[str, list]:
     }
 
 
-def _bounded_registry(algo: FederatedAlgorithm):
-    """The federation's ClientRegistry when it is bounded, else ``None``.
-
-    Unbounded registries (``max_live_clients=None``, the degenerate mode)
-    keep the full-population layout: every client is materialised anyway.
-    """
-    registry = getattr(algo.federation, "registry", None)
-    if registry is not None and registry.bounded:
-        return registry
-    return None
-
-
 def _fingerprint(algo: FederatedAlgorithm) -> dict:
-    return {
-        "algorithm": algo.name,
-        "clients": {
-            str(client.client_id): {
-                "model_name": client.model_name,
-                "params": _model_fingerprint(client.model),
-            }
-            for client in algo.clients
-        },
-        "server": (
-            _model_fingerprint(algo.server.model) if algo.server.has_model else None
-        ),
-    }
-
-
-def _registry_fingerprint(algo: FederatedAlgorithm, registry) -> dict:
     """Cycle-compressed fingerprint: O(distinct models), not O(population).
 
     ``model_cycle`` + ``num_clients`` determine every client's model name;
     parameter shapes are recorded once per distinct name (shape metadata
     is seed-independent), so validation never materialises a client.
     """
+    registry = algo.federation.registry
     cycle = registry.model_cycle
     return {
         "algorithm": algo.name,
@@ -182,27 +159,29 @@ def _validate_server_fingerprint(saved: dict, algo: FederatedAlgorithm) -> None:
                 )
 
 
-def _validate_registry_fingerprint(
-    saved: dict, algo: FederatedAlgorithm, path: str
-) -> None:
-    registry = getattr(algo.federation, "registry", None)
-    if registry is None:
+def _validate_fingerprint(meta: dict, algo: FederatedAlgorithm, path: str) -> None:
+    saved = meta["fingerprint"]
+    if saved["algorithm"] != algo.name:
         raise CheckpointError(
-            f"checkpoint '{path}' was written by a bounded client registry "
-            "(compact layout); load it into a federation built with "
-            "build_federation, not a hand-assembled client list"
+            f"checkpoint '{path}' was written by algorithm "
+            f"'{saved['algorithm']}', cannot resume '{algo.name}'"
         )
+    registry = algo.federation.registry
     reg = saved["registry"]
     if int(reg["num_clients"]) != len(registry):
         raise CheckpointError(
             f"checkpoint has {reg['num_clients']} clients, federation has "
             f"{len(registry)}"
         )
-    if [str(n) for n in reg["model_cycle"]] != registry.model_cycle:
-        raise CheckpointError(
-            f"checkpoint model cycle {reg['model_cycle']} does not match "
-            f"the federation's {registry.model_cycle}"
-        )
+    cycle = [str(name) for name in reg["model_cycle"]]
+    if cycle != registry.model_cycle:
+        for cid in range(len(registry)):
+            saved_name = cycle[cid % len(cycle)]
+            if saved_name != registry.model_name(cid):
+                raise CheckpointError(
+                    f"client {cid}: checkpoint model '{saved_name}' vs "
+                    f"federation model '{registry.model_name(cid)}'"
+                )
     for name, saved_params in reg["params_by_model"].items():
         live_params = registry.probe_model_fingerprint(name)
         for key in saved_params:
@@ -213,58 +192,6 @@ def _validate_registry_fingerprint(
                     f"model '{name}' parameter '{key}': checkpoint shape "
                     f"{tuple(saved_params[key])} vs federation shape "
                     f"{tuple(live_params.get(key, ()))}"
-                )
-    _validate_server_fingerprint(saved, algo)
-
-
-def _validate_fingerprint(meta: dict, algo: FederatedAlgorithm, path: str) -> None:
-    saved = meta["fingerprint"]
-    if saved["algorithm"] != algo.name:
-        raise CheckpointError(
-            f"checkpoint '{path}' was written by algorithm "
-            f"'{saved['algorithm']}', cannot resume '{algo.name}'"
-        )
-    if "registry" in saved:
-        _validate_registry_fingerprint(saved, algo, path)
-        return
-    saved_clients = saved["clients"]
-    if len(saved_clients) != len(algo.clients):
-        raise CheckpointError(
-            f"checkpoint has {len(saved_clients)} clients, federation has "
-            f"{len(algo.clients)}"
-        )
-    for client in algo.clients:
-        cid = str(client.client_id)
-        if cid not in saved_clients:
-            raise CheckpointError(
-                f"checkpoint has no state for client {client.client_id}"
-            )
-        saved_params = saved_clients[cid]["params"]
-        live_params = _model_fingerprint(client.model)
-        saved_name = saved_clients[cid].get("model_name")
-        hint = (
-            f" (checkpoint model '{saved_name}', federation model "
-            f"'{client.model_name}')"
-            if saved_name != client.model_name
-            else ""
-        )
-        for key in saved_params:
-            if key not in live_params:
-                raise CheckpointError(
-                    f"client {client.client_id}: checkpoint parameter '{key}' "
-                    f"missing from the federation's model{hint}"
-                )
-            if list(saved_params[key]) != list(live_params[key]):
-                raise CheckpointError(
-                    f"client {client.client_id} parameter '{key}': checkpoint "
-                    f"shape {tuple(saved_params[key])} vs federation shape "
-                    f"{tuple(live_params[key])}{hint}"
-                )
-        for key in live_params:
-            if key not in saved_params:
-                raise CheckpointError(
-                    f"client {client.client_id}: federation parameter '{key}' "
-                    f"missing from the checkpoint{hint}"
                 )
     _validate_server_fingerprint(saved, algo)
 
@@ -308,31 +235,21 @@ def save_checkpoint(
     ``os.replace``; a crash mid-write leaves any previous checkpoint at
     ``path`` untouched.
 
-    Under a *bounded* client registry (``max_live_clients``), only the
-    clients whose state diverged from their seed derivation are written
-    (read from the live set or the spill store — no re-materialisation),
-    so a 100k-client cohort run checkpoints in O(clients touched).
-    Exact-resume still holds: untouched clients are pure functions of
-    their seeds and re-derive identically.
+    Only the clients whose state diverged from their seed derivation (the
+    registry's dirty clients) are written, read from the live set or the
+    spill store without re-materialising or marking anything, so a
+    100k-client cohort run checkpoints in O(clients touched).  Exact-resume
+    still holds: untouched clients are pure functions of their seeds and
+    re-derive identically.
     """
     arrays: Dict[str, np.ndarray] = {}
-    registry = _bounded_registry(algo)
+    registry = algo.federation.registry
     client_rng: Dict[str, dict] = {}
-    registry_meta = None
-    if registry is not None:
-        dirty = registry.dirty_ids()
-        for cid in dirty:
-            state, rng_state = registry.client_state(cid)
-            arrays.update(_prefixed(_CLIENT_PREFIX.format(cid=cid), state))
-            client_rng[str(cid)] = rng_state
-        registry_meta = {"dirty": dirty}
-        fingerprint = _registry_fingerprint(algo, registry)
-    else:
-        for client in algo.clients:
-            prefix = _CLIENT_PREFIX.format(cid=client.client_id)
-            arrays.update(_prefixed(prefix, client.model.state_dict()))
-            client_rng[str(client.client_id)] = client.rng_state()
-        fingerprint = _fingerprint(algo)
+    dirty = registry.dirty_ids()
+    for cid in dirty:
+        state, rng_state = registry.client_state(cid)
+        arrays.update(_prefixed(_CLIENT_PREFIX.format(cid=cid), state))
+        client_rng[str(cid)] = rng_state
     if algo.server.has_model:
         arrays.update(_prefixed(_SERVER_PREFIX, algo.server.model.state_dict()))
     arrays.update(_prefixed(_ALGO_PREFIX, algo.extra_state()))
@@ -345,8 +262,8 @@ def save_checkpoint(
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "round_index": int(algo.round_index),
         "num_clients": len(algo.clients),
-        "fingerprint": fingerprint,
-        "registry": registry_meta,
+        "fingerprint": _fingerprint(algo),
+        "registry": {"dirty": dirty},
         "rng": {
             "algorithm": _rng_state(algo.rng),
             "server": _rng_state(algo.server.rng),
@@ -435,35 +352,28 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str) -> int:
     """Restore training state saved by :func:`save_checkpoint`.
 
     Validates the format version and the architecture fingerprint (client
-    count, per-client parameter keys and shapes) *before* mutating anything,
-    then restores model weights, every RNG stream, the communication
-    ledgers, the dropout log, and algorithm extra state.  Returns the
-    restored round index.
+    count, model cycle, per-model parameter shapes) *before* mutating
+    anything, then restores model weights, every RNG stream, the
+    communication ledgers, the dropout log, algorithm extra state and the
+    round engine's pipeline.  Returns the restored round index.
     """
     start = time.perf_counter()
     arrays, meta = _read(path)
     _validate_fingerprint(meta, algo, path)
 
     rng_meta = meta["rng"]
-    registry_meta = meta.get("registry")
-    if registry_meta is not None:
-        # compact bounded-registry layout: only mutated clients were saved.
-        # Reset the registry (derived clients and spilled shards from any
-        # prior activity are stale) and adopt the saved states — applied
-        # in place when live, written straight to the spill store when
-        # not, so nothing is materialised that was not already.
-        registry = algo.federation.registry
-        registry.reset()
-        for cid in registry_meta["dirty"]:
-            registry.restore_client_state(
-                int(cid),
-                _unprefixed(arrays, _CLIENT_PREFIX.format(cid=cid)),
-                rng_meta["clients"][str(cid)],
-            )
-    else:
-        for client in algo.clients:
-            prefix = _CLIENT_PREFIX.format(cid=client.client_id)
-            client.model.load_state_dict(_unprefixed(arrays, prefix))
+    # only touched clients were saved.  Reset the registry (derived clients
+    # and spilled shards from any prior activity are stale) and adopt the
+    # saved states — written straight to the spill store, so nothing is
+    # materialised until a round touches it.
+    registry = algo.federation.registry
+    registry.reset()
+    for cid in meta["registry"]["dirty"]:
+        registry.restore_client_state(
+            int(cid),
+            _unprefixed(arrays, _CLIENT_PREFIX.format(cid=cid)),
+            rng_meta["clients"][str(cid)],
+        )
 
     if algo.server.has_model:
         algo.server.model.load_state_dict(_unprefixed(arrays, _SERVER_PREFIX))
@@ -472,27 +382,19 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str) -> int:
     _set_rng_state(algo.rng, rng_meta["algorithm"])
     _set_rng_state(algo.server.rng, rng_meta["server"])
     algo.federation.participation.load_state_dict(rng_meta["participation"])
-    if registry_meta is None:
-        for client in algo.clients:
-            client.set_rng_state(rng_meta["clients"][str(client.client_id)])
 
     algo.channel.load_state_dict(meta["channel"])
     algo.dropout_log.load_state_dict(meta["dropout_log"])
     algo.load_pending_state(meta.get("pending"))
 
     # round-engine state resumes only under the knobs it was written with
-    # (the engine refuses a mismatch).  A checkpoint without engine state
-    # was taken at a round barrier with nothing in flight, so it resumes
-    # exactly under any knobs.
-    engine = algo.engine
-    engine_meta = meta.get("engine")
-    if engine_meta is not None:
-        try:
-            engine.load_state_dict(engine_meta, _unprefixed(arrays, _ENGINE_PREFIX))
-        except ValueError as exc:
-            raise CheckpointError(str(exc)) from None
-    else:
-        engine.align_to(int(meta["round_index"]))
+    # (the engine refuses a mismatch)
+    try:
+        algo.engine.load_state_dict(
+            meta["engine"], _unprefixed(arrays, _ENGINE_PREFIX)
+        )
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None
 
     algo.round_index = int(meta["round_index"])
     _publish_io(algo, "load", path, time.perf_counter() - start)

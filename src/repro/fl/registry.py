@@ -294,11 +294,6 @@ class ClientRegistry(Sequence):
         metrics.gauge("registry/dirty").set(len(self._dirty))
 
     @property
-    def bounded(self) -> bool:
-        """Whether eviction is on (``max_live`` set)."""
-        return self.max_live is not None
-
-    @property
     def model_cycle(self) -> List[str]:
         return list(self._cycle)
 

@@ -13,7 +13,7 @@ recording.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -42,17 +42,15 @@ __all__ = ["build_federation", "Federation", "FederatedAlgorithm"]
 class Federation:
     """Clients + server + channel (+ executor) for one experiment.
 
-    ``clients`` is either a plain list of materialised
-    :class:`~repro.fl.client.FLClient` (hand-built federations, tests) or
-    a :class:`~repro.fl.registry.ClientRegistry` (what
-    :func:`build_federation` constructs) deriving clients lazily with a
-    bounded live set.  Both are Sequences; everything downstream indexes
-    and iterates them identically.
+    ``clients`` is the :class:`~repro.fl.registry.ClientRegistry`
+    :func:`build_federation` constructs: a Sequence that derives clients
+    lazily, with a bounded live set when ``max_live_clients`` is set.
+    ``registry`` names the same object.
     """
 
     def __init__(
         self,
-        clients: Union[List[FLClient], ClientRegistry],
+        clients: ClientRegistry,
         server: FLServer,
         bundle: FederatedDataBundle,
         channel: CommChannel,
@@ -66,7 +64,7 @@ class Federation:
         knobs: Optional[FederationConfig] = None,
     ) -> None:
         self.clients = clients
-        self.registry = clients if isinstance(clients, ClientRegistry) else None
+        self.registry = clients
         self.server = server
         self.bundle = bundle
         self.channel = channel
@@ -77,8 +75,7 @@ class Federation:
         # observability must exist before bind(): executors read it there
         self.obs = obs if obs is not None else NULL_OBS
         self.channel.attach_metrics(self.obs.metrics)
-        if self.registry is not None:
-            self.registry.attach_metrics(self.obs.metrics)
+        self.registry.attach_metrics(self.obs.metrics)
         self.executor = (executor or SerialExecutor()).bind(self)
         # autosave defaults inherited by FederatedAlgorithm.run()
         self.checkpoint_every = checkpoint_every
@@ -95,24 +92,6 @@ class Federation:
     def public_x(self) -> np.ndarray:
         return self.bundle.public
 
-    # ------------------------------------------------------------------
-    # registry-aware client access (degenerates to plain list semantics)
-    # ------------------------------------------------------------------
-    def client_train_size(self, client_id: int) -> int:
-        """Local-train sample count — O(1) under a registry, no
-        materialisation (the empty-shard participation guard needs it for
-        every sampled id)."""
-        if self.registry is not None:
-            return self.registry.train_size(client_id)
-        return self.clients[client_id].num_samples
-
-    def peek_client(self, client_id: int) -> FLClient:
-        """A client for read-only use (evaluation): under a registry this
-        skips dirty-marking, so eviction can drop it instead of spilling."""
-        if self.registry is not None:
-            return self.registry.peek(client_id)
-        return self.clients[client_id]
-
     def eval_client_ids(self, round_index: int) -> Sequence[int]:
         """Ids evaluated for the ``C_acc`` metric at ``round_index``.
 
@@ -127,16 +106,10 @@ class Federation:
         ids = rng.choice(self.num_clients, size=self.eval_clients, replace=False)
         return [int(cid) for cid in np.sort(ids)]
 
-    def settle_clients(self) -> None:
-        """Round-boundary LRU eviction (no-op without a bounded registry)."""
-        if self.registry is not None:
-            self.registry.settle()
-
     def close(self) -> None:
         """Release executor, registry/spill-store, and observability."""
         self.executor.close()
-        if self.registry is not None:
-            self.registry.close()
+        self.registry.close()
         self.obs.close()
 
 
@@ -258,7 +231,7 @@ class FederatedAlgorithm(abc.ABC):
 
     # convenient aliases -------------------------------------------------
     @property
-    def clients(self) -> List[FLClient]:
+    def clients(self) -> ClientRegistry:
         return self.federation.clients
 
     @property
@@ -408,12 +381,13 @@ class FederatedAlgorithm(abc.ABC):
         Clients with an empty local test set report NaN."""
         ids = self.federation.eval_client_ids(self.round_index)
         prof = self.obs.profiler
+        registry = self.federation.registry
         if prof is None:
-            return [self.federation.peek_client(cid).evaluate() for cid in ids]
+            return [registry.peek(cid).evaluate() for cid in ids]
         accs = []
         for cid in ids:
-            client = self.federation.peek_client(cid)
-            with prof.model(getattr(client, "model_name", None)):
+            client = registry.peek(cid)
+            with prof.model(client.model_name):
                 accs.append(client.evaluate())
         return accs
 

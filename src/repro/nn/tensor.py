@@ -377,24 +377,6 @@ class Tensor:
     def sqrt(self) -> "Tensor":
         return self**0.5
 
-    @_prof_op("tanh")
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data**2), True)
-
-        return self._make(out_data, (self,), backward)
-
-    @_prof_op("sigmoid")
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data), True)
-
-        return self._make(out_data, (self,), backward)
-
     @_prof_op("relu")
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -405,17 +387,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    @_prof_op("leaky_relu")
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        scale = np.where(mask, 1.0, negative_slope)
-        out_data = self.data * scale
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * scale, True)
-
-        return self._make(out_data, (self,), backward)
-
     @_prof_op("abs")
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
@@ -423,16 +394,6 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * sign, True)
-
-        return self._make(out_data, (self,), backward)
-
-    @_prof_op("clip")
-    def clip(self, low: float, high: float) -> "Tensor":
-        mask = (self.data >= low) & (self.data <= high)
-        out_data = np.clip(self.data, low, high)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask, True)
 
         return self._make(out_data, (self,), backward)
 

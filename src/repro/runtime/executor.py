@@ -23,7 +23,6 @@ worker is re-executed inline, in this process.
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -228,19 +227,20 @@ class ParallelExecutor(Executor):
         self.task_retries = task_retries
         # one pool across stages and rounds: its workers cache clients
         self._pool: Optional[WorkerPool] = None
-        self._warned_inline = False
 
     # ------------------------------------------------------------------
     # pool lifecycle
     # ------------------------------------------------------------------
     def _build_specs(self) -> Tuple[Dict[int, ClientSpec], Dict[str, Any]]:
         """Per-client specs plus the arrays every worker shares: the public
-        set and the bundle's train rows, each shipped once per worker."""
+        set and the bundle's train rows, each shipped once per worker.
+        Clients are read through ``registry.peek``: starting a pool marks
+        none of them touched, so checkpoints stay O(clients trained)."""
         train = self._federation.bundle.train
+        registry = self._federation.registry
         specs: Dict[int, ClientSpec] = {}
-        for client in self._federation.clients:
-            if client.model_name is None:
-                continue
+        for cid in range(len(registry)):
+            client = registry.peek(cid)
             specs[client.client_id] = ClientSpec(
                 client_id=client.client_id,
                 model_name=client.model_name,
@@ -306,23 +306,6 @@ class ParallelExecutor(Executor):
         if not clients:
             return [], []
         start = time.perf_counter()
-        if any(c.model_name is None for c in clients):
-            # hand-built clients without a registry spec cannot be shipped
-            if not self._warned_inline:
-                warnings.warn(
-                    "ParallelExecutor: client(s) without model_name; "
-                    "running stages inline",
-                    RuntimeWarning,
-                )
-                self._warned_inline = True
-            with self._stage_span(stage, len(clients)), self._profile_stage(
-                stage
-            ):
-                results = [self._run_inline(c, method, kwargs) for c in clients]
-                self._publish_outcomes(stage, results)
-            self._record_time(stage, time.perf_counter() - start)
-            return [r.value for r in results], []
-
         with self._stage_span(stage, len(clients)), self._profile_stage(stage):
             tasks = [
                 self._make_task(c, method, dict(kwargs or {}), stage)
@@ -391,9 +374,8 @@ def _bundle_index(client, rows, base) -> np.ndarray:
     """The bundle row index behind a client's data view."""
     if not isinstance(rows, Rows) or rows.base is not base:
         raise ValueError(
-            f"client {client.client_id} has a model_name but its data is not "
-            "a Rows view of the federation's bundle; workers rebuild it from "
-            "bundle row indices"
+            f"client {client.client_id}'s data is not a Rows view of the "
+            "federation's bundle; workers rebuild it from bundle row indices"
         )
     return rows.index
 

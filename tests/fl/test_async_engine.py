@@ -27,9 +27,7 @@ from repro.fl import (
     load_history,
     save_checkpoint,
 )
-from repro.fl.checkpoint import read_checkpoint_meta
 from repro.fl.simulation import FederatedAlgorithm
-from repro.nn import deserialize_state, serialize_state
 
 from ..conftest import make_tiny_federation
 from .test_pinned_histories import history_digest
@@ -78,19 +76,6 @@ def assert_histories_identical(a, b):
         assert ra.comm_uplink_bytes == rb.comm_uplink_bytes
         assert ra.comm_downlink_bytes == rb.comm_downlink_bytes
         assert _deterministic_extras(ra) == _deterministic_extras(rb)
-
-
-def write_without_engine_state(path: str) -> None:
-    """Rewrite a checkpoint in the layout the synchronous round loop wrote:
-    no ``engine::`` arrays and ``engine: null`` in the metadata.  Exact for
-    a checkpoint taken at a round barrier of a full-barrier run without
-    participation dropout, whose engine holds nothing in flight."""
-    with open(path, "rb") as f:
-        arrays, meta = deserialize_state(f.read())
-    arrays = {k: v for k, v in arrays.items() if not k.startswith("engine::")}
-    meta["engine"] = None
-    with open(path, "wb") as f:
-        f.write(serialize_state(arrays, meta))
 
 
 CHAOS_PLAN = {
@@ -444,36 +429,6 @@ class TestExactResume:
         with pytest.raises(CheckpointError, match="max_staleness"):
             load_checkpoint(sync_algo, ckpt)
         sync_algo.federation.close()
-
-    def test_sync_checkpoint_loads_into_async_engine(self, tiny_bundle, tmp_path):
-        # a checkpoint without engine state (what the synchronous loop
-        # wrote) was taken at a barrier with nothing in flight: the engine
-        # starts empty at its version and the tail is exact
-        ckpt = str(tmp_path / "sync.ckpt")
-        full_algo = make_fedpkd(tiny_bundle)
-        h_full = full_algo.run(3)
-        full_algo.federation.close()
-
-        head_algo = make_fedpkd(tiny_bundle)
-        head_algo.run(2, checkpoint_every=2, checkpoint_path=ckpt)
-        head_algo.federation.close()
-        write_without_engine_state(ckpt)
-        assert read_checkpoint_meta(ckpt)["engine"] is None
-
-        async_algo = make_fedpkd(tiny_bundle)
-        engine = AsyncRoundEngine(async_algo)
-        done = load_checkpoint(async_algo, ckpt)
-        assert done == 2
-        assert engine.version == 2
-        h_async = engine.run(1, history=load_history(ckpt))
-        async_algo.federation.close()
-        assert_histories_identical(h_full, h_async)
-
-        # ... and, having no pipeline, it resumes under any knobs
-        chaos_algo = make_fedpkd(tiny_bundle)
-        AsyncRoundEngine(chaos_algo, max_staleness=2, buffer_size=2)
-        assert load_checkpoint(chaos_algo, ckpt) == 2
-        chaos_algo.federation.close()
 
     def test_engine_knob_mismatch_refused(self, tiny_bundle, tmp_path):
         ckpt = str(tmp_path / "knobs.ckpt")

@@ -21,6 +21,7 @@ from repro.fl.checkpoint import (
 from repro.nn import deserialize_state, serialize_state
 
 from ..conftest import make_tiny_federation
+from .test_pinned_histories import history_digest
 
 
 def make_algo(bundle, seed=0, **fed_kwargs):
@@ -291,17 +292,64 @@ class TestCrashSafety:
         with pytest.raises(CheckpointError, match=r"\.npz checkpoint \(format v3"):
             load_checkpoint(algo, path)
 
-    def test_future_version_rejected(self, tiny_bundle, tmp_path):
+    @pytest.mark.parametrize(
+        "version",
+        [CHECKPOINT_FORMAT_VERSION + 1, CHECKPOINT_FORMAT_VERSION - 1],
+        ids=["newer", "older"],
+    )
+    def test_other_version_rejected(self, tiny_bundle, tmp_path, version):
         algo = make_algo(tiny_bundle)
         path = str(tmp_path / "run.ckpt")
         save_checkpoint(algo, path)
         with open(path, "rb") as f:
             arrays, meta = deserialize_state(f.read())
-        meta["format_version"] = CHECKPOINT_FORMAT_VERSION + 1
+        meta["format_version"] = version
         with open(path, "wb") as f:
             f.write(serialize_state(arrays, meta))
         with pytest.raises(CheckpointError, match="format version"):
             load_checkpoint(algo, path)
+
+
+class TestTouchedClientsLayout:
+    """Every registry, bounded or not, checkpoints only the clients a run
+    touched; the rest re-derive from their seeds on resume."""
+
+    @staticmethod
+    def make_cohort(bundle, executor="serial"):
+        fed = make_tiny_federation(
+            bundle, num_clients=12, server_model=None, clients_per_round=2,
+            executor=executor, max_workers=2 if executor == "parallel" else None,
+        )
+        return build_algorithm("fedproto", fed, seed=0, epoch_scale=0.1)
+
+    @pytest.mark.parametrize("executor", ["serial", "parallel"])
+    def test_unbounded_checkpoint_holds_only_sampled_clients(
+        self, tiny_bundle, tmp_path, executor
+    ):
+        probe = self.make_cohort(tiny_bundle)
+        sampled = probe.federation.participation.sample()
+        probe.federation.close()
+        assert len(sampled) == 2
+
+        path = str(tmp_path / "run.ckpt")
+        head = self.make_cohort(tiny_bundle, executor)
+        registry = head.federation.registry
+        assert registry.max_live is None
+        history = head.run(rounds=1)
+        dirty = registry.dirty_ids()
+        save_checkpoint(head, path, history=history)
+        assert registry.dirty_ids() == dirty
+        head.federation.close()
+        assert read_checkpoint_meta(path)["registry"]["dirty"] == sampled
+
+        full = self.make_cohort(tiny_bundle)
+        expected = full.run(rounds=3)
+        full.federation.close()
+        tail = self.make_cohort(tiny_bundle, executor)
+        assert load_checkpoint(tail, path) == 1
+        resumed = tail.run(rounds=2, history=load_history(path))
+        tail.federation.close()
+        assert history_digest(resumed) == history_digest(expected)
 
 
 class TestAutosave:

@@ -798,8 +798,8 @@ class TestSmallShardRegressions:
         algo = build_algorithm("fedproto", fed, seed=0, epoch_scale=0.1)
         try:
             # the singleton client trains on its 1 sample, has no local test
-            assert fed.client_train_size(3) == 1
-            assert len(fed.peek_client(3).x_test) == 0
+            assert fed.registry.train_size(3) == 1
+            assert len(fed.registry.peek(3).x_test) == 0
             history = algo.run(2, eval_every=1)
         finally:
             fed.close()
@@ -820,7 +820,7 @@ class TestSmallShardRegressions:
         )
         algo = build_algorithm("fedproto", fed, seed=0, epoch_scale=0.1)
         try:
-            assert fed.client_train_size(3) == 0
+            assert fed.registry.train_size(3) == 0
             history = algo.run(2, eval_every=1)
         finally:
             fed.close()

@@ -47,7 +47,6 @@ OPS = {
     "div_const": lambda t: t / Tensor(np.full(t.shape, 2.0)),
     "neg": lambda t: -t,
     "relu": lambda t: t.relu(),
-    "tanh": lambda t: t.tanh(),
     "reshape": lambda t: t.reshape(t.shape[1], t.shape[0]),
     "transpose": lambda t: t.T,
     "getitem_slice": lambda t: t[::-1],

@@ -72,12 +72,6 @@ class TestMixedGraph:
         np.testing.assert_allclose(a.grad, first * 2)  # accumulation semantics
 
 
-class TestLeakyReluDefault:
-    def test_default_slope(self):
-        x = Tensor(np.array([-1.0]))
-        np.testing.assert_allclose(x.leaky_relu().data, [-0.01])
-
-
 class TestItemErrors:
     def test_multielement_item_raises(self):
         with pytest.raises(ValueError):

@@ -248,7 +248,7 @@ class TestNumericNeutrality:
             w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             opt = SGD([w], lr=0.1)
             for _ in range(3):
-                loss = ((x @ w).tanh() ** 2).sum()
+                loss = ((x @ w).relu() ** 2).sum()
                 w.zero_grad()
                 loss.backward()
                 opt.step()

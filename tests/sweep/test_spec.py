@@ -63,11 +63,11 @@ class TestRunKey:
         assert first == second
 
     def test_pinned_run_keys(self):
-        # literals computed at RUN_KEY_VERSION 3 and checkpoint format 4: a
+        # literals computed at RUN_KEY_VERSION 3 and checkpoint format 5: a
         # refactor of how the key fields are gathered must not move a
         # single cached history
         assert RunSpec("fedavg").run_key() == (
-            "9e6700036ccd3b61a2d82e2b7544be2e9cbb68e9fba3e5a3335ff68e349525a5"
+            "b325dd33afbe23015294a33af3cd0060a9432554f6ed18e1f561563b482b12f2"
         )
         busy = RunSpec(
             "fedpkd",
@@ -80,7 +80,7 @@ class TestRunKey:
             rounds=3,
         )
         assert busy.run_key() == (
-            "a47bb1ca1fbfc76f4d6dd8b3c3aa8170625acf5d490d19d9c54b27ce5080f37d"
+            "5e7200b766465cf8696113362a949521f04fb2a78a7ace022d8b9e5da1756fb1"
         )
 
     def test_defaults_normalised_into_key(self):
