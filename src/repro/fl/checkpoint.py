@@ -364,7 +364,8 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str) -> int:
     rng_meta = meta["rng"]
     # only touched clients were saved.  Reset the registry (derived clients
     # and spilled shards from any prior activity are stale) and adopt the
-    # saved states — written straight to the spill store, so nothing is
+    # saved states: an unbounded registry derives each saved client live;
+    # a bounded one writes it straight to the spill store, so nothing is
     # materialised until a round touches it.
     registry = algo.federation.registry
     registry.reset()

@@ -493,9 +493,13 @@ class ClientRegistry(Sequence):
         self, client_id: int, model_state: Dict[str, np.ndarray], rng_state: dict
     ) -> None:
         """Adopt checkpointed state for one client: applied in place if
-        live, otherwise written straight to the spill store — either way
-        the next touch observes exactly the checkpointed state."""
+        live or if the registry is unbounded (which never evicts, so the
+        client is derived live), otherwise written straight to the spill
+        store — either way the next touch observes exactly the
+        checkpointed state."""
         client = self._live.get(client_id)
+        if client is None and self.max_live is None:
+            client = self._materialise(client_id)
         if client is not None:
             client.model.load_state_dict(model_state)
             client.set_rng_state(rng_state)

@@ -1,21 +1,20 @@
 """Tests for the synthetic dataset substrate."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.data import Dataset, SyntheticImageTask, make_task, synthetic_cifar10, synthetic_cifar100
+from repro.data import datasets
+from repro.experiments.harness import ExperimentSetting, make_bundle
 
 
 class TestDataset:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros(4), num_classes=2)
-
-    def test_subset(self):
-        ds = Dataset(np.arange(10).reshape(10, 1), np.arange(10) % 2, 2)
-        sub = ds.subset(np.array([0, 2, 4]))
-        assert len(sub) == 3
-        np.testing.assert_array_equal(sub.y, [0, 0, 0])
 
     def test_class_counts(self):
         ds = Dataset(np.zeros((4, 1)), np.array([0, 0, 1, 2]), num_classes=4)
@@ -108,3 +107,77 @@ class TestBundles:
         b = synthetic_cifar10(n_train=50, n_test=20, n_public=20, seed=9)
         np.testing.assert_allclose(a.train.x, b.train.x)
         np.testing.assert_array_equal(a.public_true_labels, b.public_true_labels)
+
+
+def bundle_arrays(bundle):
+    return (bundle.train.x, bundle.train.y, bundle.test.x, bundle.test.y,
+            bundle.public, bundle.public_true_labels)
+
+
+def bundle_digest(bundle) -> str:
+    digest = hashlib.sha256()
+    for array in bundle_arrays(bundle):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def cohort_bundle(n_train):
+    """The task of the 5 000- and 100 000-client cohort runs."""
+    task = SyntheticImageTask(
+        num_classes=4, image_shape=(1, 4, 4), latent_dim=4,
+        class_separation=2.0, seed=0, name="cohort",
+    )
+    return task.make_bundle(n_train=n_train, n_test=400, n_public=100, seed=1)
+
+
+class TestGeneratedBytes:
+    """The generator's output is pinned byte for byte: every pinned history
+    is computed from it, so rendering in row blocks must give the bytes of
+    one all-rows product."""
+
+    @pytest.mark.parametrize("dataset, scale, expected", [
+        ("cifar10", "tiny", "de822677d47cb66a97395c693518701cbe696e275332c15ff2d93057808514bb"),
+        ("cifar10", "small", "916acf359ba3da36d7bfbd45cd1861ba2b4f88a85652e644a82728550a3f8068"),
+        ("cifar100", "tiny", "ec1631ce032f8f25ae4b75f087754274af1bd579baf388abcbc030ad8c638ab5"),
+        ("cifar100", "small", "b250b42140bba0ea72a371655cddb7be1ab192e32e4c9c3bbbce81e249d62edd"),
+    ])
+    def test_preset_bundle_bytes_are_pinned(self, dataset, scale, expected):
+        setting = ExperimentSetting(dataset=dataset, scale=scale)
+        assert bundle_digest(make_bundle(setting)) == expected
+
+    @pytest.mark.parametrize("n_train, expected", [
+        (60_000, "ef8e52ef2b614928a20b74c98056b7d2d7fcd681509f634143490005dfabf3fb"),
+        # two 4 096-row blocks and one row: the tail row joins the last block
+        (8_193, "78d43991c604224b0b7908155354c62f165b070607828503d26166a58a4ca195"),
+    ])
+    def test_cohort_bundle_bytes_are_pinned(self, n_train, expected):
+        assert bundle_digest(cohort_bundle(n_train)) == expected
+
+    @pytest.mark.parametrize("n", [14, 15, 16])
+    def test_block_size_does_not_change_the_bytes(self, monkeypatch, n):
+        """Blocks of 7 rows render the same bytes as one product, also when
+        the last block would hold a single row (15 = 7 + 7 + 1): a one-row
+        product goes through gemv and differs from gemm in the last bit."""
+        task = make_task("cifar10", seed=0)
+        latents = np.random.default_rng(3).normal(size=(n, task.latent_dim))
+        whole = task._render(latents)
+        monkeypatch.setattr(datasets, "_RENDER_ROWS", 7)
+        assert task._render(latents).tobytes() == whole.tobytes()
+
+    def test_empty_sample(self):
+        x, y = make_task("cifar10", seed=0).sample(0, np.random.default_rng(0))
+        assert x.shape == (0, 3, 8, 8) and y.shape == (0,)
+
+
+def test_bundle_build_peaks_near_its_own_bytes():
+    """Rendering in row blocks keeps a 120 000-row bundle build's traced
+    peak within 1.5x the bundle's bytes; full-size hidden layers and
+    temporaries would take it past 4x."""
+    tracemalloc.start()
+    try:
+        bundle = cohort_bundle(120_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(array.nbytes for array in bundle_arrays(bundle))
+    assert peak <= 1.5 * nbytes, (peak, nbytes)

@@ -351,6 +351,33 @@ class TestTouchedClientsLayout:
         tail.federation.close()
         assert history_digest(resumed) == history_digest(expected)
 
+    def test_unbounded_resume_never_opens_the_spill_log(self, tiny_bundle, tmp_path):
+        """An unbounded registry never evicts, so a resume derives each saved
+        client live and loads its state in place: no spill log is created,
+        nothing is written to disk or read back, and the run continues
+        bit-identically."""
+        path = str(tmp_path / "run.ckpt")
+        head = self.make_cohort(tiny_bundle)
+        save_checkpoint(head, path, history=head.run(rounds=1))
+        saved = head.federation.registry.dirty_ids()
+        head.federation.close()
+
+        full = self.make_cohort(tiny_bundle)
+        expected = full.run(rounds=3)
+        full.federation.close()
+        tail = self.make_cohort(tiny_bundle)
+        registry = tail.federation.registry
+        try:
+            load_checkpoint(tail, path)
+            assert registry.dirty_ids() == saved
+            assert registry.stats()["live"] == len(saved)
+            resumed = tail.run(rounds=2, history=load_history(path))
+            assert registry.store.root is None
+            assert registry.stats()["hydrations"] == 0
+        finally:
+            tail.federation.close()
+        assert history_digest(resumed) == history_digest(expected)
+
 
 class TestAutosave:
     def test_run_autosaves_at_cadence(self, tiny_bundle, tmp_path):
