@@ -43,6 +43,7 @@ class FedProtoConfig:
 
 class FedProto(FederatedAlgorithm):
     name = "fedproto"
+    carried_state = ("global_prototypes",)
 
     def __init__(
         self, federation: Federation, config: Optional[FedProtoConfig] = None, seed: int = 0
@@ -50,15 +51,6 @@ class FedProto(FederatedAlgorithm):
         super().__init__(federation, seed=seed)
         self.config = config or FedProtoConfig()
         self.global_prototypes: Optional[np.ndarray] = None
-
-    def extra_state(self) -> Dict[str, np.ndarray]:
-        if self.global_prototypes is None:
-            return {}
-        return {"global_prototypes": np.asarray(self.global_prototypes)}
-
-    def load_extra_state(self, state: Dict[str, np.ndarray]) -> None:
-        if "global_prototypes" in state:
-            self.global_prototypes = np.asarray(state["global_prototypes"]).copy()
 
     # ------------------------------------------------------------------
     # round phases

@@ -107,6 +107,7 @@ class FedPKD(FederatedAlgorithm):
     """Prototype-based knowledge distillation FL (the paper's contribution)."""
 
     name = "fedpkd"
+    carried_state = ("global_prototypes",)
 
     def __init__(
         self, federation: Federation, config: Optional[FedPKDConfig] = None, seed: int = 0
@@ -116,18 +117,6 @@ class FedPKD(FederatedAlgorithm):
             raise ValueError("FedPKD requires a server model")
         self.config = config or FedPKDConfig()
         self.global_prototypes: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-    # cross-round state (checkpointing)
-    # ------------------------------------------------------------------
-    def extra_state(self) -> Dict[str, np.ndarray]:
-        if self.global_prototypes is None:
-            return {}
-        return {"global_prototypes": np.asarray(self.global_prototypes)}
-
-    def load_extra_state(self, state: Dict[str, np.ndarray]) -> None:
-        if "global_prototypes" in state:
-            self.global_prototypes = np.asarray(state["global_prototypes"]).copy()
 
     # ------------------------------------------------------------------
     # round phases

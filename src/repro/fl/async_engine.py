@@ -436,6 +436,7 @@ class AsyncRoundEngine:
             history = RunHistory(
                 algo.name, dataset=algo.bundle.name, config={"rounds": rounds}
             )
+        algo._seal()
         tracer = algo.tracer
         with algo.obs.profile_session(), tracer.span(
             "run",

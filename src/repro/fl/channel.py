@@ -4,7 +4,9 @@ The paper's communication-efficiency results (Fig. 3, Table I) measure the
 MB transferred until a target accuracy is reached.  Every payload an
 algorithm sends must go through :class:`CommChannel`, which sizes it via
 :func:`repro.nn.serialize.payload_num_bytes` and keeps per-client,
-per-direction, and per-round ledgers.
+per-direction, and per-round ledgers.  Arrays are sized as float32
+elements whatever dtype they hold, so a payload computed in float64
+meters the paper's float32 bytes.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ A checkpoint therefore captures everything that carries across rounds:
   (zeroing these silently corrupts every cumulative-MB result);
 - the :class:`~repro.fl.metrics.RunHistory` recorded so far and the
   :class:`~repro.fl.failures.DropoutLog`;
-- algorithm-specific cross-round state via the
-  :meth:`~repro.fl.simulation.FederatedAlgorithm.extra_state` hook
-  (FedPKD / FedProto global prototypes, ...).
+- algorithm-specific cross-round state: the attributes an algorithm
+  declares in
+  :attr:`~repro.fl.simulation.FederatedAlgorithm.carried_state` (FedPKD /
+  FedProto global prototypes), exported by ``extra_state()``.
 
 A checkpoint file is one :mod:`repro.nn.serialize` state blob whose
 ``meta`` holds everything but the arrays.  Writes are atomic (tmp file +

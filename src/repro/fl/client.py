@@ -170,9 +170,9 @@ class FLClient:
         classes absent from the local data.
         """
         feats = self.model.extract_features(self.x_train)
-        # float32: prototypes go on the wire, and the wire is float32
-        # (repro.nn.serialize.WIRE_DTYPE) — a float64 buffer doubles the
-        # per-class memory for precision the channel discards anyway
+        # float32: prototypes are the paper's float32 payload (the channel
+        # meters every array at repro.nn.serialize.WIRE_DTYPE size), and a
+        # float64 buffer would double the per-class memory
         protos = np.full(
             (self.num_classes, self.model.feature_dim), np.nan, dtype=np.float32
         )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "TrainingConfig",
@@ -179,9 +179,9 @@ class RunKnobs:
     )
     metrics_path: Optional[str] = knob(
         None, "managed",
-        "export the metrics registry to this .jsonl/.json/.csv file; this "
-        "or a trace path also merges the metrics snapshot into each "
-        "RoundRecord.extras",
+        "export the metrics registry to this .jsonl/.json/.csv file; this, "
+        "a trace path or --profile also merges the metrics snapshot into "
+        "each RoundRecord.extras",
         flag="--metrics-out",
     )
 
@@ -300,12 +300,3 @@ class FederationConfig(RunKnobs):
         if self.task_retries < 0:
             raise ValueError("task_retries must be >= 0")
         super().__post_init__()
-
-    def client_model_names(self) -> List[str]:
-        """Resolve per-client model names (cycling a heterogeneous list)."""
-        if isinstance(self.client_models, str):
-            return [self.client_models] * self.num_clients
-        names = list(self.client_models)
-        if not names:
-            raise ValueError("client_models list is empty")
-        return [names[i % len(names)] for i in range(self.num_clients)]

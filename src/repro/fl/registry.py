@@ -211,8 +211,8 @@ class ClientRegistry(Sequence):
         Per-client index arrays (the partitioner's output).
     model_cycle:
         Model registry names cycled across clients
-        (``model_name(cid) == model_cycle[cid % len(model_cycle)]``) —
-        the compact form of ``FederationConfig.client_model_names()``.
+        (``model_name(cid) == model_cycle[cid % len(model_cycle)]``), as
+        ``build_federation`` resolves ``FederationConfig.client_models``.
     feature_dim / test_fraction / base_seed:
         Exactly the knobs the eager builder used; a derived client is
         bit-identical to one built eagerly from the same config.

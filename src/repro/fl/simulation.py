@@ -13,7 +13,7 @@ recording.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -209,9 +209,29 @@ class FederatedAlgorithm(abc.ABC):
     Per-client stages go through :meth:`map_clients`, which routes them to
     the federation's executor (serial or parallel) and turns irrecoverable
     worker faults into per-round dropouts.
+
+    State an algorithm carries from one round to the next (outside the
+    models) is declared by name in :attr:`carried_state`; checkpoints hold
+    exactly those attributes.  Once the engine's first round starts,
+    rebinding any other attribute raises ``AttributeError``, so state a
+    resume would lose cannot be written.
     """
 
     name = "base"
+    #: Attributes a round may rebind; :meth:`extra_state` exports them.
+    carried_state: Tuple[str, ...] = ()
+    #: The base's own per-round names: the engine (a resume may rebuild
+    #: it), the round counter and the record accumulators.
+    _ROUND_ATTRS = frozenset(
+        {
+            "engine",
+            "round_index",
+            "_pending_wall_time",
+            "_pending_stage_times",
+            "_pending_dropouts",
+        }
+    )
+    _sealed = False
 
     def __init__(self, federation: Federation, seed: int = 0) -> None:
         self.federation = federation
@@ -228,6 +248,24 @@ class FederatedAlgorithm(abc.ABC):
         self._pending_dropouts = 0
         # registers itself as self.engine
         AsyncRoundEngine.from_config(self, getattr(federation, "knobs", None))
+
+    def __setattr__(self, name: str, value) -> None:
+        if (
+            self._sealed
+            and name not in self._ROUND_ATTRS
+            and name not in self.carried_state
+        ):
+            raise AttributeError(
+                f"{type(self).__name__}.{name} is rebound during a run but is "
+                f"not declared in carried_state, so a checkpoint would not "
+                f"carry it"
+            )
+        object.__setattr__(self, name, value)
+
+    def _seal(self) -> None:
+        """Allow only :attr:`carried_state` and the base's per-round names
+        to be rebound from now on (the engine calls this as a run starts)."""
+        object.__setattr__(self, "_sealed", True)
 
     # convenient aliases -------------------------------------------------
     @property
@@ -334,17 +372,18 @@ class FederatedAlgorithm(abc.ABC):
     # algorithm-specific cross-round state (exact-resume checkpointing)
     # ------------------------------------------------------------------
     def extra_state(self) -> Dict[str, np.ndarray]:
-        """Arrays carried across rounds outside the models.
-
-        Algorithms with server-side memory (FedPKD / FedProto global
-        prototypes, aggregated soft labels, ...) must override this and
-        :meth:`load_extra_state`, or a resumed run silently diverges from
-        an uninterrupted one.  The default is stateless.
-        """
-        return {}
+        """The :attr:`carried_state` attributes that are set, as arrays."""
+        return {
+            name: np.asarray(getattr(self, name))
+            for name in self.carried_state
+            if getattr(self, name) is not None
+        }
 
     def load_extra_state(self, state: Dict[str, np.ndarray]) -> None:
         """Inverse of :meth:`extra_state`."""
+        for name in self.carried_state:
+            if name in state:
+                setattr(self, name, np.asarray(state[name]).copy())
 
     # ------------------------------------------------------------------
     # partially accumulated record extras (checkpointed so a resume

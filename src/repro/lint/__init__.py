@@ -10,10 +10,7 @@ Pieces:
 - :class:`LintEngine` — walks files, parses, dispatches registered rules,
   honours ``# lint: disable=`` pragmas (the only exception mechanism);
 - rule packs under :mod:`repro.lint.rules` (determinism, comm, autograd,
-  obs, hygiene, flow), self-registered with catalog metadata;
-- :mod:`repro.lint.flow` — the whole-program layer: per-module summaries
-  assembled into a :class:`ProjectModel` (class hierarchy, call graph,
-  interprocedural float64 taint) that the ``flow-*`` packs query;
+  obs, hygiene), self-registered with catalog metadata;
 - :meth:`LintResult.render` — the ``file:line:col`` text report.
 
 Quickstart::
@@ -25,7 +22,6 @@ See ``docs/LINT.md`` for the rule catalog and the pragma workflow.
 
 from .engine import LintEngine, LintResult, ModuleContext, module_name_for
 from .findings import SEVERITIES, Finding
-from .flow import ProjectModel, summarize_module
 from .pragmas import PragmaIndex
 from .registry import Rule, all_rules, get_rule, packs, register
 
@@ -35,9 +31,7 @@ __all__ = [
     "LintEngine",
     "LintResult",
     "ModuleContext",
-    "ProjectModel",
     "module_name_for",
-    "summarize_module",
     "PragmaIndex",
     "Rule",
     "register",

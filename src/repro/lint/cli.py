@@ -1,10 +1,10 @@
 """``repro lint`` subcommand::
 
     repro lint src/
-    repro lint src/ --rules det-unseeded-rng,flow-extra-state
+    repro lint src/ --rules det-unseeded-rng,comm-unmetered-exchange
 
-Every file under the given paths is analysed as one program and reported
-as ``file:line:col`` text.  Exit codes: 0 clean, 1 findings, 2 usage
+Every file under the given paths is analysed and reported as
+``file:line:col`` text.  Exit codes: 0 clean, 1 findings, 2 usage
 errors.
 """
 

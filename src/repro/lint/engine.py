@@ -3,13 +3,7 @@
 Zero third-party dependencies — parsing is stdlib :mod:`ast`, so the
 engine analyses exactly what CPython would execute and never needs the
 code imported (fixture files with deliberate violations stay inert).
-
-Two rule tiers run per pass:
-
-- **syntactic** rules see one parsed module at a time (``ctx.tree``);
-- **flow** rules (``requires_project=True``) run once all files are
-  summarised, against the :class:`~repro.lint.flow.ProjectModel`;
-  their findings depend on the whole program.
+Every rule sees one parsed module at a time (``ctx.tree``).
 
 Suppression: a ``# lint: disable`` pragma suppresses a finding if it
 sits on any *candidate line* of the flagged construct — the anchor line,
@@ -27,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .findings import Finding
-from .flow import ProjectModel, summarize_module
 from .pragmas import PragmaIndex
 from .registry import Rule, all_rules
 
@@ -54,19 +47,13 @@ def module_name_for(path: str) -> str:
 
 @dataclass
 class ModuleContext:
-    """Everything a rule needs to inspect one module.
-
-    For flow rules ``source`` is empty and ``tree`` is None — only
-    ``module``, ``path`` and ``project`` are meaningful, which is all a
-    ``requires_project`` rule may touch.
-    """
+    """Everything a rule needs to inspect one module."""
 
     path: str
     module: str
     source: str
-    tree: Optional[ast.AST]
+    tree: ast.AST
     lines: List[str] = field(default_factory=list)
-    project: Optional[ProjectModel] = None
 
     @classmethod
     def from_source(
@@ -129,8 +116,6 @@ def _read(path: str) -> str:
 
 
 def _position(node) -> Tuple[int, int]:
-    if isinstance(node, tuple):
-        return node[0], node[1]
     return getattr(node, "lineno", 1), getattr(node, "col_offset", 0)
 
 
@@ -148,8 +133,6 @@ _HEADER_ONLY_STMTS = (
 def _pragma_lines(node) -> List[int]:
     """Candidate lines on which a pragma suppresses this finding.
 
-    - position tuples: the anchor line plus any extra lines the rule
-      supplied as a third element (flow rules pass the statement span);
     - functions/classes: the ``def``/``class`` line and every decorator
       line, so ``# lint: disable`` above a decorated function works;
     - compound statements: the header line only (a pragma inside the
@@ -157,11 +140,6 @@ def _pragma_lines(node) -> List[int]:
     - everything else: the node's full line span, so a pragma on any
       physical line of a multi-line statement counts.
     """
-    if isinstance(node, tuple):
-        lines = [node[0]]
-        if len(node) > 2:
-            lines.extend(int(line) for line in node[2])
-        return lines
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [node.lineno] + [dec.lineno for dec in node.decorator_list]
     if isinstance(node, _HEADER_ONLY_STMTS):
@@ -182,14 +160,6 @@ class LintEngine:
         self.rules: List[Rule] = list(rules) if rules is not None else all_rules()
         self.root = root or os.getcwd()
 
-    @property
-    def syntactic_rules(self) -> List[Rule]:
-        return [rule for rule in self.rules if not rule.requires_project]
-
-    @property
-    def flow_rules(self) -> List[Rule]:
-        return [rule for rule in self.rules if rule.requires_project]
-
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
@@ -199,18 +169,11 @@ class LintEngine:
         path: str = "<snippet>",
         module: Optional[str] = None,
     ) -> LintResult:
-        """Lint one in-memory module.
-
-        Flow rules see a single-module :class:`ProjectModel` built from
-        this source alone — exactly the view the fixture tests need.
-        """
+        """Lint one in-memory module."""
         return self._lint([(source, path, module)])
 
-    def lint_file(self, path: str) -> LintResult:
-        return self.lint_source(_read(path), path=self._display(path))
-
     def lint_paths(self, paths: Sequence[str]) -> LintResult:
-        """Lint every ``.py`` file under ``paths`` as one program."""
+        """Lint every ``.py`` file under ``paths``."""
         return self._lint(
             (_read(path), self._display(path), None)
             for path in _iter_py_files(paths)
@@ -228,11 +191,7 @@ class LintEngine:
     def _lint(
         self, sources: Iterable[Tuple[str, str, Optional[str]]]
     ) -> LintResult:
-        """Syntactic rules per file, then flow rules on the whole program."""
         result = LintResult()
-        flow_rules = self.flow_rules
-        summaries: dict = {}
-        flow_modules: List[Tuple[str, str, PragmaIndex]] = []
         for source, display, module in sources:
             result.files += 1
             try:
@@ -248,31 +207,14 @@ class LintEngine:
                     )
                 )
                 continue
-            pragmas = PragmaIndex.from_source(source)
-            self._check(self.syntactic_rules, ctx, pragmas, result)
-            if flow_rules and isinstance(ctx.tree, ast.Module):
-                summaries.setdefault(
-                    ctx.module, summarize_module(ctx.tree, ctx.module, display)
-                )
-                flow_modules.append((display, ctx.module, pragmas))
-
-        project = ProjectModel(summaries)
-        for display, module, pragmas in flow_modules:
-            ctx = ModuleContext(
-                path=display, module=module, source="", tree=None, project=project
-            )
-            self._check(flow_rules, ctx, pragmas, result)
+            self._check(ctx, PragmaIndex.from_source(source), result)
         result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return result
 
-    @staticmethod
     def _check(
-        rules: Sequence[Rule],
-        ctx: ModuleContext,
-        pragmas: PragmaIndex,
-        result: LintResult,
+        self, ctx: ModuleContext, pragmas: PragmaIndex, result: LintResult
     ) -> None:
-        for rule in rules:
+        for rule in self.rules:
             if not rule.applies_to(ctx.module):
                 continue
             for node, message in rule.check(ctx):

@@ -1,6 +1,6 @@
 """Rule registry: every lint rule self-registers with docs and scoping.
 
-A rule is a function ``check(ctx) -> Iterator[Tuple[node_or_pos, message]]``
+A rule is a function ``check(ctx) -> Iterator[Tuple[node, message]]``
 decorated with :func:`register`.  The engine builds
 :class:`~repro.lint.findings.Finding` objects from what it yields, so
 rules stay tiny: walk ``ctx.tree``, yield the offending node and a
@@ -35,9 +35,6 @@ class Rule:
     check: Callable
     packages: Tuple[str, ...] = ()
     exclude: Tuple[str, ...] = ()
-    #: Flow rules read ``ctx.project`` (the whole-program model) instead
-    #: of ``ctx.tree``; the engine runs them after all files are summarised.
-    requires_project: bool = False
 
     def applies_to(self, module: str) -> bool:
         """Whether this rule runs on the dotted module name ``module``."""
@@ -62,7 +59,6 @@ def register(
     description: str,
     packages: Tuple[str, ...] = (),
     exclude: Tuple[str, ...] = (),
-    requires_project: bool = False,
 ) -> Callable:
     """Decorator registering ``check`` under ``rule_id``."""
     if severity not in SEVERITIES:
@@ -80,7 +76,6 @@ def register(
             check=check,
             packages=tuple(packages),
             exclude=tuple(exclude),
-            requires_project=requires_project,
         )
         return check
 

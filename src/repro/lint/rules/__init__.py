@@ -10,12 +10,9 @@ Packs:
   ``repro.nn``, backward closures paired with forward bookkeeping,
   parameters registered on modules;
 - :mod:`.obs` — ``scope/name`` metric naming and span lifecycle hygiene;
-- :mod:`.hygiene` — unused imports, shadowed builtins, dead assignments;
-- :mod:`.flow` — whole-program packs (``flow-dtype``,
-  ``flow-checkpoint``) computed on the
-  :class:`~repro.lint.flow.ProjectModel` instead of a single module.
+- :mod:`.hygiene` — unused imports, shadowed builtins, dead assignments.
 """
 
-from . import autograd, comm, determinism, flow, hygiene, obs  # noqa: F401
+from . import autograd, comm, determinism, hygiene, obs  # noqa: F401
 
-__all__ = ["autograd", "comm", "determinism", "flow", "hygiene", "obs"]
+__all__ = ["autograd", "comm", "determinism", "hygiene", "obs"]

@@ -3,7 +3,10 @@
 Federated-learning communication cost in the paper is measured in MB of
 float32 payload (model updates, logits, prototypes).
 :func:`payload_num_bytes` measures that size for arbitrary nested
-payloads, which :mod:`repro.fl.channel` uses for accounting.
+payloads, which :mod:`repro.fl.channel` uses for accounting.  Arrays are
+sized as float32 elements whatever dtype they hold: most payloads are
+float64 (the dtype :class:`~repro.nn.tensor.Tensor` computes in), the
+prototypes float32, and both meter the paper's float32 bytes.
 
 The *state blob* is a separate, lossless flat byte format and the repo's
 only container: parallel task dispatch, client-registry spill records and
@@ -35,8 +38,9 @@ __all__ = [
     "read_state_meta",
 ]
 
-# Everything on the wire is float32, matching the paper's MB arithmetic
-# (e.g. its 0.511 MB figure for a ResNet-20-class model update).
+# The element size every array is metered at, whatever its own dtype,
+# matching the paper's MB arithmetic (e.g. its 0.511 MB figure for a
+# ResNet-20-class model update).
 WIRE_DTYPE = np.float32
 
 # state blob prefix: magic, header length, header CRC-32, array-data CRC-32
@@ -54,9 +58,11 @@ def array_num_bytes(array: np.ndarray) -> int:
 def payload_num_bytes(payload: Payload) -> int:
     """Recursively compute the wire size of a nested payload.
 
-    Supported leaves are numpy arrays and python scalars (counted as one
-    float32 each); containers may be dicts, lists, or tuples.  ``None``
-    contributes zero bytes.
+    Supported leaves are numpy arrays (``size`` float32 elements whatever
+    their dtype, so a float64 or int64 array meters the same bytes as a
+    float32 one of its shape) and python scalars (one float32 each);
+    containers may be dicts, lists, or tuples.  ``None`` contributes zero
+    bytes.
     """
     if payload is None:
         return 0

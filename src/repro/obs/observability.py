@@ -44,11 +44,12 @@ class Observability:
     # ------------------------------------------------------------------
     @classmethod
     def from_config(cls, config) -> "Observability":
-        """Build from a config carrying ``trace_path`` / ``metrics_path``.
+        """Build from a config carrying ``trace_path`` / ``metrics_path`` /
+        ``profile``.
 
-        Either path switches the whole bundle on (the metrics registry
-        feeds ``RoundRecord.extras`` even when only tracing was asked for);
-        with neither, the bundle is disabled.
+        Any one of them switches the whole bundle on (the metrics registry
+        feeds ``RoundRecord.extras`` even when only tracing or only
+        profiling was asked for); with none, the bundle is disabled.
         """
         trace_path = config.trace_path
         metrics_path = config.metrics_path

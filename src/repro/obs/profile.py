@@ -165,13 +165,6 @@ class OpProfiler:
         out.sort(key=lambda r: (-r["seconds"], r["stage"], r["model"], r["op"]))
         return out
 
-    def stage_seconds(self) -> Dict[str, float]:
-        """Summed profiled seconds per stage."""
-        totals: Dict[str, float] = {}
-        for (stage, _model, _op), cell in self._stats.items():
-            totals[stage] = totals.get(stage, 0.0) + cell[_SECONDS]
-        return totals
-
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------

@@ -50,6 +50,21 @@ class TestChannel:
         ch.upload(0, {"logits": np.zeros((5, 3)), "protos": [np.zeros(4)]})
         assert ch.snapshot().uplink == (15 + 4) * 4
 
+    @pytest.mark.parametrize("direction", ["upload", "download", "broadcast"])
+    def test_bytes_do_not_depend_on_dtype(self, direction):
+        """Every array meters as float32 elements: a float64 payload costs
+        the paper's float32 bytes, not twice them."""
+        metered = []
+        for dtype in (np.float64, np.float32, np.int64):
+            ch = CommChannel()
+            payload = {"w": np.ones((6, 7), dtype=dtype)}
+            if direction == "broadcast":
+                ch.broadcast([0], payload)
+            else:
+                getattr(ch, direction)(0, payload)
+            metered.append(ch.total_bytes)
+        assert metered == [6 * 7 * 4] * 3
+
     def test_reset(self):
         ch = CommChannel()
         ch.upload(0, np.zeros(10))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fl import FederationConfig, TrainingConfig
+from repro.fl import FederationConfig, TrainingConfig, build_federation
 
 
 class TestTrainingConfig:
@@ -23,19 +23,26 @@ class TestTrainingConfig:
             TrainingConfig(optimizer="lbfgs")
 
 
+def _client_model_names(bundle, **overrides):
+    """The per-client model names ``build_federation`` derives."""
+    fed = build_federation(bundle, FederationConfig(server_model=None, **overrides))
+    return [fed.clients.model_name(cid) for cid in range(fed.num_clients)]
+
+
 class TestFederationConfig:
-    def test_defaults(self):
-        cfg = FederationConfig()
-        assert cfg.client_model_names() == ["resnet20"] * cfg.num_clients
+    def test_defaults(self, tiny_bundle):
+        names = _client_model_names(tiny_bundle)
+        assert names == ["resnet20"] * FederationConfig().num_clients
 
-    def test_heterogeneous_cycling(self):
-        cfg = FederationConfig(num_clients=5, client_models=["a", "b"])
-        assert cfg.client_model_names() == ["a", "b", "a", "b", "a"]
+    def test_heterogeneous_cycling(self, tiny_bundle):
+        names = _client_model_names(
+            tiny_bundle, num_clients=5, client_models=["a", "b"]
+        )
+        assert names == ["a", "b", "a", "b", "a"]
 
-    def test_empty_model_list(self):
-        cfg = FederationConfig(client_models=[])
-        with pytest.raises(ValueError):
-            cfg.client_model_names()
+    def test_empty_model_list(self, tiny_bundle):
+        with pytest.raises(ValueError, match="client_models list is empty"):
+            _client_model_names(tiny_bundle, client_models=[])
 
     def test_bad_partition_kind(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from repro.fl import (
     TrainingConfig,
     build_federation,
 )
+from repro.fl.checkpoint import load_checkpoint
 from repro.fl.simulation import FederatedAlgorithm
 
 from ..conftest import make_tiny_federation
@@ -106,6 +107,7 @@ class _CountingAlgorithm(FederatedAlgorithm):
     """Minimal algorithm that counts rounds and meters fake traffic."""
 
     name = "counting"
+    carried_state = ("rounds_run",)
 
     def __init__(self, federation, seed=0):
         super().__init__(federation, seed=seed)
@@ -162,6 +164,18 @@ class TestRoundEngine:
         history = algo.run(rounds=2)
         algo.run(rounds=1, history=history)
         assert [r.round_index for r in history.records] == [1, 2, 3]
+
+    def test_carried_state_round_trips_through_a_checkpoint(
+        self, tiny_bundle, tmp_path
+    ):
+        path = str(tmp_path / "counting.ckpt")
+        algo = _CountingAlgorithm(make_tiny_federation(tiny_bundle))
+        algo.run(rounds=2, checkpoint_every=1, checkpoint_path=path)
+        resumed = _CountingAlgorithm(make_tiny_federation(tiny_bundle))
+        assert load_checkpoint(resumed, path) == 2
+        assert resumed.rounds_run == 2
+        resumed.run(rounds=1)
+        assert resumed.rounds_run == 3
 
     def test_failure_injection_reduces_participants(self, tiny_bundle):
         fed = make_tiny_federation(tiny_bundle, num_clients=6, dropout_prob=0.6, seed=1)

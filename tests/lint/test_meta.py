@@ -29,8 +29,6 @@ def test_registry_is_nonempty_and_covers_all_packs():
         "autograd",
         "obs",
         "hygiene",
-        "flow-dtype",
-        "flow-checkpoint",
     }
 
 
