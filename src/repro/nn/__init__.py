@@ -21,7 +21,6 @@ from .layers import (
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     GlobalAvgPool2d,
     Identity,
     Linear,
@@ -65,7 +64,6 @@ __all__ = [
     "BatchNorm2d",
     "ReLU",
     "GlobalAvgPool2d",
-    "Dropout",
     "Identity",
     "Sequential",
     "ClassifierModel",

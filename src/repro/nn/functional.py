@@ -1,8 +1,8 @@
 """Functional neural-network operations built on :class:`repro.nn.Tensor`.
 
 Includes the composite ops the layers need — softmax/log-softmax,
-2-D convolution through cached index plans, batch normalisation, global
-average pooling, dropout — each registered in the autograd graph with a
+2-D convolution through cached index plans, batch normalisation and global
+average pooling — each registered in the autograd graph with a
 hand-written backward pass where a composition of Tensor primitives would
 be too slow.
 """
@@ -26,7 +26,6 @@ __all__ = [
     "conv2d",
     "batch_norm",
     "global_avg_pool2d",
-    "dropout",
     "linear",
 ]
 
@@ -283,8 +282,14 @@ def batch_norm(
 # ----------------------------------------------------------------------
 #: geometries whose index plans stay cached: a few models' convs at a few
 #: batch sizes (a plan is as large as the patch matrix it gathers; a tiny
-#: heterogeneous ResNet federation trains through 48 of them, 7.6 MB)
+#: heterogeneous ResNet federation trains through 48 of them, 7.6 MB, and
+#: its inference reuses their 32-image plans, adding none)
 _PLAN_CACHE_SIZE = 64
+
+#: images per GEMM of a conv2d that records no backward: it gathers each
+#: block through its geometry's plan for this many images, which training
+#: at the default batch size has already built
+_INFER_BLOCK = 32
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -321,12 +326,20 @@ def _patch_plan(
     return plan.reshape(c * kh * kw, n * out_h * out_w)
 
 
-def _gather(x: np.ndarray, plan: np.ndarray) -> np.ndarray:
-    """The patch matrix ``plan`` describes, gathered from NCHW ``x``."""
-    src = np.empty(x.size + 1, dtype=np.float64)
-    src[:-1].reshape(x.shape)[...] = x
-    src[-1] = 0.0
-    return src.take(plan)
+def _gather(
+    x: np.ndarray, plan: np.ndarray, src: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The patch matrix ``plan`` describes, gathered from NCHW ``x``.
+
+    ``plan`` may instead be the ``(K, len(x), out_h*out_w)`` columns of a
+    larger batch's plan, read through ``src``: a flat buffer as long as
+    that batch plus one, ending in the ``0.0`` its padding entries read.
+    """
+    if src is None:
+        src = np.empty(x.size + 1, dtype=np.float64)
+        src[-1] = 0.0
+    src[: x.size].reshape(x.shape)[...] = x
+    return src.take(plan).reshape(len(plan), -1)
 
 
 def _scatter(
@@ -346,25 +359,6 @@ def _scatter(
     return summed[:-1].reshape(shape)
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Read-only ``(N, C, kh, kw, out_h, out_w)`` view of every window.
-
-    Element ``[n, c, i, j, p, q]`` is ``x[n, c, p*stride + i, q*stride + j]``;
-    no memory is copied until a caller gathers the view into a buffer.
-    Used only by calls that record no backward: they build no plan.
-    """
-    n, c, h, w = x.shape
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -374,18 +368,21 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution over NCHW input, as three plain GEMMs.
 
-    The zero-padded patches are gathered into a
-    ``(C_in*kH*kW, N*out_h*out_w)`` matrix owned by this call, and forward
-    is ``W_mat @ cols``.  A call that records a backward gathers through
-    its geometry's cached index plan and keeps only that plan and the
-    input array, not the matrix: backward gathers the same patches again
-    for ``dW = G @ cols.T`` and drops them before it forms
+    The zero-padded patches are gathered through a cached index plan of the
+    geometry into a ``(C_in*kH*kW, N*out_h*out_w)`` matrix owned by this
+    call, and forward is ``W_mat @ cols``.  A call that records a backward
+    uses the plan for its own batch and keeps only that plan and the input
+    array, not the matrix: backward gathers the same patches again for
+    ``dW = G @ cols.T`` and drops them before it forms
     ``dcols = W_mat.T @ G`` (only when ``x`` takes a gradient), which the
     same plan scatters back onto ``x``.  So a training step holds no patch
     matrix between its forward and backward passes, and never two at once.
-    A call that records none (inference) gathers from a strided window
-    view of a padded copy and builds no plan.  Output and gradients are
-    C-contiguous NCHW.
+    A call that records none (inference) gathers and multiplies
+    ``_INFER_BLOCK`` images at a time through the plan for that many, the
+    one training at that batch size built; a shorter tail block reads the
+    first columns of the same plan, so inference builds no plan of its own
+    batch size and holds one block's patches at a time.  Output and
+    gradients are C-contiguous NCHW.
 
     Parameters
     ----------
@@ -414,28 +411,30 @@ def conv2d(
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    # gathered per call, never cached, and not kept for backward: it is
-    # kh*kw times the input at stride 1, so backward gathers it again from
-    # the input array (only the index plan is shared)
+    # a view of weight.data: optimisers rebind ``p.data``, never write into it
+    w_mat = weight.data.reshape(c_out, -1)
+    # the patch matrix is gathered per call, never cached, and not kept for
+    # backward: it is kh*kw times the input at stride 1, so backward gathers
+    # it again from the input array (only the index plan is shared)
     if requires:
         plan = _patch_plan(n, c, h, w, kh, kw, stride, padding)
         # the forward's input array: the graph holds it as ``x.data``
         x_data = x.data
-        cols = _gather(x_data, plan)
+        block, starts, src = n, (0,), None
     else:
-        padded = x.data
-        if padding:
-            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-            padded[:, :, padding:-padding, padding:-padding] = x.data
-        windows = _windows(padded, kh, kw, stride).transpose(1, 2, 3, 0, 4, 5)
-        # contiguous like the planned gather, so both routes run the same
-        # GEMM: a few degenerate geometries would reshape to a strided view
-        cols = np.ascontiguousarray(windows.reshape(c * kh * kw, n * out_h * out_w))
-    # a view of weight.data: optimisers rebind ``p.data``, never write into it
-    w_mat = weight.data.reshape(c_out, -1)
-    out_data = np.ascontiguousarray(
-        (w_mat @ cols).reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
-    )
+        # the training plan of the geometry, one block of images at a time
+        block, starts = _INFER_BLOCK, range(0, n, _INFER_BLOCK)
+        plan = _patch_plan(block, c, h, w, kh, kw, stride, padding)
+        src = np.empty(block * c * h * w + 1, dtype=np.float64)
+        src[-1] = 0.0
+    out_data = np.empty((n, c_out, out_h, out_w), dtype=np.float64)
+    for first in starts:
+        part = x.data[first : first + block]
+        t = len(part)
+        # a tail block reads its images' columns of the full block's plan
+        index = plan if t == block else plan.reshape(len(plan), block, -1)[:, :t]
+        gemm = (w_mat @ _gather(part, index, src)).reshape(c_out, t, out_h, out_w)
+        out_data[first : first + t] = gemm.transpose(1, 0, 2, 3)
     if bias is not None:
         np.add(out_data, bias.data.reshape(1, c_out, 1, 1), out=out_data)
 
@@ -477,13 +476,3 @@ def conv2d(
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Average over the spatial axes, returning ``(N, C)``."""
     return x.mean(axis=(2, 3))
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: zero activations with probability ``p`` during training."""
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)

@@ -24,7 +24,6 @@ __all__ = [
     "BatchNorm2d",
     "ReLU",
     "GlobalAvgPool2d",
-    "Dropout",
     "Identity",
     "Sequential",
 ]
@@ -280,16 +279,6 @@ class ReLU(Module):
 class GlobalAvgPool2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.global_avg_pool2d(x)
-
-
-class Dropout(Module):
-    def __init__(self, p: float = 0.5, *, rng: init.RngLike) -> None:
-        super().__init__()
-        self.p = p
-        self.rng = init.ensure_rng(rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.rng, training=self.training)
 
 
 class Identity(Module):

@@ -25,7 +25,6 @@ from .init import RngLike, ensure_rng
 from .layers import (
     BatchNorm2d,
     Conv2d,
-    Dropout,
     GlobalAvgPool2d,
     Identity,
     Linear,
@@ -95,9 +94,9 @@ class ClassifierModel(Module):
         return np.concatenate(outputs, axis=0) if outputs else np.zeros((0, width), dtype=np.float64)
 
     def _mode_dependent(self) -> bool:
-        """Whether eval mode changes this model's forward (a BatchNorm or
-        Dropout in its tree).  Computed once per model object: modules are
-        never re-parented."""
+        """Whether eval mode changes this model's forward (a BatchNorm in
+        its tree).  Computed once per model object: modules are never
+        re-parented."""
         flag = self.__dict__.get("_has_mode_layers")
         if flag is None:
             flag = self._has_mode_layers = _has_mode_layers(self)
@@ -105,7 +104,7 @@ class ClassifierModel(Module):
 
 
 def _has_mode_layers(module: Module) -> bool:
-    return isinstance(module, (_BatchNorm, Dropout)) or any(
+    return isinstance(module, _BatchNorm) or any(
         _has_mode_layers(child) for _, child in module.named_children()
     )
 

@@ -502,7 +502,7 @@ def test_interleaved_same_shape_convs_keep_their_own_patches():
 
 # ----------------------------------------------------------------------
 # the index plan: the same bytes as the strided gather and per-offset
-# scatter it replaced
+# scatter it replaced, in training and in blocked inference
 # ----------------------------------------------------------------------
 def strided_windows(data, kh, kw, stride):
     n, c, h, w = data.shape
@@ -570,7 +570,9 @@ def distinct_pair(low, high):
 
 
 @given(
-    n=st.integers(1, 3), c=st.integers(1, 3), c_out=st.integers(1, 3),
+    # batches of one block and of several, with and without a tail block
+    n=st.sampled_from([1, 2, 3, 31, 32, 33, 65]),
+    c=st.integers(1, 3), c_out=st.integers(1, 3),
     hw=distinct_pair(3, 7), kernel=distinct_pair(1, 3),
     stride=st.sampled_from([1, 2]), padding=st.sampled_from([0, 1, 2]),
     use_bias=st.booleans(), x_live=st.booleans(), residual=st.booleans(),
@@ -603,7 +605,7 @@ def test_conv2d_index_plan_is_byte_identical_to_the_strided_route(
         else:
             assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
     assert (results[0][1] is None) == (not x_live)
-    # the inference gather (no plan) yields the same bytes
+    # inference, in blocks through the 32-image plan, yields the same bytes
     with no_grad():
         bias = Tensor(b_data) if use_bias else None
         inferred = F.conv2d(Tensor(x_data), Tensor(w_data), bias, stride=stride,
@@ -612,19 +614,29 @@ def test_conv2d_index_plan_is_byte_identical_to_the_strided_route(
 
 
 def test_only_recorded_calls_use_the_bounded_plan_cache():
+    """Only a recorded call sizes a plan to its batch.  An inference call of
+    any batch size looks up one plan, its geometry's 32-image one, and runs
+    every block (a short tail block too) through it: after a recorded
+    32-image call of that geometry it builds nothing."""
     rng = np.random.default_rng(5)
-    x = Tensor(rng.normal(size=(2, 3, 6, 5)))
+    block = F._INFER_BLOCK
     weight = Tensor(rng.normal(size=(4, 3, 3, 2)), requires_grad=True)
+    F.conv2d(Tensor(rng.normal(size=(block, 3, 6, 5))), weight, padding=1)
     before = F._patch_plan.cache_info()
-    with no_grad():
-        F.conv2d(x, weight, padding=1)
-    # grad mode on, but nothing takes a gradient: no backward is recorded
-    F.conv2d(x, Tensor(weight.data), padding=1)
-    assert F._patch_plan.cache_info() == before
-
-    F.conv2d(x, weight, padding=1)
+    batches = (1, block - 1, block, block + 1, 3 * block + 5)
+    for n in batches:
+        x = Tensor(rng.normal(size=(n, 3, 6, 5)))
+        with no_grad():
+            F.conv2d(x, weight, padding=1)
+        # grad mode on, but nothing takes a gradient: no backward is recorded
+        F.conv2d(x, Tensor(weight.data), padding=1)
     after = F._patch_plan.cache_info()
-    assert after.hits + after.misses == before.hits + before.misses + 1
+    assert after.misses == before.misses and after.currsize == before.currsize
+    assert after.hits == before.hits + 2 * len(batches)
+
+    F.conv2d(Tensor(rng.normal(size=(2, 3, 6, 5))), weight, padding=1)
+    after = F._patch_plan.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 2 * len(batches) + 1
     plan = F._patch_plan(2, 3, 6, 5, 3, 2, 1, 1)
     assert plan.dtype == np.intp and plan.flags.c_contiguous
     assert plan.shape == (3 * 3 * 2, 2 * 6 * 6)
@@ -633,4 +645,7 @@ def test_only_recorded_calls_use_the_bounded_plan_cache():
     assert maxsize is not None and maxsize > 0
     for batch in range(1, maxsize + 2):
         F._patch_plan(batch, 1, 2, 2, 1, 1, 1, 0)
+    assert F._patch_plan.cache_info().currsize == maxsize
+    with no_grad():
+        F.conv2d(Tensor(rng.normal(size=(block + 3, 1, 3, 2))), Tensor(np.ones((1, 1, 1, 1))))
     assert F._patch_plan.cache_info().currsize == maxsize

@@ -1,5 +1,5 @@
 """Tests for functional ops: softmax family, conv2d vs a naive reference,
-pooling, dropout, one_hot."""
+pooling, one_hot."""
 
 import numpy as np
 import pytest
@@ -128,30 +128,6 @@ class TestPooling:
         out = F.global_avg_pool2d(x)
         assert out.shape == (2, 3)
         np.testing.assert_allclose(out.data, np.full((2, 3), 5.0))
-
-
-class TestDropout:
-    def test_eval_mode_identity(self, rng):
-        x = Tensor(np.ones((4, 4)))
-        out = F.dropout(x, 0.5, rng, training=False)
-        assert out is x
-
-    def test_zero_p_identity(self, rng):
-        x = Tensor(np.ones((4, 4)))
-        assert F.dropout(x, 0.0, rng, training=True) is x
-
-    def test_invalid_p(self, rng):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(3)), 1.0, rng)
-
-    def test_expected_scale(self):
-        rng = np.random.default_rng(42)
-        x = Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.3, rng, training=True)
-        # inverted dropout keeps the expectation
-        assert abs(out.data.mean() - 1.0) < 0.02
-        kept = out.data != 0
-        assert abs(kept.mean() - 0.7) < 0.02
 
 
 class TestLinear:
