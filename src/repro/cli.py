@@ -141,9 +141,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cp_p = trace_sub.add_parser(
         "critical-path",
-        help="async-engine dispatch/arrival timelines and staleness",
+        help="round-engine dispatch/arrival timelines and staleness",
     )
-    cp_p.add_argument("trace", help="JSONL trace of an --engine async run")
+    cp_p.add_argument(
+        "trace",
+        help="JSONL trace of a run (async knobs such as --max-staleness, "
+        "--buffer-size or --fault-plan give it stragglers and staleness)",
+    )
 
     val_p = trace_sub.add_parser(
         "validate",
@@ -298,7 +302,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "critical-path":
         summary = ta.critical_path(events)
         if not summary:
-            print("no engine events in trace (sync run?)", file=sys.stderr)
+            print("no engine events in trace", file=sys.stderr)
             return 2
         rows = [
             [

@@ -23,10 +23,11 @@ update, reached by an event loop:
   version and counts as one round for evaluation and recording.
 
 **The full barrier** — ``max_staleness=0``, ``buffer_size=None`` and no
-fault plan (``engine="sync"``): every sampled client arrives at the same
-instant, so a round is one ``client_work`` call over all participants and
-one ``server_update`` with all-ones weights, which every algorithm's
-update rule reduces to its unweighted arithmetic.
+fault plan, the run knobs' defaults: every sampled client arrives at the
+same instant, so a round is one ``client_work`` call over all participants
+and one ``server_update`` with all-ones weights, which every algorithm's
+update rule reduces to its unweighted arithmetic.  Setting any of the
+knobs makes the engine asynchronous.
 
 Checkpointing: the engine registers itself as ``algo.engine`` and
 :mod:`repro.fl.checkpoint` persists its state (clock, version, in-flight
@@ -38,7 +39,6 @@ are stateless, so no extra RNG state is needed.  See docs/ASYNC.md.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -132,10 +132,7 @@ class AsyncRoundEngine:
     @classmethod
     def from_config(cls, algo, config) -> "AsyncRoundEngine":
         """Build the engine a :class:`~repro.fl.config.RunKnobs` carrier
-        (a ``FederationConfig`` or an ``ExperimentSetting``) describes;
-        ``None`` or ``engine="sync"`` is the full barrier."""
-        if config is None or config.engine == "sync":
-            return cls(algo)
+        (a ``FederationConfig`` or an ``ExperimentSetting``) describes."""
         return cls(
             algo,
             max_staleness=config.max_staleness,
@@ -423,10 +420,11 @@ class AsyncRoundEngine:
         :meth:`~repro.fl.simulation.FederatedAlgorithm.run` for the
         evaluation, autosave and observability behaviour."""
         algo = self.algo
+        config = algo.federation.config
         if checkpoint_every is None:
-            checkpoint_every = getattr(algo.federation, "checkpoint_every", 0)
+            checkpoint_every = config.checkpoint_every
         if checkpoint_path is None:
-            checkpoint_path = getattr(algo.federation, "checkpoint_path", None)
+            checkpoint_path = config.checkpoint_path
         autosave = bool(
             checkpoint_every and checkpoint_every > 0 and checkpoint_path
         )
@@ -434,7 +432,8 @@ class AsyncRoundEngine:
             from .checkpoint import save_checkpoint
         if history is None:
             history = RunHistory(
-                algo.name, dataset=algo.bundle.name, config={"rounds": rounds}
+                algo.name, dataset=algo.bundle.name, config={"rounds": rounds},
+                start_round=algo.round_index,
             )
         algo._seal()
         tracer = algo.tracer
@@ -456,13 +455,11 @@ class AsyncRoundEngine:
             },
         ):
             for r in range(rounds):
-                start = time.perf_counter()
                 with tracer.span("round", scope="round") as round_span:
                     round_span.set_attr("round", algo.round_index + 1)
                     round_span.set_attr("engine", self.name)
                     extras = self._run_engine_round()
                 algo.round_index += 1
-                algo._collect_round_costs(time.perf_counter() - start)
                 final_round = r == rounds - 1
                 algo._record_if_due(
                     history, extras, final_round, eval_every, verbose

@@ -274,10 +274,6 @@ def save_checkpoint(
         "channel": algo.channel.state_dict(),
         "dropout_log": algo.dropout_log.state_dict(),
         "history": history.to_dict() if history is not None else None,
-        # partially accumulated record extras (stage times / wall time /
-        # dropouts since the last RoundRecord) — without this, a save that
-        # lands between eval_every boundaries silently drops them on resume
-        "pending": algo.pending_state(),
         "engine": engine.state_dict(),
     }
 
@@ -386,8 +382,9 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str) -> int:
     algo.federation.participation.load_state_dict(rng_meta["participation"])
 
     algo.channel.load_state_dict(meta["channel"])
+    # the dropout log also yields each later record's runtime_dropouts (a
+    # "pending" section, which older files carry, is not read)
     algo.dropout_log.load_state_dict(meta["dropout_log"])
-    algo.load_pending_state(meta.get("pending"))
 
     # round-engine state resumes only under the knobs it was written with
     # (the engine refuses a mismatch)

@@ -198,6 +198,3 @@ class FLClient:
     def evaluate(self) -> float:
         """Personalised accuracy on the local test set (paper ``C_acc``)."""
         return evaluate_accuracy(self.model, self.x_test, self.y_test)
-
-    def evaluate_on(self, x: np.ndarray, y: np.ndarray) -> float:
-        return evaluate_accuracy(self.model, x, y)

@@ -86,15 +86,8 @@ class RunKnobs:
     """
 
     # -- key: round engine (repro.fl.async_engine, docs/ASYNC.md) and cohort
-    # sampling (docs/SCALE.md); the async knobs are ignored under "sync"
-    engine: str = knob(
-        "sync", "key",
-        "round engine: 'sync' (the full barrier: every sampled client "
-        "finishes before the server updates) or 'async' (event-driven "
-        "buffered aggregation with staleness discounts, set by the knobs "
-        "below; with their defaults it is the full barrier)",
-        choices=("sync", "async"),
-    )
+    # sampling (docs/SCALE.md); the four async knobs' defaults are the full
+    # barrier: every sampled client finishes before the server updates
     max_staleness: int = knob(
         0, "key",
         "async: discard (and count) contributions more than this many "
@@ -108,8 +101,7 @@ class RunKnobs:
     buffer_size: Optional[int] = knob(
         None, "key",
         "async: aggregate as soon as this many contributions have arrived "
-        "(default: wait for every in-flight dispatch — the sync-equivalent "
-        "degenerate mode)",
+        "(default: wait for every in-flight dispatch — the full barrier)",
     )
     fault_plan: Optional[Union[str, Dict, object]] = knob(
         None, "key",
@@ -240,8 +232,9 @@ RUN_KNOBS = fields(RunKnobs)
 class FederationConfig(RunKnobs):
     """Describes how to build the federation for an experiment.
 
-    The run knobs (executor, engine, cohort, checkpoint, observability) are
-    inherited from :class:`RunKnobs`, where each carries its description.
+    The run knobs (executor, round engine, cohort, checkpoint,
+    observability) are inherited from :class:`RunKnobs`, where each carries
+    its description.
 
     Attributes
     ----------

@@ -40,7 +40,6 @@ class RoundRecord:
     client_accs: List[float]
     comm_uplink_bytes: int
     comm_downlink_bytes: int
-    wall_time_s: float = 0.0
     extras: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -53,12 +52,24 @@ class RoundRecord:
 
 
 class RunHistory:
-    """Ordered collection of :class:`RoundRecord` with summary queries."""
+    """Ordered collection of :class:`RoundRecord` with summary queries.
 
-    def __init__(self, algorithm: str, dataset: str = "", config: Optional[dict] = None) -> None:
+    ``start_round`` is the round the history began after: a record covers
+    the rounds since the previous record, or since ``start_round`` for the
+    first one.  It is not serialised; a restored history begins at 0.
+    """
+
+    def __init__(
+        self,
+        algorithm: str,
+        dataset: str = "",
+        config: Optional[dict] = None,
+        start_round: int = 0,
+    ) -> None:
         self.algorithm = algorithm
         self.dataset = dataset
         self.config = config or {}
+        self.start_round = int(start_round)
         self.records: List[RoundRecord] = []
 
     def append(self, record: RoundRecord) -> None:
@@ -141,7 +152,6 @@ class RunHistory:
             "comm_uplink_bytes",
             "comm_downlink_bytes",
             "comm_total_mb",
-            "wall_time_s",
         ] + extra_keys
 
         def cell(value):
@@ -162,7 +172,6 @@ class RunHistory:
                 r.comm_uplink_bytes,
                 r.comm_downlink_bytes,
                 cell(r.comm_total_mb),
-                cell(r.wall_time_s),
             ]
             row.extend(cell(r.extras.get(key)) for key in extra_keys)
             writer.writerow(row)
@@ -181,10 +190,13 @@ class RunHistory:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunHistory":
+        """Inverse of :meth:`to_dict`.  A stored ``wall_time_s`` (older
+        histories carry one per record) is dropped."""
         history = cls(
             payload["algorithm"], payload.get("dataset", ""), payload.get("config")
         )
         for raw in payload.get("records", []):
+            raw = {k: v for k, v in raw.items() if k != "wall_time_s"}
             history.append(RoundRecord(**raw))
         return history
 

@@ -25,8 +25,8 @@ from ..data.partition import (
     partition_shards,
 )
 from ..nn.models import build_model
-from ..obs import NULL_OBS, Observability
-from ..runtime import Executor, SerialExecutor, make_executor
+from ..obs import Observability
+from ..runtime import Executor, make_executor
 from .async_engine import AsyncRoundEngine
 from .channel import CommChannel
 from .client import FLClient
@@ -45,44 +45,34 @@ class Federation:
     ``clients`` is the :class:`~repro.fl.registry.ClientRegistry`
     :func:`build_federation` constructs: a Sequence that derives clients
     lazily, with a bounded live set when ``max_live_clients`` is set.
-    ``registry`` names the same object.
+    ``registry`` names the same object.  ``config`` is the
+    :class:`~repro.fl.config.FederationConfig` it was built from; the
+    round engine, autosave and sampled evaluation read their knobs there.
     """
 
     def __init__(
         self,
+        config: FederationConfig,
         clients: ClientRegistry,
         server: FLServer,
         bundle: FederatedDataBundle,
         channel: CommChannel,
         participation: ParticipationSampler,
-        executor: Optional[Executor] = None,
-        checkpoint_every: int = 0,
-        checkpoint_path: Optional[str] = None,
-        obs: Optional[Observability] = None,
-        eval_clients: Optional[int] = None,
-        eval_seed: int = 0,
-        knobs: Optional[FederationConfig] = None,
+        executor: Executor,
+        obs: Observability,
     ) -> None:
+        self.config = config
         self.clients = clients
         self.registry = clients
         self.server = server
         self.bundle = bundle
         self.channel = channel
         self.participation = participation
-        # sampled-client evaluation at large N: None evaluates everyone
-        self.eval_clients = eval_clients
-        self.eval_seed = int(eval_seed)
         # observability must exist before bind(): executors read it there
-        self.obs = obs if obs is not None else NULL_OBS
+        self.obs = obs
         self.channel.attach_metrics(self.obs.metrics)
         self.registry.attach_metrics(self.obs.metrics)
-        self.executor = (executor or SerialExecutor()).bind(self)
-        # autosave defaults inherited by FederatedAlgorithm.run()
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = checkpoint_path
-        # the run knobs an algorithm builds its round engine from (None:
-        # the full barrier)
-        self.knobs = knobs
+        self.executor = executor.bind(self)
 
     @property
     def num_clients(self) -> int:
@@ -96,14 +86,15 @@ class Federation:
         """Ids evaluated for the ``C_acc`` metric at ``round_index``.
 
         With ``eval_clients`` set, a per-round sample drawn from a
-        *stateless* seeded generator keyed on ``(eval_seed, round)`` — no
+        *stateless* seeded generator keyed on ``(seed + 7000, round)`` — no
         RNG stream to checkpoint, and a resumed run replays the identical
         sample (the FaultPlan idiom).
         """
-        if self.eval_clients is None or self.eval_clients >= self.num_clients:
+        sample = self.config.eval_clients
+        if sample is None or sample >= self.num_clients:
             return range(self.num_clients)
-        rng = np.random.default_rng((self.eval_seed, int(round_index)))
-        ids = rng.choice(self.num_clients, size=self.eval_clients, replace=False)
+        rng = np.random.default_rng((self.config.seed + 7000, int(round_index)))
+        ids = rng.choice(self.num_clients, size=sample, replace=False)
         return [int(cid) for cid in np.sort(ids)]
 
     def close(self) -> None:
@@ -177,18 +168,14 @@ def build_federation(
         clients_per_round=config.clients_per_round,
     )
     return Federation(
+        config,
         registry,
         server,
         bundle,
         CommChannel(),
         participation,
         executor=make_executor(config),
-        checkpoint_every=config.checkpoint_every,
-        checkpoint_path=config.checkpoint_path,
         obs=Observability.from_config(config),
-        eval_clients=config.eval_clients,
-        eval_seed=config.seed + 7000,
-        knobs=config,
     )
 
 
@@ -203,7 +190,7 @@ class FederatedAlgorithm(abc.ABC):
       server, each weighted by its staleness discount.
 
     The round engine the algorithm owns from construction
-    (``self.engine``, built from the federation's run knobs) calls them;
+    (``self.engine``, built from the federation's config) calls them;
     :meth:`run` delegates to it.  Use ``self.federation`` for
     clients/server/public data and ``self.channel`` for every transfer.
     Per-client stages go through :meth:`map_clients`, which routes them to
@@ -221,33 +208,18 @@ class FederatedAlgorithm(abc.ABC):
     #: Attributes a round may rebind; :meth:`extra_state` exports them.
     carried_state: Tuple[str, ...] = ()
     #: The base's own per-round names: the engine (a resume may rebuild
-    #: it), the round counter and the record accumulators.
-    _ROUND_ATTRS = frozenset(
-        {
-            "engine",
-            "round_index",
-            "_pending_wall_time",
-            "_pending_stage_times",
-            "_pending_dropouts",
-        }
-    )
+    #: it) and the round counter.
+    _ROUND_ATTRS = frozenset({"engine", "round_index"})
     _sealed = False
 
     def __init__(self, federation: Federation, seed: int = 0) -> None:
         self.federation = federation
         self.rng = np.random.default_rng(seed)
         self.round_index = 0
-        self.obs = getattr(federation, "obs", None) or NULL_OBS
+        self.obs = federation.obs
         self.dropout_log = DropoutLog(metrics=self.obs.metrics)
-        # extras accumulated since the last RoundRecord (wall time, stage
-        # times, runtime dropouts).  Instance state — not run() locals — so
-        # checkpoints carry it and a resume between eval boundaries does
-        # not silently drop the partial accumulation.
-        self._pending_wall_time = 0.0
-        self._pending_stage_times: Dict[str, float] = {}
-        self._pending_dropouts = 0
         # registers itself as self.engine
-        AsyncRoundEngine.from_config(self, getattr(federation, "knobs", None))
+        AsyncRoundEngine.from_config(self, federation.config)
 
     def __setattr__(self, name: str, value) -> None:
         if (
@@ -385,31 +357,6 @@ class FederatedAlgorithm(abc.ABC):
             if name in state:
                 setattr(self, name, np.asarray(state[name]).copy())
 
-    # ------------------------------------------------------------------
-    # partially accumulated record extras (checkpointed so a resume
-    # between eval_every boundaries loses nothing)
-    # ------------------------------------------------------------------
-    def pending_state(self) -> dict:
-        """Extras accumulated since the last :class:`RoundRecord`."""
-        return {
-            "wall_time_s": float(self._pending_wall_time),
-            "stage_times": {
-                name: float(seconds)
-                for name, seconds in self._pending_stage_times.items()
-            },
-            "dropouts": int(self._pending_dropouts),
-        }
-
-    def load_pending_state(self, state: Optional[dict]) -> None:
-        """Inverse of :meth:`pending_state` (``None`` resets to empty)."""
-        state = state or {}
-        self._pending_wall_time = float(state.get("wall_time_s", 0.0))
-        self._pending_stage_times = {
-            name: float(seconds)
-            for name, seconds in (state.get("stage_times") or {}).items()
-        }
-        self._pending_dropouts = int(state.get("dropouts", 0))
-
     def evaluate_server(self) -> float:
         with self.obs.profile_model("server"):
             return self.server.evaluate(self.bundle.test.x, self.bundle.test.y)
@@ -433,17 +380,6 @@ class FederatedAlgorithm(abc.ABC):
     # ------------------------------------------------------------------
     # round bookkeeping (called by the engine's run loop)
     # ------------------------------------------------------------------
-    def _collect_round_costs(self, wall_seconds: float) -> None:
-        """Fold one completed round's costs into the pending accumulators."""
-        self._pending_wall_time += wall_seconds
-        for stage_name, seconds in self.executor.pop_stage_times().items():
-            self._pending_stage_times[stage_name] = (
-                self._pending_stage_times.get(stage_name, 0.0) + seconds
-            )
-        self._pending_dropouts += self.dropout_log.count_for_round(
-            self.round_index
-        )
-
     def _record_if_due(
         self,
         history: RunHistory,
@@ -452,16 +388,26 @@ class FederatedAlgorithm(abc.ABC):
         eval_every: int,
         verbose: bool = False,
     ) -> None:
-        """Evaluate and append a :class:`RoundRecord` at eval boundaries."""
+        """Evaluate and append a :class:`RoundRecord` at eval boundaries.
+
+        Its ``runtime_dropouts`` counts the dropout log's clients over the
+        rounds the record covers (see :class:`RunHistory`).
+        """
         if not (final_round or self.round_index % eval_every == 0):
             return
         tracer = self.tracer
         snap = self.channel.mark_round()
         extras = dict(extras)
-        for stage_name, seconds in self._pending_stage_times.items():
-            extras.setdefault(f"time/{stage_name}", seconds)
-        if self._pending_dropouts:
-            extras.setdefault("runtime_dropouts", float(self._pending_dropouts))
+        since = (
+            history.records[-1].round_index if history.records
+            else history.start_round
+        )
+        dropouts = sum(
+            self.dropout_log.count_for_round(r)
+            for r in range(since + 1, self.round_index + 1)
+        )
+        if dropouts:
+            extras.setdefault("runtime_dropouts", float(dropouts))
         with self.obs.profile_stage("eval"), tracer.span(
             "eval", scope="stage", attrs={"round": self.round_index}
         ) as eval_span:
@@ -482,7 +428,6 @@ class FederatedAlgorithm(abc.ABC):
             client_accs=client_accs,
             comm_uplink_bytes=snap.uplink,
             comm_downlink_bytes=snap.downlink,
-            wall_time_s=self._pending_wall_time,
             extras=extras,
         )
         history.append(record)
@@ -494,12 +439,8 @@ class FederatedAlgorithm(abc.ABC):
                 "server_acc": record.server_acc,
                 "mean_client_acc": record.mean_client_acc,
                 "comm_mb": record.comm_total_mb,
-                "wall_time_s": record.wall_time_s,
             },
         )
-        self._pending_wall_time = 0.0
-        self._pending_stage_times = {}
-        self._pending_dropouts = 0
         self.obs.export_metrics()
         if verbose:
             print(
@@ -530,10 +471,9 @@ class FederatedAlgorithm(abc.ABC):
         including ``history`` so far — is written atomically to
         ``checkpoint_path`` via :func:`repro.fl.checkpoint.save_checkpoint`.
         Both default to the federation's configured values
-        (:class:`~repro.fl.config.FederationConfig`).  Partially
-        accumulated record extras (stage times, wall time, runtime
-        dropouts) are checkpointed too, so ``checkpoint_every`` need not
-        align with ``eval_every``.
+        (:class:`~repro.fl.config.FederationConfig`).  ``checkpoint_every``
+        need not align with ``eval_every``: a record's runtime dropouts
+        are counted from the checkpointed dropout log.
 
         When observability is enabled (``FederationConfig(trace_path=...)``
         or ``metrics_path=...``), each round and evaluation is traced as a
@@ -541,7 +481,7 @@ class FederatedAlgorithm(abc.ABC):
         record's ``extras``.
 
         The rounds themselves are the engine's (``self.engine``; the full
-        barrier unless the federation's knobs say ``engine="async"``).
+        barrier unless the federation's config sets an async knob).
         """
         return self.engine.run(
             rounds,

@@ -200,9 +200,6 @@ class Tensor:
         """Return the underlying array (no copy); detached from the graph."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -2,8 +2,8 @@
 
 The round engine expresses per-client work as *stages* — "run this client
 method with these kwargs across these participants".  An :class:`Executor`
-runs one stage and reports per-stage wall time plus any irrecoverable task
-failures.  Two implementations:
+runs one stage and reports any irrecoverable task failures; its time is
+the trace's ``stage`` span.  Two implementations:
 
 - :class:`SerialExecutor` — inline, in participant order; exactly the
   behaviour of the historical per-client ``for`` loops.
@@ -42,13 +42,12 @@ Outcome = Union[TaskResult, TaskFailure]
 
 
 class Executor:
-    """Runs per-client stages and accounts per-stage wall time."""
+    """Runs per-client stages, each traced as one ``stage`` span."""
 
     name = "base"
 
     def __init__(self) -> None:
         self._federation = None
-        self._stage_times: Dict[str, float] = {}
         self._obs = NULL_OBS
 
     # ------------------------------------------------------------------
@@ -85,12 +84,6 @@ class Executor:
         inline execution).
         """
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # timing hooks
-    # ------------------------------------------------------------------
-    def _record_time(self, stage: str, seconds: float) -> None:
-        self._stage_times[stage] = self._stage_times.get(stage, 0.0) + seconds
 
     # ------------------------------------------------------------------
     # observability hooks (all no-ops unless the run is instrumented)
@@ -150,11 +143,6 @@ class Executor:
                 if hist is not None:
                     hist.observe(outcome.duration_s)
 
-    def pop_stage_times(self) -> Dict[str, float]:
-        """Return accumulated per-stage seconds and reset the ledger."""
-        times, self._stage_times = self._stage_times, {}
-        return times
-
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
@@ -184,11 +172,9 @@ class SerialExecutor(Executor):
     def run_stage(self, clients, method, kwargs=None, stage=None):
         stage = stage or method
         clients = list(clients)
-        start = time.perf_counter()
         with self._stage_span(stage, len(clients)), self._profile_stage(stage):
             results = [self._run_inline(c, method, kwargs) for c in clients]
             self._publish_outcomes(stage, results)
-        self._record_time(stage, time.perf_counter() - start)
         return [r.value for r in results], []
 
 
@@ -305,7 +291,6 @@ class ParallelExecutor(Executor):
         clients = list(clients)
         if not clients:
             return [], []
-        start = time.perf_counter()
         with self._stage_span(stage, len(clients)), self._profile_stage(stage):
             tasks = [
                 self._make_task(c, method, dict(kwargs or {}), stage)
@@ -329,7 +314,6 @@ class ParallelExecutor(Executor):
                 self._publish_outcomes(stage, results)
                 values = [r.value for r in results]
                 failures = []
-        self._record_time(stage, time.perf_counter() - start)
         return values, failures
 
     def _run_tasks(self, tasks: List[ClientTask], clients: List) -> List[Outcome]:

@@ -62,7 +62,9 @@ __all__ = [
 #: v3: the cohort knobs (per-round and per-evaluation sample sizes) entered
 #: the key; the live-client cap is a runtime field (eviction + spill are
 #: bit-neutral).
-RUN_KEY_VERSION = 3
+#: v4: the ``engine`` knob left the key (the other four round-engine knobs
+#: always apply; their defaults are the full barrier).
+RUN_KEY_VERSION = 4
 
 #: Every ``ExperimentSetting`` field declares its run-key role where it is
 #: defined (:func:`repro.fl.config.knob`; a field without one fails this

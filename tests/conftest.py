@@ -7,6 +7,8 @@ from __future__ import annotations
 # so the pool tests' forked workers do not oversubscribe the cores
 import repro  # noqa: F401  isort: skip
 
+import json
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,11 @@ def make_tiny_federation(
         **kwargs,
     )
     return build_federation(bundle, config)
+
+
+def records_json(history) -> str:
+    """A history's records as canonical JSON: every field, NaN == NaN."""
+    return json.dumps(history.to_dict()["records"], sort_keys=True)
 
 
 @pytest.fixture

@@ -25,15 +25,9 @@ from .test_harness import FAST
 ALGORITHMS = sorted(REGISTRY)
 
 
-def _comparable(history) -> str:
-    """The history minus wall-clock readings, as JSON (NaN == NaN)."""
-    payload = history.to_dict()
-    for record in payload["records"]:
-        record.pop("wall_time_s")
-        record["extras"] = {
-            k: v for k, v in record["extras"].items() if not k.startswith("time/")
-        }
-    return json.dumps(payload, sort_keys=True)
+def _canonical(history) -> str:
+    """The whole history as canonical JSON (NaN == NaN)."""
+    return json.dumps(history.to_dict(), sort_keys=True)
 
 
 @contextmanager
@@ -76,7 +70,7 @@ def test_pool_path_matches_run_algorithm(two_cores):
     assert list(results) == ALGORITHMS
     for name in ALGORITHMS:
         assert results[name].algorithm == name
-        assert _comparable(results[name]) == _comparable(
+        assert _canonical(results[name]) == _canonical(
             run_algorithm(setting, name)
         ), name
 
@@ -87,7 +81,7 @@ def test_parallel_executor_stays_inline_and_matches_run_algorithm(two_cores):
     assert two_cores == []  # the client pool owns the cores: no nested pool
     assert list(results) == ALGORITHMS
     for name in ALGORITHMS:
-        assert _comparable(results[name]) == _comparable(
+        assert _canonical(results[name]) == _canonical(
             run_algorithm(setting, name)
         ), name
 
@@ -97,10 +91,10 @@ def test_overrides_reach_their_algorithm_only(two_cores):
     results = compare_algorithms(
         setting, ["fedavg", Arm("naive_kd", "naive_kd", {"distill_to_clients": False})]
     )
-    assert _comparable(results["naive_kd"]) == _comparable(
+    assert _canonical(results["naive_kd"]) == _canonical(
         run_algorithm(setting, "naive_kd", distill_to_clients=False)
     )
-    assert _comparable(results["fedavg"]) == _comparable(
+    assert _canonical(results["fedavg"]) == _canonical(
         run_algorithm(setting, "fedavg")
     )
 
@@ -116,7 +110,7 @@ def test_two_arms_of_one_algorithm_keep_their_own_overrides(two_cores):
     assert list(results) == ["theta=0.3", "no filter"]
     for arm in arms:
         assert results[arm.label].algorithm == "fedpkd"
-        assert _comparable(results[arm.label]) == _comparable(
+        assert _canonical(results[arm.label]) == _canonical(
             run_algorithm(setting, "fedpkd", **arm.overrides)
         ), arm.label
 

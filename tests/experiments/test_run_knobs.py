@@ -28,7 +28,6 @@ from repro.sweep import spec as sweep_spec
 
 # one valid non-default value per knob; a new knob must add its own
 SAMPLES = {
-    "engine": "async",
     "max_staleness": 2,
     "staleness_alpha": 0.9,
     "buffer_size": 3,
@@ -142,7 +141,7 @@ def test_run_option_strings_golden():
     assert options == {"-h", "--help"} | set(
         "--algorithm --dataset --partition --scale --heterogeneous --rounds "
         "--seed --clients-per-round --max-live-clients --eval-clients "
-        "--executor --max-workers --task-timeout-s --engine "
+        "--executor --max-workers --task-timeout-s "
         "--max-staleness --staleness-alpha --buffer-size --fault-plan "
         "--checkpoint --checkpoint-every --resume --trace --metrics-out "
         "--profile --out --verbose".split()
@@ -168,7 +167,7 @@ def test_sweep_spec_fields_golden():
     assert set(sweep_spec._ALLOWED_FIELDS) == {
         "algorithm", "rounds", "eval_every",
         "dataset", "partition", "heterogeneous", "scale", "seed",
-        "scale_overrides", "engine", "max_staleness", "staleness_alpha",
+        "scale_overrides", "max_staleness", "staleness_alpha",
         "buffer_size", "fault_plan", "clients_per_round", "eval_clients",
         "executor", "max_workers", "task_timeout_s", "max_live_clients",
         "profile",

@@ -29,7 +29,7 @@ from repro.fl import (
 )
 from repro.fl.simulation import FederatedAlgorithm
 
-from ..conftest import make_tiny_federation
+from ..conftest import make_tiny_federation, records_json
 from .test_pinned_histories import history_digest
 
 
@@ -59,23 +59,8 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _deterministic_extras(record):
-    """Record extras minus the wall-clock-dependent ``time/*`` keys."""
-    return {k: v for k, v in record.extras.items() if not k.startswith("time/")}
-
-
 def assert_histories_identical(a, b):
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.round_index == rb.round_index
-        # server-model-free algorithms (e.g. FedProto) report NaN server_acc
-        assert ra.server_acc == rb.server_acc or (
-            np.isnan(ra.server_acc) and np.isnan(rb.server_acc)
-        )
-        assert ra.client_accs == rb.client_accs
-        assert ra.comm_uplink_bytes == rb.comm_uplink_bytes
-        assert ra.comm_downlink_bytes == rb.comm_downlink_bytes
-        assert _deterministic_extras(ra) == _deterministic_extras(rb)
+    assert records_json(a) == records_json(b)
 
 
 CHAOS_PLAN = {
@@ -126,7 +111,6 @@ class TestConstruction:
         algo = make_fedpkd(tiny_bundle)
 
         config = FederationConfig(
-            engine="async",
             max_staleness=2,
             staleness_alpha=0.9,
             buffer_size=2,
@@ -459,7 +443,6 @@ class TestHarnessIntegration:
         from repro.experiments.harness import ExperimentSetting, run_algorithm
 
         setting = ExperimentSetting(
-            engine="async",
             max_staleness=2,
             buffer_size=2,
             fault_plan={
@@ -476,16 +459,23 @@ class TestHarnessIntegration:
     def test_run_algorithm_async_degenerate_matches_sync(self):
         from repro.experiments.harness import ExperimentSetting, run_algorithm
 
-        # engine="async" with default knobs is the full barrier, as is
-        # engine="sync": both reproduce the synchronous loop's history
-        for engine in ("sync", "async"):
-            history = run_algorithm(
-                ExperimentSetting(engine=engine, **FAST_SETTING), "fedpkd", rounds=2
-            )
-            assert history_digest(history) == (
-                "65162e35ebe808d80e9afc7bc3db3382d803d8baa060a9fd9f9ac02e1c87ecd0"
-            )
+        # the async knobs' defaults are the full barrier: they reproduce
+        # the synchronous loop's history
+        history = run_algorithm(ExperimentSetting(**FAST_SETTING), "fedpkd", rounds=2)
+        assert history_digest(history) == (
+            "65162e35ebe808d80e9afc7bc3db3382d803d8baa060a9fd9f9ac02e1c87ecd0"
+        )
 
+
+    def test_async_knobs_alone_change_the_history(self):
+        from repro.experiments.harness import ExperimentSetting, run_algorithm
+
+        # no other flag is needed for the knobs to apply
+        setting = ExperimentSetting(max_staleness=2, buffer_size=1, **FAST_SETTING)
+        history = run_algorithm(setting, "fedpkd", rounds=2)
+        assert history_digest(history) != (
+            "65162e35ebe808d80e9afc7bc3db3382d803d8baa060a9fd9f9ac02e1c87ecd0"
+        )
 
 class TestFedProtoAsync:
     """FedProto: the prototype-only round under the engine."""
@@ -604,8 +594,8 @@ def test_every_algorithm_survives_async_chaos(algorithm):
     from repro.experiments.harness import ExperimentSetting, run_algorithm
 
     setting = ExperimentSetting(
-        engine="async", max_staleness=2, buffer_size=2,
-        fault_plan=STRAGGLER_AND_CRASH, scale="tiny",
+        max_staleness=2, buffer_size=2, fault_plan=STRAGGLER_AND_CRASH,
+        scale="tiny",
         scale_overrides=dict(FAST_SETTING["scale_overrides"], num_clients=4),
     )
     history = run_algorithm(setting, algorithm, rounds=3)

@@ -1,11 +1,9 @@
 """Observability survives async-engine resume.
 
 The tracer appends to an existing trace behind a ``resume`` marker (it
-must never truncate), the restored run stays bit-identical to an
-uninterrupted one, and mid-eval-interval pending state (round timings
-accumulated between eval records) makes it through the checkpoint.
-These are the async-engine counterparts of tests/fl/test_exact_resume.py
-and tests/fl/test_pending_state.py.
+must never truncate), and the restored run stays bit-identical to an
+uninterrupted one, also when the checkpoint falls between two records.
+These are the async-engine counterparts of tests/fl/test_exact_resume.py.
 """
 
 import json
@@ -15,11 +13,11 @@ import pytest
 from repro.algorithms import build_algorithm
 from repro.experiments.harness import ExperimentSetting, run_algorithm
 from repro.fl.async_engine import AsyncRoundEngine
-from repro.fl.checkpoint import load_checkpoint, read_checkpoint_meta
+from repro.fl.checkpoint import load_checkpoint, load_history
 from repro.obs import validate_trace_file
 
 from ..conftest import make_tiny_federation
-from .test_exact_resume import assert_bit_identical
+from .test_exact_resume import CRASH_IN_ROUND_1, assert_bit_identical
 
 ROUNDS = 4
 
@@ -29,7 +27,6 @@ def _async_setting(tmp_path, **extra):
         dataset="cifar10",
         scale="tiny",
         seed=0,
-        engine="async",
         max_staleness=1,
         buffer_size=2,
         **extra,
@@ -95,17 +92,27 @@ def test_async_resume_is_bit_identical(tmp_path):
 def _make_async(bundle):
     fed = make_tiny_federation(bundle, server_model="mlp_small")
     algo = build_algorithm("fedpkd", fed, seed=0, epoch_scale=0.1)
-    return AsyncRoundEngine(algo, max_staleness=1, buffer_size=2), fed
+    engine = AsyncRoundEngine(
+        algo, max_staleness=1, buffer_size=2, fault_plan=CRASH_IN_ROUND_1
+    )
+    return engine, fed
 
 
-def test_async_resume_restores_pending_state(tiny_bundle, tmp_path):
-    """A checkpoint mid-eval-interval keeps the interval's pending extras.
+def test_async_mid_interval_resume_matches_uninterrupted_run(
+    tiny_bundle, tmp_path
+):
+    """With ``eval_every=2`` and ``checkpoint_every=1``, interrupting
+    during round 2 leaves a checkpoint between two records; resumed with
+    its history, the run records what an uninterrupted one does, runtime
+    dropouts included."""
+    path = str(tmp_path / "mid.ckpt")
+    engine, fed = _make_async(tiny_bundle)
+    try:
+        full = engine.run(2, eval_every=2)
+    finally:
+        fed.close()
+    assert full.records[-1].extras["runtime_dropouts"] >= 1.0
 
-    With ``eval_every=2`` and ``checkpoint_every=1``, interrupting during
-    round 2 leaves round 1's timings only in the checkpoint's pending
-    ledger; resuming must fold them into the eventual round-2 record.
-    """
-    path = str(tmp_path / "pending.ckpt")
     engine, fed = _make_async(tiny_bundle)
     original = engine._run_engine_round
     calls = {"n": 0}
@@ -125,20 +132,10 @@ def test_async_resume_restores_pending_state(tiny_bundle, tmp_path):
     finally:
         fed.close()
 
-    pending = read_checkpoint_meta(path)["pending"]
-    assert pending["stage_times"]  # round 1's timings made the save
-    assert pending["wall_time_s"] > 0.0
-
     engine, fed = _make_async(tiny_bundle)
     try:
         assert load_checkpoint(engine.algo, path) == 1
-        history = engine.run(1, eval_every=2)
+        resumed = engine.run(1, eval_every=2, history=load_history(path))
     finally:
         fed.close()
-    record = history.records[-1]
-    assert record.round_index == 2
-    # the single record spans both rounds: round 1's checkpointed
-    # timings are a floor for what it reports
-    for stage, seconds in pending["stage_times"].items():
-        assert record.extras[f"time/{stage}"] >= seconds
-    assert record.wall_time_s >= pending["wall_time_s"]
+    assert_bit_identical(full, resumed)

@@ -20,7 +20,7 @@ from repro.fl.checkpoint import (
 )
 from repro.nn import deserialize_state, serialize_state
 
-from ..conftest import make_tiny_federation
+from ..conftest import make_tiny_federation, records_json
 from .test_pinned_histories import history_digest
 
 
@@ -154,6 +154,34 @@ class TestCheckpoint:
         load_checkpoint(fresh, path)
         resumed = fresh.run(rounds=1)
         assert resumed.records[-1].round_index == 2
+
+    def test_file_with_pending_section_and_wall_times_resumes(
+        self, tiny_bundle, tmp_path
+    ):
+        """A v5 file written while histories still held wall-clock time (a
+        ``pending`` section, ``wall_time_s`` in every record) loads, and
+        the resumed run records what an uninterrupted one does."""
+        full = make_algo(tiny_bundle).run(rounds=2)
+        algo = make_algo(tiny_bundle)
+        history = algo.run(rounds=1)
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(algo, path, history=history)
+        with open(path, "rb") as f:
+            arrays, meta = deserialize_state(f.read())
+        meta["pending"] = {
+            "wall_time_s": 0.5, "stage_times": {"local_train": 0.25},
+            "dropouts": 0,
+        }
+        for record in meta["history"]["records"]:
+            record["wall_time_s"] = 1.25
+        with open(path, "wb") as f:
+            f.write(serialize_state(arrays, meta))
+
+        assert read_checkpoint_meta(path)["format_version"] == 5
+        fresh = make_algo(tiny_bundle)
+        assert load_checkpoint(fresh, path) == 1
+        resumed = fresh.run(rounds=1, history=load_history(path))
+        assert records_json(resumed) == records_json(full)
 
     def test_missing_file(self, tiny_bundle):
         algo = make_algo(tiny_bundle)

@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.fl import FLClient, FLServer, TrainingConfig
+from repro.fl.training import evaluate_accuracy
 
 IMG = (3, 6, 6)
 
@@ -57,9 +58,9 @@ class TestClientPrototypes:
 class TestClientTraining:
     def test_local_training_improves_fit(self):
         client = make_client(n=60)
-        before = client.evaluate_on(client.x_train, client.y_train)
+        before = evaluate_accuracy(client.model, client.x_train, client.y_train)
         client.train_local(TrainingConfig(epochs=10))
-        after = client.evaluate_on(client.x_train, client.y_train)
+        after = evaluate_accuracy(client.model, client.x_train, client.y_train)
         assert after >= before
 
     def test_logits_shape(self):

@@ -9,14 +9,12 @@ federation, resume — the finished histories must match bit for bit
 serial and the parallel executor.
 """
 
-import math
-
 import pytest
 
 from repro.algorithms import build_algorithm
 from repro.fl.checkpoint import load_checkpoint, load_history
 
-from ..conftest import make_tiny_federation
+from ..conftest import make_tiny_federation, records_json
 
 ROUNDS = 4
 
@@ -40,22 +38,8 @@ def _make_algo(bundle, algorithm, server_model, executor, **fed_kwargs):
     return build_algorithm(algorithm, fed, seed=0, epoch_scale=0.1), fed
 
 
-def _deterministic_extras(record):
-    """Extras minus wall-clock noise (``time/*`` stage timings)."""
-    return {k: v for k, v in record.extras.items() if not k.startswith("time/")}
-
-
 def assert_bit_identical(full, resumed):
-    assert len(full.records) == len(resumed.records)
-    for a, b in zip(full.records, resumed.records):
-        assert a.round_index == b.round_index
-        assert a.server_acc == b.server_acc or (
-            math.isnan(a.server_acc) and math.isnan(b.server_acc)
-        )
-        assert a.client_accs == b.client_accs
-        assert a.comm_uplink_bytes == b.comm_uplink_bytes
-        assert a.comm_downlink_bytes == b.comm_downlink_bytes
-        assert _deterministic_extras(a) == _deterministic_extras(b)
+    assert records_json(full) == records_json(resumed)
 
 
 @pytest.mark.parametrize("algorithm,server_model", CASES)
@@ -148,3 +132,54 @@ def test_harness_resume_flow(tiny_bundle, tmp_path):
         setting, "fedproto", rounds=ROUNDS, eval_every=1, resume=True
     )
     assert_bit_identical(full, again)
+
+
+#: One crashed dispatch in round 1, so the run has a runtime dropout to
+#: report before the mid-interval save below.
+CRASH_IN_ROUND_1 = {"faults": [{"kind": "crash", "client_id": 1, "round": 0}]}
+
+
+def test_mid_interval_resume_matches_uninterrupted_run(tiny_bundle, tmp_path):
+    """eval_every=2 with checkpoint_every=1, interrupted during round 2:
+    the round-1 autosave sits between two records.  Resumed with the
+    checkpoint's history, the run records what an uninterrupted one does,
+    including the runtime dropout of the round before the save."""
+    path = str(tmp_path / "mid.ckpt")
+
+    def make():
+        return _make_algo(
+            tiny_bundle, "fedpkd", "mlp_medium", "serial",
+            fault_plan=CRASH_IN_ROUND_1,
+        )
+
+    algo, fed = make()
+    try:
+        full = algo.run(2, eval_every=2)
+    finally:
+        fed.close()
+    assert full.records[-1].extras["runtime_dropouts"] == 1.0
+
+    algo, fed = make()
+    original = algo.server_update
+    calls = {"n": 0}
+
+    def interrupted(contributions, client_weights, contributors):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise KeyboardInterrupt
+        return original(contributions, client_weights, contributors)
+
+    algo.server_update = interrupted
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            algo.run(2, eval_every=2, checkpoint_every=1, checkpoint_path=path)
+    finally:
+        fed.close()
+
+    algo, fed = make()
+    try:
+        assert load_checkpoint(algo, path) == 1
+        resumed = algo.run(1, eval_every=2, history=load_history(path))
+    finally:
+        fed.close()
+    assert_bit_identical(full, resumed)

@@ -161,9 +161,9 @@ class TestToCsv:
     def make_history(self):
         h = RunHistory("algo", dataset="ds")
         r1 = record(1, 0.3, [0.2, 0.4])
-        r1.extras = {"time/local_train": 1.5}
+        r1.extras = {"server_loss": 1.5}
         r2 = record(2, float("nan"), [0.3, 0.5], up=2 * MB)
-        r2.extras = {"time/local_train": 1.0, "runtime_dropouts": 2.0}
+        r2.extras = {"server_loss": 1.0, "runtime_dropouts": 2.0}
         h.append(r1)
         h.append(r2)
         return h
@@ -171,17 +171,16 @@ class TestToCsv:
     def test_header_has_fixed_columns_then_sorted_extras(self):
         lines = self.make_history().to_csv().strip().splitlines()
         header = lines[0].split(",")
-        assert header[:7] == [
+        assert header[:6] == [
             "round_index",
             "server_acc",
             "mean_client_acc",
             "comm_uplink_bytes",
             "comm_downlink_bytes",
             "comm_total_mb",
-            "wall_time_s",
         ]
         # union of extras keys, sorted; records missing a key leave a gap
-        assert header[7:] == ["runtime_dropouts", "time/local_train"]
+        assert header[6:] == ["runtime_dropouts", "server_loss"]
 
     def test_rows_align_with_records(self):
         lines = self.make_history().to_csv().strip().splitlines()
@@ -190,9 +189,9 @@ class TestToCsv:
         assert row1[0] == "1" and row2[0] == "2"
         assert float(row1[1]) == pytest.approx(0.3)
         assert row2[1] == ""  # NaN renders as an empty cell
-        assert row1[7] == ""  # no runtime_dropouts in round 1
-        assert float(row2[7]) == pytest.approx(2.0)
-        assert float(row2[8]) == pytest.approx(1.0)
+        assert row1[6] == ""  # no runtime_dropouts in round 1
+        assert float(row2[6]) == pytest.approx(2.0)
+        assert float(row2[7]) == pytest.approx(1.0)
 
     def test_empty_history(self):
         lines = RunHistory("algo").to_csv().strip().splitlines()

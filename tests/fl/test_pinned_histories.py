@@ -7,8 +7,12 @@ of a 2-round tiny-scale run with seed 0, recorded from the synchronous
 round loop every algorithm ran under before the event engine became the
 only one.  They move only when an algorithm's arithmetic or its
 communication moves; re-record them in the same change that says so.
+
+With observability off, a history is a function of the run config alone:
+every other mode's records equal the serial run's, every field included.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -19,7 +23,7 @@ from repro.experiments.harness import ExperimentSetting, run_algorithm
 from repro.fl import TrainingConfig
 from repro.obs import validate_trace_file
 
-from ..conftest import make_tiny_federation
+from ..conftest import make_tiny_federation, records_json
 
 PINNED_HISTORIES = {
     "fedpkd": "9cf82b443c4f8b488fe49ada151d3d5fd7353ddd7e4139b19b43515ed547bf94",
@@ -48,6 +52,12 @@ def history_digest(history) -> str:
 
 
 def serial(algorithm, tmp_path):
+    return _serial(algorithm)
+
+
+@functools.lru_cache(maxsize=None)
+def _serial(algorithm):
+    """The reference run, shared by the serial mode and the comparisons."""
     return run_algorithm(ExperimentSetting(scale="tiny"), algorithm, rounds=ROUNDS)
 
 
@@ -109,6 +119,8 @@ def test_history_is_pinned(algorithm, mode, tmp_path):
     assert history_digest(history) == PINNED_HISTORIES[algorithm], (
         canonical_history(history)
     )
+    if mode is not traced_profiled:
+        assert records_json(history) == records_json(_serial(algorithm))
 
 
 def test_full_barrier_round_is_one_stage_per_phase(tiny_bundle):

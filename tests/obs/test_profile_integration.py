@@ -18,11 +18,11 @@ from ..conftest import make_tiny_federation
 
 ROUNDS = 2
 
-#: extras keys that legitimately differ with profiling on: wall-clock
-#: stage timings, the profiler's own gauges, and runtime task counters
-#: (which also differ serial vs parallel).  Everything else — accuracies,
-#: comm bytes, algorithm metrics, channel gauges — must match bit for bit.
-_OBS_PREFIXES = ("time/", "profile/", "runtime/")
+#: extras keys that legitimately differ with profiling on: the profiler's
+#: own gauges and runtime task counters (which also differ serial vs
+#: parallel).  Everything else — accuracies, comm bytes, algorithm
+#: metrics, channel gauges — must match bit for bit.
+_OBS_PREFIXES = ("profile/", "runtime/")
 
 
 def _core_extras(record):

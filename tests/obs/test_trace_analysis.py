@@ -135,7 +135,7 @@ class TestCriticalPath:
         trace_path = str(tmp_path / "chaos.trace.jsonl")
         metrics_path = str(tmp_path / "chaos.metrics.jsonl")
         setting = ExperimentSetting(
-            scale="tiny", engine="async", max_staleness=2, buffer_size=2,
+            scale="tiny", max_staleness=2, buffer_size=2,
             fault_plan=plan, trace_path=trace_path, metrics_path=metrics_path,
         )
         run_algorithm(setting, "fedpkd", rounds=5)

@@ -1,10 +1,9 @@
 """Serial/parallel equivalence and fault tolerance of the runtime.
 
 The headline guarantee of :mod:`repro.runtime` is that a parallel run is
-*bit-identical* to a serial one: accuracies, per-client accuracies, and
-communication bytes must match exactly (only the ``time/*`` extras may
-differ).  The second guarantee is that a stalled or killed worker degrades
-to a per-round dropout instead of aborting the run.
+*bit-identical* to a serial one: every field of every history record
+must match exactly.  The second guarantee is that a stalled or killed
+worker degrades to a per-round dropout instead of aborting the run.
 """
 
 import os
@@ -23,8 +22,9 @@ from repro.runtime import (
     make_executor,
 )
 from repro.fl import FederationConfig
+from repro.obs import trace_analysis
 
-from ..conftest import make_tiny_federation
+from ..conftest import make_tiny_federation, records_json
 
 
 def _run(bundle, algorithm, executor, server_model, rounds=2, **cfg_kwargs):
@@ -41,10 +41,6 @@ def _run(bundle, algorithm, executor, server_model, rounds=2, **cfg_kwargs):
     finally:
         fed.close()
     return history, algo
-
-
-def _comparable_extras(record):
-    return {k: v for k, v in record.extras.items() if not k.startswith("time/")}
 
 
 @pytest.fixture
@@ -140,20 +136,19 @@ class TestEquivalence:
             tiny_bundle, algorithm, "parallel", server_model, max_workers=2
         )
         assert len(serial.records) == len(parallel.records) == 2
-        for rs, rp in zip(serial.records, parallel.records):
-            assert rs.server_acc == rp.server_acc
-            assert rs.client_accs == rp.client_accs
-            assert rs.comm_uplink_bytes == rp.comm_uplink_bytes
-            assert rs.comm_downlink_bytes == rp.comm_downlink_bytes
-            assert _comparable_extras(rs) == _comparable_extras(rp)
+        assert records_json(serial) == records_json(parallel)
 
-    def test_stage_timings_recorded(self, tiny_bundle):
-        history, _ = _run(
-            tiny_bundle, "fedavg", "parallel", "mlp_small", rounds=1, max_workers=2
+    def test_stage_timings_recorded(self, tiny_bundle, tmp_path):
+        # a stage's time is its trace span, summed by `repro trace summarize`
+        trace = str(tmp_path / "run.trace.jsonl")
+        _run(
+            tiny_bundle, "fedavg", "parallel", "mlp_small", rounds=1,
+            max_workers=2, trace_path=trace,
         )
-        times = [k for k in history.records[0].extras if k.startswith("time/")]
-        assert "time/local_train" in times
-        assert all(history.records[0].extras[k] >= 0.0 for k in times)
+        rows = trace_analysis.stage_summary(trace_analysis.load_trace(trace))
+        by_stage = {row["stage"]: row for row in rows}
+        assert by_stage["local_train"]["count"] == 1
+        assert all(row["total_s"] >= 0.0 for row in rows)
 
 
 class TestFaultTolerance:

@@ -63,24 +63,24 @@ class TestRunKey:
         assert first == second
 
     def test_pinned_run_keys(self):
-        # literals computed at RUN_KEY_VERSION 3 and checkpoint format 5: a
+        # literals computed at RUN_KEY_VERSION 4 and checkpoint format 5: a
         # refactor of how the key fields are gathered must not move a
         # single cached history
         assert RunSpec("fedavg").run_key() == (
-            "b325dd33afbe23015294a33af3cd0060a9432554f6ed18e1f561563b482b12f2"
+            "2964dbf089d5202f259bfef59b135028587176d9f1b72b33c0e13984ac004c33"
         )
         busy = RunSpec(
             "fedpkd",
             {
                 "scale": "tiny", "seed": 7, "partition": "dir0.1",
-                "heterogeneous": True, "engine": "async", "max_staleness": 2,
+                "heterogeneous": True, "max_staleness": 2,
                 "buffer_size": 3, "clients_per_round": 3,
             },
             {"executor": "parallel", "max_workers": 2, "profile": True},
             rounds=3,
         )
         assert busy.run_key() == (
-            "5e7200b766465cf8696113362a949521f04fb2a78a7ace022d8b9e5da1756fb1"
+            "f7719fa2ab3e2bf5fe67eb9dc814c420552de1f655987333d6aed4d73b0b56c8"
         )
 
     def test_defaults_normalised_into_key(self):
@@ -207,19 +207,13 @@ class TestEngineRunKeys:
     def test_engine_fields_change_key(self):
         base = RunSpec("fedpkd", {"seed": 0}, rounds=1)
         for fields in (
-            {"seed": 0, "engine": "async"},
-            {"seed": 0, "engine": "async", "max_staleness": 2},
-            {"seed": 0, "engine": "async", "staleness_alpha": 0.9},
-            {"seed": 0, "engine": "async", "buffer_size": 2},
+            {"seed": 0, "max_staleness": 2},
+            {"seed": 0, "staleness_alpha": 0.9},
+            {"seed": 0, "buffer_size": 2},
             {"seed": 0, "fault_plan": {"faults": [
                 {"kind": "crash", "client_id": 0, "round": 1}]}},
         ):
             assert RunSpec("fedpkd", fields, rounds=1).run_key() != base.run_key()
-
-    def test_explicit_sync_engine_matches_default(self):
-        implicit = RunSpec("fedpkd", {"seed": 0}, rounds=1)
-        explicit = RunSpec("fedpkd", {"seed": 0, "engine": "sync"}, rounds=1)
-        assert implicit.run_key() == explicit.run_key()
 
     def test_fault_plan_path_and_dict_share_key(self, tmp_path):
         plan = {
@@ -247,8 +241,8 @@ class TestEngineRunKeys:
     def test_engine_axis_expands(self):
         spec = make_spec(
             base={"scale": "tiny", "algorithm": "fedpkd", "rounds": 1},
-            axes={"engine": ["sync", "async"]},
+            axes={"max_staleness": [0, 2]},
         )
         runs = spec.expand()
-        assert [r.setting_fields["engine"] for r in runs] == ["sync", "async"]
+        assert [r.setting_fields["max_staleness"] for r in runs] == [0, 2]
         assert len({r.run_key() for r in runs}) == 2

@@ -258,7 +258,7 @@ class TestAsyncEngineFlags:
         code = main([
             "run", "--algorithm", "fedpkd", "--scale", "tiny",
             "--rounds", "1",
-            "--engine", "async", "--max-staleness", "2",
+            "--max-staleness", "2",
             "--staleness-alpha", "0.9", "--buffer-size", "2",
             "--fault-plan", str(plan),
             "--out", str(out),
@@ -275,7 +275,7 @@ class TestAsyncEngineFlags:
         out = tmp_path / "history.json"
         code = main([
             "run", "--algorithm", "fedavg", "--scale", "tiny",
-            "--rounds", "2", "--engine", "async", "--max-staleness", "2",
+            "--rounds", "2", "--max-staleness", "2",
             "--buffer-size", "2", "--out", str(out),
         ])
         assert code == 0
