@@ -190,13 +190,19 @@ class RunHistory:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunHistory":
-        """Inverse of :meth:`to_dict`.  A stored ``wall_time_s`` (older
-        histories carry one per record) is dropped."""
+        """Inverse of :meth:`to_dict`.  The wall-clock readings older
+        histories carry in each record, ``wall_time_s`` and the
+        ``time/<stage>`` extras, are dropped: time lives in the trace."""
         history = cls(
             payload["algorithm"], payload.get("dataset", ""), payload.get("config")
         )
         for raw in payload.get("records", []):
             raw = {k: v for k, v in raw.items() if k != "wall_time_s"}
+            extras = raw.get("extras")
+            if extras:
+                raw["extras"] = {
+                    k: v for k, v in extras.items() if not k.startswith("time/")
+                }
             history.append(RoundRecord(**raw))
         return history
 

@@ -1,7 +1,7 @@
 """Autograd-discipline pack for the ``repro.nn`` substrate.
 
-``repro.nn`` tensors alias numpy arrays into backward closures at forward
-time (``out_data``, masks, parent ``.data`` references).  Mutating one of
+``repro.nn`` ops alias numpy arrays into backward closures at forward
+time (``out_data``, masks, their inputs' ``.data`` arrays).  Mutating one of
 those buffers in place after graph construction silently corrupts the
 gradients computed later — the forward already captured the array object,
 not a copy.  These rules keep the substrate honest: no in-place mutation
@@ -62,13 +62,16 @@ def check_inplace_tensor_mutation(ctx):
 
 
 def _registers_backward(func: ast.AST) -> bool:
-    """Does this forward-op function wire its closure into the graph?"""
+    """Does this forward-op function hand its ``backward`` closure to
+    ``_record``, the one call that wires a closure into the graph?"""
     for node in ast.walk(func):
         if not isinstance(node, ast.Call):
             continue
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "_make":
-            return True
-        if any(kw.arg == "_backward" for kw in node.keywords):
+        name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        if name != "_record":
+            continue
+        passed = list(node.args) + [kw.value for kw in node.keywords]
+        if any(isinstance(arg, ast.Name) and arg.id == "backward" for arg in passed):
             return True
     return False
 
@@ -80,9 +83,9 @@ def _registers_backward(func: ast.AST) -> bool:
     summary="backward closure defined but never wired into the graph",
     description=(
         "An op that defines a `backward(grad)` closure must hand it to "
-        "`Tensor._make(...)` or `Tensor(..., _backward=...)` in the same "
-        "function; otherwise the forward returns a leaf and the closure "
-        "is dead code — gradients silently stop flowing through the op."
+        "`_record(data, parents, backward)` in the same function; otherwise "
+        "the forward returns a tensor with no graph node and the closure is "
+        "dead code — gradients silently stop flowing through the op."
     ),
     packages=("repro.nn",),
 )
@@ -101,7 +104,7 @@ def check_backward_missing_bookkeeping(ctx):
             for node in inner_backwards:
                 yield node, (
                     f"`{func.name}` defines backward() but never passes it "
-                    "to _make/_backward"
+                    "to _record"
                 )
 
 

@@ -9,9 +9,12 @@ Public surface::
     loss.backward()
     nn.Adam(model.parameters()).step()
 
-``loss.backward()`` releases the graph it consumed: each interior node's
-gradient, parents and backward closure are dropped once the closure has run,
-so only the parameters' ``.grad`` and the forward values outlive the pass.
+The graph holds only what backward reads: an activation no backward closure
+reads (a conv output, a BatchNorm output, a residual sum) is freed as soon as
+the code drops it.  ``loss.backward()`` releases the rest: each interior
+node's gradient, parents and backward closure are dropped once the closure
+has run, so only the parameters' ``.grad`` and the tensors still held
+outlive the pass.
 ``loss.backward(retain_graph=True)`` keeps the graph for a second pass; a
 pass that reaches a released node raises ``RuntimeError``.
 """

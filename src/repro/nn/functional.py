@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..obs import profile as _profile
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, _record, is_grad_enabled
 
 __all__ = [
     "relu",
@@ -79,19 +79,20 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``, as one graph node."""
     prof = _profile.ACTIVE
     start = time.perf_counter() if prof is not None else 0.0
+    nx = x._node
     out_data, exp, norm = _log_softmax_forward(x.data, axis)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(_log_softmax_backward(grad, exp, norm, axis), False)
+        nx.accumulate(_log_softmax_backward(grad, exp, norm, axis), False)
 
-    out = x._make(out_data, (x,), backward)
+    out = _record(out_data, (nx,), backward)
     if prof is not None:
         # max, shift, exp, sum, shift again; backward: copy, sum, scale, add
         prof.record(
             "log_softmax", time.perf_counter() - start, 5.0 * x.size,
             out_data.nbytes,
         )
-        _profile.wrap_backward(out, "log_softmax", 4.0 * x.size)
+        _profile.wrap_backward(out._node, "log_softmax", 4.0 * x.size)
     return out
 
 
@@ -100,21 +101,22 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     node."""
     prof = _profile.ACTIVE
     start = time.perf_counter() if prof is not None else 0.0
+    nx = x._node
     log_probs, exp, norm = _log_softmax_forward(x.data, axis)
     out_data = np.exp(log_probs)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(
+        nx.accumulate(
             _log_softmax_backward(grad * out_data, exp, norm, axis), False
         )
 
-    out = x._make(out_data, (x,), backward)
+    out = _record(out_data, (nx,), backward)
     if prof is not None:
         prof.record(
             "softmax", time.perf_counter() - start, 6.0 * x.size,
             out_data.nbytes,
         )
-        _profile.wrap_backward(out, "softmax", 5.0 * x.size)
+        _profile.wrap_backward(out._node, "softmax", 5.0 * x.size)
     return out
 
 
@@ -135,7 +137,8 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     The backward pass forms ``dW = grad.T @ x`` directly in the weight's
     ``(out, in)`` layout and computes ``dx = grad @ W`` only when ``x``
-    takes a gradient (the first layer's input batch never does).
+    takes a gradient (the first layer's input batch never does).  It keeps
+    the input array only for ``dW`` and the weight array only for ``dx``.
     """
     if x.ndim != 2 or weight.ndim != 2:
         raise ValueError(
@@ -148,24 +151,20 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None:
         np.add(out_data, bias.data, out=out_data)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    if not requires:
-        out = Tensor(out_data)
-    else:
+    nx, nw = x._node, weight._node
+    nb = None if bias is None else bias._node
+    x_data = x.data if nw is not None else None
+    w_data = weight.data if nx is not None else None
 
-        def backward(grad: np.ndarray) -> None:
-            if weight.requires_grad:
-                weight._accumulate(grad.T @ x.data, True)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=0), True)
-            if x.requires_grad:
-                x._accumulate(grad @ weight.data, True)
+    def backward(grad: np.ndarray) -> None:
+        if nw is not None:
+            nw.accumulate(grad.T @ x_data, True)
+        if nb is not None:
+            nb.accumulate(grad.sum(axis=0), True)
+        if nx is not None:
+            nx.accumulate(grad @ w_data, True)
 
-        out = Tensor(
-            out_data, requires_grad=True, _parents=parents, _backward=backward
-        )
-
+    out = _record(out_data, (nx, nw, nb), backward)
     if prof is not None:
         # booked under the matmul names: 2*n*k*m multiply-adds per product
         # (forward, dW, dx when computed) plus the bias add and its sum
@@ -176,7 +175,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             out_data.nbytes,
         )
         live = weight.requires_grad + x.requires_grad
-        _profile.wrap_backward(out, "matmul", live * product + 2.0 * bias_flops)
+        _profile.wrap_backward(out._node, "matmul", live * product + 2.0 * bias_flops)
     return out
 
 
@@ -196,7 +195,8 @@ def batch_norm(
     In training mode the batch mean and biased variance normalise ``x`` and
     are folded into ``running_mean``/``running_var`` in place; otherwise the
     running statistics normalise it.  The backward pass keeps only the
-    normalised activations ``x_hat`` and the per-channel ``std``.
+    normalised activations ``x_hat``, the per-channel ``std`` and a view of
+    the weight, never ``x`` or the output.
     """
     if x.ndim not in (2, 4):
         raise ValueError(f"batch_norm expects (N, C) or (N, C, H, W) input, got {x.shape}")
@@ -227,42 +227,35 @@ def batch_norm(
     np.multiply(x_hat, w, out=out_data)
     np.add(out_data, bias.data.reshape(shape), out=out_data)
 
-    parents = (x, weight, bias)
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    nx, nw, nb = x._node, weight._node, bias._node
     # the batch statistics depend on x, so dx needs both per-channel sums
-    through_stats = training and x.requires_grad
-    need_sum = bias.requires_grad or through_stats
-    need_dot = weight.requires_grad or through_stats
-    if not requires:
-        out = Tensor(out_data)
-    else:
+    through_stats = training and nx is not None
+    need_sum = nb is not None or through_stats
+    need_dot = nw is not None or through_stats
 
-        def backward(grad: np.ndarray) -> None:
-            if need_sum:
-                grad_sum = grad.sum(axis=axes)
-            if need_dot:
-                scratch = np.multiply(grad, x_hat, out=np.empty_like(x_hat))
-                grad_dot = scratch.sum(axis=axes)
-            if x.requires_grad:
-                scale = w / std
-                if training:
-                    # (g - mean(g) - x_hat * mean(g * x_hat)) * w / std
-                    dx = np.multiply(x_hat, grad_dot.reshape(shape) / count, out=scratch)
-                    np.subtract(grad, dx, out=dx)
-                    np.subtract(dx, grad_sum.reshape(shape) / count, out=dx)
-                    np.multiply(dx, scale, out=dx)
-                else:
-                    dx = np.multiply(grad, scale, out=np.empty_like(x_hat))
-                x._accumulate(dx, True)
-            if weight.requires_grad:
-                weight._accumulate(grad_dot, True)
-            if bias.requires_grad:
-                bias._accumulate(grad_sum, True)
+    def backward(grad: np.ndarray) -> None:
+        if need_sum:
+            grad_sum = grad.sum(axis=axes)
+        if need_dot:
+            scratch = np.multiply(grad, x_hat, out=np.empty_like(x_hat))
+            grad_dot = scratch.sum(axis=axes)
+        if nx is not None:
+            scale = w / std
+            if training:
+                # (g - mean(g) - x_hat * mean(g * x_hat)) * w / std
+                dx = np.multiply(x_hat, grad_dot.reshape(shape) / count, out=scratch)
+                np.subtract(grad, dx, out=dx)
+                np.subtract(dx, grad_sum.reshape(shape) / count, out=dx)
+                np.multiply(dx, scale, out=dx)
+            else:
+                dx = np.multiply(grad, scale, out=np.empty_like(x_hat))
+            nx.accumulate(dx, True)
+        if nw is not None:
+            nw.accumulate(grad_dot, True)
+        if nb is not None:
+            nb.accumulate(grad_sum, True)
 
-        out = Tensor(
-            out_data, requires_grad=True, _parents=parents, _backward=backward
-        )
-
+    out = _record(out_data, (nx, nw, nb), backward)
     if prof is not None:
         # per element: two reductions, centre, square, divide, scale, shift
         # in training; centre, divide, scale, shift in eval
@@ -273,7 +266,7 @@ def batch_norm(
         # backward: one per element for the sum of g, two for the sum of
         # g * x_hat, four (training) or one (eval) for dx, each if computed
         per_element = need_sum + 2 * need_dot + x.requires_grad * (4 if training else 1)
-        _profile.wrap_backward(out, "batch_norm", float(per_element * x.size))
+        _profile.wrap_backward(out._node, "batch_norm", float(per_element * x.size))
     return out
 
 
@@ -371,11 +364,11 @@ def conv2d(
     The zero-padded patches are gathered through a cached index plan of the
     geometry into a ``(C_in*kH*kW, N*out_h*out_w)`` matrix owned by this
     call, and forward is ``W_mat @ cols``.  A call that records a backward
-    uses the plan for its own batch and keeps only that plan and the input
-    array, not the matrix: backward gathers the same patches again for
-    ``dW = G @ cols.T`` and drops them before it forms
-    ``dcols = W_mat.T @ G`` (only when ``x`` takes a gradient), which the
-    same plan scatters back onto ``x``.  So a training step holds no patch
+    uses the plan for its own batch and keeps only that plan, the weight
+    array and (for ``dW``) the input array, not the matrix: backward gathers
+    the same patches again for ``dW = G @ cols.T`` and drops them before it
+    forms ``dcols = W_mat.T @ G`` (only when ``x`` takes a gradient), which
+    the same plan scatters back onto ``x``.  So a training step holds no patch
     matrix between its forward and backward passes, and never two at once.
     A call that records none (inference) gathers and multiplies
     ``_INFER_BLOCK`` images at a time through the plan for that many, the
@@ -409,8 +402,10 @@ def conv2d(
     prof = _profile.ACTIVE
     start = time.perf_counter() if prof is not None else 0.0
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    nx, nw = x._node, weight._node
+    nb = None if bias is None else bias._node
+    parents = (nx, nw, nb)
+    requires = is_grad_enabled() and parents != (None, None, None)
     # a view of weight.data: optimisers rebind ``p.data``, never write into it
     w_mat = weight.data.reshape(c_out, -1)
     # the patch matrix is gathered per call, never cached, and not kept for
@@ -418,8 +413,8 @@ def conv2d(
     # it again from the input array (only the index plan is shared)
     if requires:
         plan = _patch_plan(n, c, h, w, kh, kw, stride, padding)
-        # the forward's input array: the graph holds it as ``x.data``
-        x_data = x.data
+        # the forward's input array, which only dW reads
+        x_data = x.data if nw is not None else None
         block, starts, src = n, (0,), None
     else:
         # the training plan of the geometry, one block of images at a time
@@ -438,29 +433,22 @@ def conv2d(
     if bias is not None:
         np.add(out_data, bias.data.reshape(1, c_out, 1, 1), out=out_data)
 
-    if not requires:
-        out = Tensor(out_data)
-    else:
+    def backward(grad: np.ndarray) -> None:
+        if nb is not None:
+            nb.accumulate(grad.sum(axis=(0, 2, 3)), True)
+        if nw is None and nx is None:
+            return
+        # the output gradient in GEMM layout, shared by both products
+        grad_mat = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).reshape(c_out, -1)
+        if nw is not None:
+            patches = _gather(x_data, plan)
+            nw.accumulate((grad_mat @ patches.T).reshape(c_out, c_in, kh, kw), True)
+            # freed before dcols, so two patch-sized buffers never coexist
+            del patches
+        if nx is not None:
+            nx.accumulate(_scatter(plan, w_mat.T @ grad_mat, (n, c, h, w)), True)
 
-        def backward(grad: np.ndarray) -> None:
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=(0, 2, 3)), True)
-            if not (weight.requires_grad or x.requires_grad):
-                return
-            # the output gradient in GEMM layout, shared by both products
-            grad_mat = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).reshape(c_out, -1)
-            if weight.requires_grad:
-                patches = _gather(x_data, plan)
-                weight._accumulate((grad_mat @ patches.T).reshape(weight.shape), True)
-                # freed before dcols, so two patch-sized buffers never coexist
-                del patches
-            if x.requires_grad:
-                x._accumulate(_scatter(plan, w_mat.T @ grad_mat, (n, c, h, w)), True)
-
-        out = Tensor(
-            out_data, requires_grad=True, _parents=parents, _backward=backward
-        )
-
+    out = _record(out_data, parents, backward)
     if prof is not None:
         # 2 * N * C_out * out_h * out_w * C_in * kh * kw multiply-adds per
         # GEMM; backward runs one per parent that takes a gradient (dW, dx)
@@ -469,7 +457,7 @@ def conv2d(
             "conv2d", time.perf_counter() - start, flops, out_data.nbytes
         )
         live = weight.requires_grad + x.requires_grad
-        _profile.wrap_backward(out, "conv2d", live * flops)
+        _profile.wrap_backward(out._node, "conv2d", live * flops)
     return out
 
 

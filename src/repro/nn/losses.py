@@ -21,7 +21,7 @@ import numpy as np
 
 from ..obs import profile as _profile
 from . import functional as F
-from .tensor import Tensor
+from .tensor import Tensor, _record
 
 __all__ = [
     "cross_entropy",
@@ -40,7 +40,7 @@ def _book(
 ) -> None:
     """Record a fused loss's forward and wrap its backward for the profiler."""
     prof.record(op, time.perf_counter() - start, flops, out.data.nbytes)
-    _profile.wrap_backward(out, op, bwd_flops)
+    _profile.wrap_backward(out._node, op, bwd_flops)
 
 
 def cross_entropy(logits: Tensor, labels: Union[np.ndarray, list]) -> Tensor:
@@ -58,6 +58,7 @@ def cross_entropy(logits: Tensor, labels: Union[np.ndarray, list]) -> Tensor:
     prof = _profile.ACTIVE
     start = time.perf_counter() if prof is not None else 0.0
 
+    node = logits._node
     log_probs, exp, norm = F._log_softmax_forward(logits.data, 1)
     rows = np.arange(len(labels))
     count = np.float64(len(labels))
@@ -69,11 +70,9 @@ def cross_entropy(logits: Tensor, labels: Union[np.ndarray, list]) -> Tensor:
         # the pick scatters into zeros (adding to 0.0 changes nothing more)
         dlog_probs = np.zeros_like(exp)
         dlog_probs[rows, labels] = picked
-        logits._accumulate(
-            F._log_softmax_backward(dlog_probs, exp, norm, 1), False
-        )
+        node.accumulate(F._log_softmax_backward(dlog_probs, exp, norm, 1), False)
 
-    out = logits._make(out_data, (logits,), backward)
+    out = _record(out_data, (node,), backward)
     if prof is not None:
         # log-softmax's forward (5) and backward (4); the pick and the
         # mean are per row
@@ -116,6 +115,7 @@ def kl_divergence(
     inv_temperature = np.float64(1.0 / temperature)
     scale = np.float64(temperature**2)
     count = np.float64(len(teacher))
+    node = student_logits._node
     log_probs, exp, norm = F._log_softmax_forward(
         student_logits.data * inv_temperature, 1
     )
@@ -129,9 +129,9 @@ def kl_divergence(
         drow = drow / count + 0.0
         dscaled = F._log_softmax_backward(drow * teacher_probs, exp, norm, 1)
         # the scaled logits' first gradient is copied, then scaled back
-        student_logits._accumulate((dscaled + 0.0) * inv_temperature, True)
+        node.accumulate((dscaled + 0.0) * inv_temperature, True)
 
-    out = student_logits._make(out_data, (student_logits,), backward)
+    out = _record(out_data, (node,), backward)
     if prof is not None:
         # the teacher's softmax (6) and entropy (4); the student's scale,
         # log-softmax (5), product and row sums; backward: the product,
@@ -142,7 +142,7 @@ def kl_divergence(
 
 def _first_grad(grad: np.ndarray, data: np.ndarray) -> np.ndarray:
     """The first gradient an owned ``grad`` leaves on a chain node holding
-    ``data``: ``grad`` itself where ``Tensor._accumulate`` would adopt it,
+    ``data``: ``grad`` itself where the node's ``accumulate`` would adopt it,
     else its ``+ 0.0`` copy (a 0-d result, or a layout that is not
     C-contiguous)."""
     if (
@@ -166,6 +166,7 @@ def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
     prof = _profile.ACTIVE
     start = time.perf_counter() if prof is not None else 0.0
 
+    n_pred, n_target = prediction._node, target._node
     diff = np.asarray(prediction.data + -target.data)
     count = np.float64(diff.size)
     out_data = (diff**2).sum() / count
@@ -173,11 +174,12 @@ def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         # the mean's divide (0-d, copied), then d(diff**2) = grad * 2 * diff
         ddiff = _first_grad((grad / count + 0.0) * 2 * diff, diff)
-        prediction._accumulate(ddiff, False)
-        if target.requires_grad:
-            target._accumulate(-(ddiff + 0.0), True)
+        if n_pred is not None:
+            n_pred.accumulate(ddiff, False)
+        if n_target is not None:
+            n_target.accumulate(-(ddiff + 0.0), True)
 
-    out = prediction._make(out_data, (prediction, target), backward)
+    out = _record(out_data, (n_pred, n_target), backward)
     if prof is not None:
         # subtract, square, sum; backward: one product per parent
         live = prediction.requires_grad + target.requires_grad
@@ -204,13 +206,13 @@ def proximal_term(
     prof = _profile.ACTIVE
     start = time.perf_counter() if prof is not None else 0.0
 
-    params, diffs = [], []
+    nodes, diffs = [], []
     total = None
     for name, param in parameters:
         diff = param.data + -np.asarray(reference[name], dtype=np.float64)
         sq = (diff**2).sum()
         total = sq if total is None else total + sq
-        params.append(param)
+        nodes.append(param._node)
         diffs.append(diff)
     if total is None:
         return None
@@ -221,15 +223,15 @@ def proximal_term(
         # * mu/2 (0-d, copied); the sums of squares get copies of that
         # through the total's adds, which change nothing more
         dsq = grad * half_mu + 0.0
-        for param, diff in zip(params, diffs):
-            if param.requires_grad:
-                param._accumulate(_first_grad(dsq * 2 * diff, diff), False)
+        for node, diff in zip(nodes, diffs):
+            if node is not None:
+                node.accumulate(_first_grad(dsq * 2 * diff, diff), False)
 
-    out = params[0]._make(out_data, tuple(params), backward)
+    out = _record(out_data, tuple(nodes), backward)
     if prof is not None:
         # subtract, square, sum per weight; backward: one product per
         # weight that takes a gradient
         size = sum(diff.size for diff in diffs)
-        live = sum(d.size for p, d in zip(params, diffs) if p.requires_grad)
+        live = sum(d.size for n, d in zip(nodes, diffs) if n is not None)
         _book(prof, "prox", start, out, 3.0 * size, float(live))
     return out

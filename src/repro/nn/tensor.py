@@ -5,6 +5,17 @@ This module is the foundation of the :mod:`repro.nn` substrate.  It provides a
 computation graph and supports backpropagation through it, in the style of
 PyTorch's eager autograd but implemented from scratch.
 
+The graph is made of nodes, not tensors.  A ``Tensor`` is its ``data`` plus
+its node: ``None`` when it takes no gradient, a leaf node when it was made
+with ``requires_grad=True``, or the node of the op that produced it.  An
+op's node holds the gradient slot of its output, its parents' nodes, its
+backward closure and the shape and layout of its output; the closure holds
+exactly the arrays its backward pass reads, taken at forward time
+(BatchNorm's ``x_hat``, ReLU's mask, a matmul's operands).  No node refers
+to a tensor or to a forward output that backward does not read, so an
+interior activation nothing reads backward (a conv output, a BatchNorm
+output, a residual sum) is freed as soon as the Python code drops it.
+
 Only the operations needed by the FedPKD reproduction are implemented, but
 each of them handles full numpy broadcasting and has gradient correctness
 verified by finite-difference tests in ``tests/nn/test_autograd.py``.
@@ -14,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import time
+import weakref
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -76,6 +88,134 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+Backward = Callable[[np.ndarray], None]
+
+
+class _Node:
+    """An op output's place in the graph.
+
+    It holds the output's gradient slot, its parents' nodes (``None`` for
+    an input that takes no gradient), the backward closure, and the
+    output's shape and layout, which is all :meth:`accumulate` needs; the
+    output array itself is not referenced.
+    """
+
+    __slots__ = ("grad", "parents", "backward", "shape", "_strides")
+
+    def __init__(
+        self,
+        data: np.ndarray,
+        parents: Tuple[Optional["_Node"], ...],
+        backward: Optional[Backward],
+    ) -> None:
+        self.grad: Optional[np.ndarray] = None
+        self.parents = parents
+        self.backward = backward
+        self._lay_out(data)
+
+    def _lay_out(self, data: np.ndarray) -> None:
+        self.shape = data.shape
+        # the strides ``np.empty_like(data)`` gives, in which a copied first
+        # gradient is laid out; ``None`` for C order (the common case)
+        self._strides = (
+            None if data.flags.c_contiguous else np.empty_like(data).strides
+        )
+
+    def _empty(self) -> np.ndarray:
+        if self._strides is None:
+            return np.empty(self.shape)
+        flat = np.empty(int(np.prod(self.shape)))
+        return np.ndarray(self.shape, np.float64, flat, strides=self._strides)
+
+    def accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned=True`` is the caller's promise that it allocated ``grad``
+        itself and hands it to nobody else; a first gradient of the
+        buffer's own shape and layout is then adopted instead of copied.
+        Pass-through gradients and views (``add.bwd``, ``reshape``,
+        ``transpose``, slices) must stay ``owned=False``, or two nodes'
+        gradients would share memory.
+        """
+        if self.grad is None:
+            if (
+                owned
+                and isinstance(grad, np.ndarray)  # 0-d math yields scalars
+                and grad.shape == self.shape
+                and grad.flags.c_contiguous
+                and self._strides is None
+            ):
+                self.grad = grad
+            else:
+                # same layout and values as zero-fill-then-add, in one pass
+                buf = self._empty()
+                np.add(grad, 0.0, out=buf)
+                self.grad = buf
+            return
+        # lint: disable=ag-inplace-tensor-mutation — this IS the gradient
+        # accumulator; the buffer is adopted or allocated above, never aliased.
+        self.grad += grad
+
+    def accumulate_unbroadcast(self, grad: np.ndarray, owned: bool) -> None:
+        """:meth:`accumulate` for an operand numpy may have broadcast."""
+        reduced = _unbroadcast(grad, self.shape)
+        # any reduction allocates, so only the untouched array can alias
+        self.accumulate(reduced, owned or reduced is not grad)
+
+
+class _Leaf(_Node):
+    """The node of a tensor made with ``requires_grad=True``.
+
+    Optimisers rebind a parameter's ``data`` between steps, so a leaf takes
+    its shape and layout from its tensor's current data.  It refers to the
+    tensor weakly: a gradient for a tensor nobody holds any more is dropped,
+    as nothing could read it.
+    """
+
+    __slots__ = ("_tensor",)
+
+    def __init__(self, tensor: "Tensor") -> None:
+        self.grad = None
+        self.parents = ()
+        self.backward = None
+        self._tensor = weakref.ref(tensor)
+
+    def _refresh(self) -> bool:
+        tensor = self._tensor()
+        if tensor is None:
+            return False
+        self._lay_out(tensor.data)
+        return True
+
+    def accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        if self.grad is None and not self._refresh():
+            return
+        _Node.accumulate(self, grad, owned)
+
+    def accumulate_unbroadcast(self, grad: np.ndarray, owned: bool) -> None:
+        if self._refresh():
+            _Node.accumulate_unbroadcast(self, grad, owned)
+
+
+def _record(
+    data: np.ndarray,
+    parents: Tuple[Optional[_Node], ...],
+    backward: Backward,
+) -> "Tensor":
+    """The output tensor of an op on ``data``.
+
+    ``parents`` are the inputs' nodes (``Tensor._node``, ``None`` for an
+    input that takes no gradient).  When grad mode is on and one of them is
+    a node, the output gets a node that runs ``backward`` on its gradient;
+    ``backward`` must reach the inputs only through those nodes and read
+    only arrays it captured.
+    """
+    out = Tensor(data)
+    if _GRAD_ENABLED and parents.count(None) != len(parents):
+        out._node = _Node(out.data, parents, backward)
+    return out
+
+
 def _prof_op(op: str, flops="out"):
     """Profiling hook for a Tensor op method.
 
@@ -83,8 +223,8 @@ def _prof_op(op: str, flops="out"):
     wrapper falls straight through to the original method — no timing,
     no allocation — so unprofiled runs are bit-identical by
     construction.  When a profiler is active, the forward pass is timed
-    and recorded with an estimated FLOP count, and the output's backward
-    closure is wrapped so the backward pass is attributed to
+    and recorded with an estimated FLOP count, and the output node's
+    backward closure is wrapped so the backward pass is attributed to
     ``"<op>.bwd"`` (see docs/OBSERVABILITY.md for the estimate
     formulas).
 
@@ -93,8 +233,8 @@ def _prof_op(op: str, flops="out"):
     reductions), a constant (``0`` for pure memory-movement ops), or a
     callable ``(self, out) -> float`` for shape-dependent kernels.  The
     backward pass is booked at twice that, except for binary ops, whose
-    closures skip a parent with ``requires_grad=False``: they are booked
-    once per parent that gets a gradient.
+    closures skip a parent that takes no gradient: they are booked once
+    per parent that gets a gradient.
     """
 
     def decorate(fn):
@@ -106,8 +246,6 @@ def _prof_op(op: str, flops="out"):
             start = time.perf_counter()
             out = fn(self, *args, **kwargs)
             seconds = time.perf_counter() - start
-            if out is self:  # no-op fast path (e.g. pad2d(0))
-                return out
             if flops == "out":
                 nflops = out.data.size
             elif flops == "in":
@@ -117,9 +255,11 @@ def _prof_op(op: str, flops="out"):
             else:
                 nflops = float(flops)
             prof.record(op, seconds, nflops, out.data.nbytes)
-            parents = out._parents
-            live = sum(p.requires_grad for p in parents) if len(parents) == 2 else 2
-            _profile.wrap_backward(out, op, float(live) * nflops)
+            node = out._node
+            if node is not None:
+                parents = node.parents
+                live = 2 - parents.count(None) if len(parents) == 2 else 2
+                _profile.wrap_backward(node, op, float(live) * nflops)
             return out
 
         return wrapper
@@ -144,26 +284,46 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "_node", "name", "__weakref__")
 
     def __init__(
         self,
         data: ArrayLike,
         requires_grad: bool = False,
-        _parents: Tuple["Tensor", ...] = (),
-        _backward: Optional[Callable[[np.ndarray], None]] = None,
         name: Optional[str] = None,
     ) -> None:
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._backward = _backward
+        self._node: Optional[_Node] = _Leaf(self) if requires_grad else None
         self.name = name
 
     # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        # False detaches the tensor from any graph; True makes it a leaf
+        if not flag:
+            self._node = None
+        elif self._node is None:
+            self._node = _Leaf(self)
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        node = self._node
+        return None if node is None else node.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        node = self._node
+        if node is not None:
+            node.grad = value
+        elif value is not None:
+            raise RuntimeError("cannot set .grad on a tensor that does not require grad")
+
     @property
     def shape(self) -> Tuple[int, ...]:
         return self.data.shape
@@ -203,62 +363,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # ------------------------------------------------------------------
-    # graph construction helpers
-    # ------------------------------------------------------------------
     @staticmethod
     def _lift(value: Union["Tensor", ArrayLike]) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
-
-    def _make(
-        self,
-        data: np.ndarray,
-        parents: Tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        if not requires:
-            return Tensor(data)
-        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
-
-    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
-        """Add ``grad`` into ``self.grad``.
-
-        ``owned=True`` is the caller's promise that it allocated ``grad``
-        itself and hands it to nobody else; a first gradient of the
-        buffer's own shape and layout is then adopted instead of copied.
-        Pass-through gradients and views (``add.bwd``, ``reshape``,
-        ``transpose``, slices) must stay ``owned=False``, or two tensors'
-        ``.grad`` would share memory.
-        """
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            if (
-                owned
-                and isinstance(grad, np.ndarray)  # 0-d math yields scalars
-                and grad.shape == self.data.shape
-                and grad.flags.c_contiguous
-                and self.data.flags.c_contiguous
-            ):
-                self.grad = grad
-            else:
-                # same layout and values as zero-fill-then-add, in one pass
-                buf = np.empty_like(self.data)
-                np.add(grad, 0.0, out=buf)
-                self.grad = buf
-            return
-        # lint: disable=ag-inplace-tensor-mutation — this IS the gradient
-        # accumulator; the buffer is adopted or allocated above, never aliased.
-        self.grad += grad
-
-    def _accumulate_unbroadcast(self, grad: np.ndarray, owned: bool) -> None:
-        """:meth:`_accumulate` for an operand numpy may have broadcast."""
-        if not self.requires_grad:
-            return
-        reduced = _unbroadcast(grad, self.shape)
-        # any reduction allocates, so only the untouched array can alias
-        self._accumulate(reduced, owned or reduced is not grad)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -266,22 +373,26 @@ class Tensor:
     @_prof_op("add")
     def __add__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._lift(other)
-        out_data = self.data + other.data
+        na, nb = self._node, other._node
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate_unbroadcast(grad, False)
-            other._accumulate_unbroadcast(grad, False)
+            if na is not None:
+                na.accumulate_unbroadcast(grad, False)
+            if nb is not None:
+                nb.accumulate_unbroadcast(grad, False)
 
-        return self._make(out_data, (self, other), backward)
+        return _record(self.data + other.data, (na, nb), backward)
 
     __radd__ = __add__
 
     @_prof_op("neg")
     def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad, True)
+        na = self._node
 
-        return self._make(-self.data, (self,), backward)
+        def backward(grad: np.ndarray) -> None:
+            na.accumulate(-grad, True)
+
+        return _record(-self.data, (na,), backward)
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self + (-self._lift(other))
@@ -292,32 +403,35 @@ class Tensor:
     @_prof_op("mul")
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._lift(other)
-        out_data = self.data * other.data
+        na, nb = self._node, other._node
+        # each operand's gradient reads the other operand only
+        a = self.data if nb is not None else None
+        b = other.data if na is not None else None
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_unbroadcast(grad * other.data, True)
-            if other.requires_grad:
-                other._accumulate_unbroadcast(grad * self.data, True)
+            if na is not None:
+                na.accumulate_unbroadcast(grad * b, True)
+            if nb is not None:
+                nb.accumulate_unbroadcast(grad * a, True)
 
-        return self._make(out_data, (self, other), backward)
+        return _record(self.data * other.data, (na, nb), backward)
 
     __rmul__ = __mul__
 
     @_prof_op("div")
     def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._lift(other)
-        out_data = self.data / other.data
+        na, nb = self._node, other._node
+        a = self.data if nb is not None else None
+        b = other.data
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_unbroadcast(grad / other.data, True)
-            if other.requires_grad:
-                other._accumulate_unbroadcast(
-                    -grad * self.data / (other.data**2), True
-                )
+            if na is not None:
+                na.accumulate_unbroadcast(grad / b, True)
+            if nb is not None:
+                nb.accumulate_unbroadcast(-grad * a / (b**2), True)
 
-        return self._make(out_data, (self, other), backward)
+        return _record(self.data / b, (na, nb), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return self._lift(other) / self
@@ -326,12 +440,12 @@ class Tensor:
     def __pow__(self, exponent: Scalar) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("Tensor.__pow__ supports scalar exponents only")
-        out_data = self.data**exponent
+        na, a = self._node, self.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1), True)
+            na.accumulate(grad * exponent * a ** (exponent - 1), True)
 
-        return self._make(out_data, (self,), backward)
+        return _record(a**exponent, (na,), backward)
 
     @_prof_op("matmul", _matmul_flops)
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
@@ -340,59 +454,62 @@ class Tensor:
             raise ValueError(
                 f"matmul expects 2-D operands, got {self.shape} @ {other.shape}"
             )
-        out_data = self.data @ other.data
+        na, nb = self._node, other._node
+        a = self.data if nb is not None else None
+        b = other.data if na is not None else None
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad @ other.data.T, True)
-            if other.requires_grad:
-                other._accumulate(self.data.T @ grad, True)
+            if na is not None:
+                na.accumulate(grad @ b.T, True)
+            if nb is not None:
+                nb.accumulate(a.T @ grad, True)
 
-        return self._make(out_data, (self, other), backward)
+        return _record(self.data @ other.data, (na, nb), backward)
 
     # ------------------------------------------------------------------
     # elementwise nonlinearities
     # ------------------------------------------------------------------
     @_prof_op("exp")
     def exp(self) -> "Tensor":
+        na = self._node
         out_data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data, True)
+            na.accumulate(grad * out_data, True)
 
-        return self._make(out_data, (self,), backward)
+        return _record(out_data, (na,), backward)
 
     @_prof_op("log")
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
+        na, a = self._node, self.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data, True)
+            na.accumulate(grad / a, True)
 
-        return self._make(out_data, (self,), backward)
+        return _record(np.log(a), (na,), backward)
 
     def sqrt(self) -> "Tensor":
         return self**0.5
 
     @_prof_op("relu")
     def relu(self) -> "Tensor":
+        na = self._node
         mask = self.data > 0
-        out_data = self.data * mask
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask, True)
+            na.accumulate(grad * mask, True)
 
-        return self._make(out_data, (self,), backward)
+        return _record(self.data * mask, (na,), backward)
 
     @_prof_op("abs")
     def abs(self) -> "Tensor":
+        na = self._node
         sign = np.sign(self.data)
-        out_data = np.abs(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * sign, True)
+            na.accumulate(grad * sign, True)
 
-        return self._make(out_data, (self,), backward)
+        return _record(np.abs(self.data), (na,), backward)
 
     # ------------------------------------------------------------------
     # reductions
@@ -401,17 +518,17 @@ class Tensor:
     def sum(
         self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False
     ) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        na, shape = self._node, self.shape
 
         def backward(grad: np.ndarray) -> None:
             g = grad
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                axes = tuple(a % self.ndim for a in axes)
+                axes = tuple(a % len(shape) for a in axes)
                 g = np.expand_dims(g, axes)
-            self._accumulate(np.broadcast_to(g, self.shape).copy(), True)
+            na.accumulate(np.broadcast_to(g, shape).copy(), True)
 
-        return self._make(out_data, (self,), backward)
+        return _record(self.data.sum(axis=axis, keepdims=keepdims), (na,), backward)
 
     def mean(
         self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False
@@ -427,21 +544,22 @@ class Tensor:
     def max(
         self, axis: Optional[int] = None, keepdims: bool = False
     ) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        na, a = self._node, self.data
+        out_data = a.max(axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray) -> None:
             if axis is None:
-                mask = self.data == out_data
+                mask = a == out_data
                 # split ties evenly so the gradient check is deterministic
-                self._accumulate(grad * mask / mask.sum(), True)
+                na.accumulate(grad * mask / mask.sum(), True)
             else:
                 expanded = out_data if keepdims else np.expand_dims(out_data, axis)
                 g = grad if keepdims else np.expand_dims(grad, axis)
-                mask = self.data == expanded
+                mask = a == expanded
                 counts = mask.sum(axis=axis, keepdims=True)
-                self._accumulate(g * mask / counts, True)
+                na.accumulate(g * mask / counts, True)
 
-        return self._make(out_data, (self,), backward)
+        return _record(out_data, (na,), backward)
 
     def var(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         mu = self.mean(axis=axis, keepdims=True)
@@ -455,75 +573,36 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-        in_shape = self.shape
+        na, in_shape = self._node, self.shape
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(in_shape))
+            na.accumulate(grad.reshape(in_shape))
 
-        return self._make(out_data, (self,), backward)
+        return _record(self.data.reshape(shape), (na,), backward)
 
     @_prof_op("transpose", 0)
     def transpose(self, axes: Optional[Tuple[int, ...]] = None) -> "Tensor":
-        out_data = self.data.transpose(axes)
+        na = self._node
         if axes is None:
             inverse: Optional[Tuple[int, ...]] = None
         else:
             inverse = tuple(np.argsort(axes))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.transpose(inverse))
+            na.accumulate(grad.transpose(inverse))
 
-        return self._make(out_data, (self,), backward)
+        return _record(self.data.transpose(axes), (na,), backward)
 
     @_prof_op("getitem", 0)
     def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
+        na, shape = self._node, self.shape
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
+            full = np.zeros(shape)
             np.add.at(full, index, grad)
-            self._accumulate(full, True)
+            na.accumulate(full, True)
 
-        return self._make(out_data, (self,), backward)
-
-    @_prof_op("pad2d", 0)
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) axes of an NCHW tensor."""
-        if padding == 0:
-            return self
-        interior = (..., slice(padding, -padding), slice(padding, -padding))
-        out_data = np.zeros(
-            self.shape[:-2]
-            + (self.shape[-2] + 2 * padding, self.shape[-1] + 2 * padding),
-            dtype=np.float64,
-        )
-        out_data[interior] = self.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad[interior])
-
-        return self._make(out_data, (self,), backward)
-
-    @staticmethod
-    def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._lift(t) for t in tensors]
-        out_data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(grad: np.ndarray) -> None:
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                slices = [slice(None)] * grad.ndim
-                slices[axis] = slice(lo, hi)
-                t._accumulate(grad[tuple(slices)])
-
-        requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-        if not requires:
-            return Tensor(out_data)
-        return Tensor(
-            out_data, requires_grad=True, _parents=tuple(tensors), _backward=backward
-        )
+        return _record(self.data[index], (na,), backward)
 
     # ------------------------------------------------------------------
     # backward pass
@@ -540,8 +619,8 @@ class Tensor:
             tensors; required for non-scalar outputs.
         retain_graph:
             Keep the graph after the pass.  By default each interior node is
-            released as soon as its backward closure has run: its ``.grad``,
-            parents and closure (with the forward buffers it holds) are
+            released as soon as its backward closure has run: its gradient,
+            parents and closure (with the forward arrays it captured) are
             dropped, so a training step's graph dies with the pass.  Leaves
             accumulate either way.
 
@@ -567,7 +646,8 @@ class Tensor:
         prof.record("backward.overhead", max(total - inner, 0.0))
 
     def _backward_impl(self, grad: Optional[np.ndarray], retain_graph: bool) -> None:
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             raise RuntimeError("backward() called on a tensor without grad")
         if grad is None:
             if self.size != 1:
@@ -580,9 +660,9 @@ class Tensor:
                 f"but the tensor has shape {self.shape}"
             )
 
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         visited: set[int] = set()
-        stack: list[Tuple[Tensor, bool]] = [(self, False)]
+        stack: list[Tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -590,19 +670,19 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
-            if node._backward is _released_backward:
+            if node.backward is _released_backward:
                 _released_backward(grad)
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        root.accumulate(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node.backward is not None and node.grad is not None:
+                node.backward(node.grad)
                 if not retain_graph:
                     node.grad = None
-                    node._parents = ()
-                    node._backward = _released_backward
+                    node.parents = ()
+                    node.backward = _released_backward

@@ -24,9 +24,9 @@ Design constraints, in order:
 
 FLOPs are *estimates* from shape arithmetic (see docs/OBSERVABILITY.md
 for the formulas); bytes are the forward output allocation
-(``out.data.nbytes``).  Backward closures are wrapped at forward time
-but re-check ``ACTIVE`` when they fire, so a backward pass that happens
-outside a profiling session stays untimed and unperturbed.
+(``out.data.nbytes``).  Graph nodes' backward closures are wrapped at
+forward time but re-check ``ACTIVE`` when they fire, so a backward pass
+that happens outside a profiling session stays untimed and unperturbed.
 """
 
 from __future__ import annotations
@@ -236,17 +236,19 @@ def activate(profiler: Optional[OpProfiler]) -> Iterator[Optional[OpProfiler]]:
         ACTIVE = previous
 
 
-def wrap_backward(tensor, op: str, flops: float = 0.0) -> None:
-    """Replace ``tensor._backward`` with a timed wrapper.
+def wrap_backward(node, op: str, flops: float = 0.0) -> None:
+    """Replace a graph node's backward closure with a timed wrapper.
 
-    The wrapper re-checks :data:`ACTIVE` when the backward pass fires,
-    so gradients computed outside a profiling session pay nothing and
-    record nothing.  ``flops`` is the *backward* estimate (typically 2x
-    the forward estimate: one pass per parent).
+    ``node`` is an op output's ``Tensor._node`` (``None`` when the op
+    recorded no graph, which leaves nothing to wrap).  The wrapper re-checks
+    :data:`ACTIVE` when the backward pass fires, so gradients computed
+    outside a profiling session pay nothing and record nothing.  ``flops``
+    is the *backward* estimate (typically 2x the forward estimate: one pass
+    per parent).
     """
-    inner = getattr(tensor, "_backward", None)
-    if inner is None:
+    if node is None or node.backward is None:
         return
+    inner = node.backward
     name = op + ".bwd"
 
     def timed_backward(grad):
@@ -260,4 +262,4 @@ def wrap_backward(tensor, op: str, flops: float = 0.0) -> None:
             name, time.perf_counter() - start, flops, getattr(grad, "nbytes", 0)
         )
 
-    tensor._backward = timed_backward
+    node.backward = timed_backward

@@ -159,8 +159,9 @@ class TestCheckpoint:
         self, tiny_bundle, tmp_path
     ):
         """A v5 file written while histories still held wall-clock time (a
-        ``pending`` section, ``wall_time_s`` in every record) loads, and
-        the resumed run records what an uninterrupted one does."""
+        ``pending`` section, ``wall_time_s`` and ``time/<stage>`` extras in
+        every record) loads, and the resumed run records what an
+        uninterrupted one does."""
         full = make_algo(tiny_bundle).run(rounds=2)
         algo = make_algo(tiny_bundle)
         history = algo.run(rounds=1)
@@ -174,6 +175,8 @@ class TestCheckpoint:
         }
         for record in meta["history"]["records"]:
             record["wall_time_s"] = 1.25
+            record["extras"]["time/local_train"] = 0.75
+            record["extras"]["time/public_train"] = 0.25
         with open(path, "wb") as f:
             f.write(serialize_state(arrays, meta))
 

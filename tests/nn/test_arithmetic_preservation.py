@@ -29,6 +29,7 @@ from repro.nn import (
 from repro.nn import functional as F
 from repro.nn import losses as L
 from repro.nn.models import ResNetClassifier
+from repro.nn.tensor import _record
 
 from ..conftest import make_tiny_federation
 
@@ -228,7 +229,7 @@ def test_tiny_resnet_fedpkd_history_hash_is_pinned(tiny_bundle):
 
 
 # ----------------------------------------------------------------------
-# the ResNet path: conv2d, batch_norm, pad2d
+# the ResNet path: conv2d, batch_norm
 # ----------------------------------------------------------------------
 #: float64, same formulas, sums in another order (measured: <= 2e-14)
 CONV_PATH_RTOL = 1e-10
@@ -242,11 +243,28 @@ def assert_close(actual, expected):
     )
 
 
+def pad2d(x, padding):
+    """Zero-pad the last two (spatial) axes of an NCHW tensor, as one graph
+    node: the padding the replaced conv routes ran before their gather."""
+    if padding == 0:
+        return x
+    interior = (..., slice(padding, -padding), slice(padding, -padding))
+    out_data = np.zeros(
+        x.shape[:-2] + (x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding)
+    )
+    out_data[interior] = x.data
+    node = x._node
+
+    def backward(grad):
+        node.accumulate(grad[interior])
+
+    return _record(out_data, (node,), backward)
+
+
 def reference_conv2d(x, weight, bias=None, stride=1, padding=0):
     """The route F.conv2d replaced: an ``(N, K, P)`` im2col matrix and three
     ``np.einsum(..., optimize=True)`` contractions."""
-    if padding:
-        x = x.pad2d(padding)
+    x = pad2d(x, padding)
     c_out, _, kh, kw = weight.shape
     n, c, h, w = x.shape
     out_h = (h - kh) // stride + 1
@@ -266,15 +284,17 @@ def reference_conv2d(x, weight, bias=None, stride=1, padding=0):
     out_data = out_data.reshape(n, c_out, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+    nx, nw = x._node, weight._node
+    nb = None if bias is None else bias._node
 
     def backward(grad):
         grad_mat = grad.reshape(n, c_out, out_h * out_w)
-        if weight.requires_grad:
+        if nw is not None:
             dw = np.einsum("nop,nkp->ok", grad_mat, cols, optimize=True)
-            weight._accumulate(dw.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
+            nw.accumulate(dw.reshape(w_shape))
+        if nb is not None:
+            nb.accumulate(grad.sum(axis=(0, 2, 3)))
+        if nx is not None:
             dcols = np.einsum("ok,nop->nkp", w_mat, grad_mat, optimize=True)
             dx = np.zeros((n, c, h, w))
             cols6 = dcols.reshape(n, c, kh, kw, out_h, out_w)
@@ -282,10 +302,10 @@ def reference_conv2d(x, weight, bias=None, stride=1, padding=0):
                 for j in range(kw):
                     dx[:, :, i : i + out_h * stride : stride,
                        j : j + out_w * stride : stride] += cols6[:, :, i, j]
-            x._accumulate(dx)
+            nx.accumulate(dx)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor(out_data, requires_grad=True, _parents=parents, _backward=backward)
+    w_shape = weight.shape
+    return _record(out_data, (nx, nw, nb), backward)
 
 
 def reference_batch_norm(
@@ -448,17 +468,18 @@ def test_resnet_training_matches_the_replaced_routes(monkeypatch):
 @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (1, 1, 1, 1), (3, 4)])
 @pytest.mark.parametrize("padding", [1, 2])
 def test_pad2d_is_byte_identical_to_np_pad(shape, padding):
+    """The replaced routes' padding node, which the oracles above run."""
     data = np.random.default_rng(0).normal(size=shape)
     data.flat[0] = -0.0
     x = Tensor(data, requires_grad=True)
-    out = x.pad2d(padding)
+    out = pad2d(x, padding)
     expected = np.pad(data, [(0, 0)] * (len(shape) - 2) + [(padding, padding)] * 2)
     assert out.data.tobytes() == expected.tobytes() and out.shape == expected.shape
     assert out.data.flags.c_contiguous
     seed = np.random.default_rng(1).normal(size=out.shape)
     out.backward(seed)
     assert np.array_equal(x.grad, seed[..., padding:-padding, padding:-padding])
-    assert x.pad2d(0) is x
+    assert pad2d(x, 0) is x
 
 
 def conv_block_step(x_data, w_data):
@@ -530,8 +551,7 @@ def scatter_per_offset(cols6, shape, stride):
 def strided_conv2d(x, weight, bias=None, stride=1, padding=0):
     """The route the index plan replaced: a ``pad2d`` node, a strided window
     gather and one scatter-add per kernel offset, around the same GEMMs."""
-    if padding:
-        x = x.pad2d(padding)
+    x = pad2d(x, padding)
     c_out, _, kh, kw = weight.shape
     n, c, h, w = x.shape
     windows = strided_windows(x.data, kh, kw, stride)
@@ -548,19 +568,21 @@ def strided_conv2d(x, weight, bias=None, stride=1, padding=0):
     )
     if bias is not None:
         np.add(out_data, bias.data.reshape(1, c_out, 1, 1), out=out_data)
+    nx, nw = x._node, weight._node
+    nb = None if bias is None else bias._node
 
     def backward(grad):
-        if bias is not None:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)), True)
+        if nb is not None:
+            nb.accumulate(grad.sum(axis=(0, 2, 3)), True)
         grad_mat = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).reshape(c_out, -1)
-        weight._accumulate((grad_mat @ cols.T).reshape(weight.shape), True)
-        if x.requires_grad:
+        nw.accumulate((grad_mat @ cols.T).reshape(w_shape), True)
+        if nx is not None:
             dcols = (w_mat.T @ grad_mat).reshape(c, kh, kw, n, out_h, out_w)
             dx = scatter_per_offset(dcols.transpose(3, 0, 1, 2, 4, 5), (n, c, h, w), stride)
-            x._accumulate(dx, True)
+            nx.accumulate(dx, True)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor(out_data, requires_grad=True, _parents=parents, _backward=backward)
+    w_shape = weight.shape
+    return _record(out_data, (nx, nw, nb), backward)
 
 
 def distinct_pair(low, high):

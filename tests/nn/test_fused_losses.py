@@ -403,8 +403,9 @@ def test_each_loss_is_one_graph_node():
         F.log_softmax(logits),
         F.softmax(logits),
     ]
-    for node in nodes:
-        assert all(parent._backward is None for parent in node._parents)
+    for out in nodes:
+        parents = out._node.parents
+        assert all(parent is None or parent.backward is None for parent in parents)
 
 
 def test_fused_nodes_book_under_their_own_op_names():

@@ -1,9 +1,9 @@
-"""Gradient buffers are owned by exactly one tensor.
+"""Gradient buffers are owned by exactly one graph node.
 
-``Tensor._accumulate`` adopts a first gradient that a backward closure
+A node's ``accumulate`` adopts a first gradient that a backward closure
 allocated instead of copying it into a zero-filled buffer.  That is only
 sound while no adopted array is reachable from anywhere else: another
-tensor's ``.grad``, a forward buffer, an array a backward closure keeps
+node's gradient, a forward buffer, an array a backward closure keeps
 (conv2d's input array, batch_norm's normalised activations), a running
 statistic, or the caller's seed.  These tests walk whole graphs and check it.
 """
@@ -59,8 +59,6 @@ OPS = {
         Tensor(np.ones((2, t.shape[1])), requires_grad=True),
         Tensor(np.zeros(2), requires_grad=True),
     ),
-    "concat": lambda t: Tensor.concatenate([t, t * 2.0], axis=0),
-    "pad2d": lambda t: as_image(t).pad2d(1).reshape(t.shape[0] + 2, t.shape[1] + 2),
     "conv2d": lambda t: F.conv2d(
         as_image(t),
         Tensor(np.ones((2, 1, 3, 3)), requires_grad=True),
@@ -75,32 +73,35 @@ OPS = {
 }
 
 
-def graph_tensors(root):
-    seen, stack = {}, [root]
+def graph_nodes(root):
+    """Every node of the graph behind the tensor ``root``, leaves included."""
+    seen, stack = {}, [root._node]
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
+        if node is not None and id(node) not in seen:
             seen[id(node)] = node
-            stack.extend(node._parents)
+            stack.extend(node.parents)
     return list(seen.values())
 
 
 def closure_arrays(nodes):
     """Every array a backward closure of the graph keeps alive: forward
-    buffers such as conv2d's index plan and batch_norm's ``x_hat``."""
+    buffers such as conv2d's index plan and batch_norm's ``x_hat``.  No
+    node holds any other forward array."""
     kept = []
     for node in nodes:
-        for cell in getattr(node._backward, "__closure__", None) or ():
+        for cell in getattr(node.backward, "__closure__", None) or ():
             if isinstance(cell.cell_contents, np.ndarray):
                 kept.append(cell.cell_contents)
     return kept
 
 
 def assert_grads_are_exclusively_owned(nodes, extra=()):
+    """``extra``: arrays the caller holds, such as its tensors' data."""
     grads = [n.grad for n in nodes if n.grad is not None]
     for a, b in itertools.combinations(grads, 2):
         assert not np.shares_memory(a, b)
-    others = [n.data for n in nodes] + closure_arrays(nodes) + list(extra)
+    others = closure_arrays(nodes) + list(extra)
     for grad in grads:
         for other in others:
             assert not np.shares_memory(grad, other)
@@ -114,13 +115,14 @@ def assert_grads_are_exclusively_owned(nodes, extra=()):
 def test_no_two_gradients_share_memory(names, shape):
     x = Tensor(np.arange(1.0, 1.0 + shape[0] * shape[1]).reshape(shape),
                requires_grad=True)
-    out = x
+    out, tensors = x, [x]
     for name in names:
         out = OPS[name](out)
+        tensors.append(out)
     seed = np.ones(out.shape)
     out.backward(seed, retain_graph=True)
-    nodes = graph_tensors(out)
-    assert_grads_are_exclusively_owned(nodes)
+    nodes = graph_nodes(out)
+    assert_grads_are_exclusively_owned(nodes, extra=[t.data for t in tensors])
     assert not any(np.shares_memory(seed, n.grad) for n in nodes)
     assert x.grad.shape == x.shape and x.grad.flags.c_contiguous
 
@@ -130,10 +132,10 @@ def test_scalar_chain_gradients_stay_arrays():
     x = Tensor(3.0, requires_grad=True)
     out = (x * x + x) ** 2
     out.backward(retain_graph=True)
-    for node in graph_tensors(out):
+    for node in graph_nodes(out):
         assert isinstance(node.grad, np.ndarray) and node.grad.shape == ()
     assert x.grad == 2 * 12.0 * 7.0
-    assert_grads_are_exclusively_owned(graph_tensors(out))
+    assert_grads_are_exclusively_owned(graph_nodes(out), extra=[x.data, out.data])
 
 
 def mlp_loss(layers, x, labels):
@@ -149,7 +151,8 @@ def test_mlp_step_gradients_are_exclusively_owned():
               Linear(8, 3, rng=rng)]
     loss = mlp_loss(layers, Tensor(rng.normal(size=(5, 6))), rng.integers(0, 3, 5))
     loss.backward(retain_graph=True)
-    assert_grads_are_exclusively_owned(graph_tensors(loss))
+    params = [p.data for layer in layers for p in layer.parameters()]
+    assert_grads_are_exclusively_owned(graph_nodes(loss), extra=params + [loss.data])
     for layer in layers:
         assert layer.weight.grad.shape == layer.weight.shape
         assert layer.weight.grad.flags.c_contiguous
@@ -160,14 +163,17 @@ def test_in_place_clip_leaves_forward_buffers_untouched():
     layers = [Linear(6, 8, rng=rng), Linear(8, 3, rng=rng)]
     loss = mlp_loss(layers, Tensor(rng.normal(size=(5, 6))), rng.integers(0, 3, 5))
     loss.backward(retain_graph=True)
-    nodes = graph_tensors(loss)
-    forward = [n.data.copy() for n in nodes]
+    nodes = graph_nodes(loss)
+    # the forward buffers the graph still reads
+    kept = closure_arrays(nodes)
+    forward = [a.copy() for a in kept]
     interior = [None if n.grad is None else n.grad.copy() for n in nodes]
     params = [p for layer in layers for p in (layer.weight, layer.bias)]
     assert clip_grad_norm(params, max_norm=1e-3) > 1e-3
-    for node, data, grad in zip(nodes, forward, interior):
-        assert np.array_equal(node.data, data)
-        if grad is not None and not any(node is p for p in params):
+    for array, data in zip(kept, forward):
+        assert np.array_equal(array, data)
+    for node, grad in zip(nodes, interior):
+        if grad is not None and not any(node is p._node for p in params):
             assert np.array_equal(node.grad, grad)
 
 
@@ -199,9 +205,10 @@ def test_basic_block_step_gradients_are_exclusively_owned():
     x = Tensor(rng.normal(size=(3, 2, 6, 6)), requires_grad=True)
     loss = block_loss(block, x)
     loss.backward(retain_graph=True)
-    nodes = graph_tensors(loss)
+    nodes = graph_nodes(loss)
     stats = [b for _, b in block.named_buffers()]
     assert len(stats) == 6
+    held = stats + [p.data for p in block.parameters()] + [x.data, loss.data]
     # (C_in*kh*kw, N*out_h*out_w) of conv1, conv2 and the shortcut conv: the
     # closures keep each geometry's intp index plan, never a float64 patch
     # matrix of that shape
@@ -209,11 +216,11 @@ def test_basic_block_step_gradients_are_exclusively_owned():
     kept = closure_arrays(nodes)
     assert {a.shape for a in kept if a.dtype == np.intp} == patch_shapes
     assert not any(a.dtype == np.float64 and a.shape in patch_shapes for a in kept)
-    assert_grads_are_exclusively_owned(nodes, extra=stats)
+    assert_grads_are_exclusively_owned(nodes, extra=held)
     for p in block.parameters() + [x]:
         assert p.grad.shape == p.shape and p.grad.flags.c_contiguous
-    # every interior activation of the block is ordinary memory too
-    assert all(n.data.flags.c_contiguous for n in nodes)
+    # every activation the block's backward reads is ordinary memory too
+    assert all(a.flags.c_contiguous for a in kept)
 
     # a second pass over the retained graph adds into the same buffers
     buffers = [p.grad for p in block.parameters()]
@@ -221,7 +228,7 @@ def test_basic_block_step_gradients_are_exclusively_owned():
     loss.backward(retain_graph=True)
     for p, buffer, before in zip(block.parameters(), buffers, first):
         assert p.grad is buffer and not np.array_equal(buffer, before)
-    assert_grads_are_exclusively_owned(graph_tensors(loss), extra=stats)
+    assert_grads_are_exclusively_owned(graph_nodes(loss), extra=held)
 
 
 def test_conv_closures_keep_no_float64_buffer_of_their_own():
@@ -232,13 +239,13 @@ def test_conv_closures_keep_no_float64_buffer_of_their_own():
     x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
     weight = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
     bias = Tensor(rng.normal(size=4), requires_grad=True)
+    parents = [x.data, weight.data, bias.data]
     for out in (
         F.conv2d(x, weight, bias, padding=1),
         F.conv2d(x, weight, stride=2),
     ):
-        kept = closure_arrays([out])
+        kept = closure_arrays([out._node])
         assert any(a.dtype == np.intp for a in kept)  # the index plan
-        parents = [p.data for p in out._parents]
         for array in kept:
             if array.dtype == np.float64:
                 assert any(np.shares_memory(array, p) for p in parents), array.shape
@@ -255,7 +262,6 @@ def test_second_backward_on_a_retained_graph_accumulates_for_the_resnet_ops():
         (lambda: F.conv2d(x, weight, bias, stride=2), [x, weight, bias]),
         (lambda: F.batch_norm(x, gamma, beta, np.zeros(2), np.ones(2), True),
          [x, gamma, beta]),
-        (lambda: x.pad2d(2), [x]),
     ):
         for leaf in leaves:
             leaf.zero_grad()

@@ -4,7 +4,8 @@ By default ``Tensor.backward`` drops each interior node's gradient, parents
 and closure as soon as the closure has run, so the activations a training
 step kept for its backward pass die with the pass instead of living through
 the next batch's forward.  ``retain_graph=True`` keeps the graph for a
-second pass.
+second pass.  An activation no backward closure reads does not even live
+that long (``test_activation_lifetime.py``).
 """
 
 import tracemalloc
@@ -32,8 +33,8 @@ def test_default_pass_releases_interior_nodes_and_keeps_leaf_gradients():
     loss.backward()
     np.testing.assert_array_equal(x.grad, [0.5, 0.0, 24.0])
     np.testing.assert_array_equal(w.grad, [1.0, 0.0, 36.0])
-    for node in (hidden, loss):
-        assert node.grad is None and node._parents == ()
+    for tensor in (hidden, loss):
+        assert tensor.grad is None and tensor._node.parents == ()
     assert loss.item() == 36.25  # the forward value outlives the graph
 
 
@@ -95,9 +96,9 @@ def test_a_seed_of_the_wrong_shape_is_rejected_before_anything_accumulates(seed_
     np.testing.assert_array_equal(x.grad, [10.0, 10.0, 10.0])
 
 
-def training_peak_bytes(num_batches, profiled):
+def training_peak_bytes(num_batches, profiled, model_name="resnet20"):
     rng = np.random.default_rng(0)
-    model = build_model("resnet20", num_classes=10, image_shape=(3, 8, 8), rng=rng)
+    model = build_model(model_name, num_classes=10, image_shape=(3, 8, 8), rng=rng)
     x = rng.normal(size=(32 * num_batches, 3, 8, 8))
     y = rng.integers(0, 10, size=len(x))
     config = TrainingConfig(epochs=1, batch_size=32)
@@ -114,24 +115,42 @@ def training_peak_bytes(num_batches, profiled):
 def test_a_training_step_memory_does_not_outlive_its_step(profiled):
     """One step's graph is gone before the next forward, so peak memory is
     that of one step however many batches the epoch has.  The profiler wraps
-    every backward closure, and the release must hold through the wrapper."""
+    every backward closure, and the release must hold through the wrapper.
+
+    Two batches are the baseline, not one: every step after the first
+    also holds arrays the first does not, the optimiser's copies of
+    parameters built before tracing began and the previous step's
+    gradients until ``zero_grad`` (0.69 MiB here, 14 % of a step)."""
     training_peak_bytes(1, profiled)  # fills conv2d's index-plan cache
-    one = training_peak_bytes(1, profiled)
-    three = training_peak_bytes(3, profiled)
-    assert three <= 1.1 * one, (three / 2**20, one / 2**20)
+    two = training_peak_bytes(2, profiled)
+    four = training_peak_bytes(4, profiled)
+    assert four <= 1.1 * two, (four / 2**20, two / 2**20)
 
 
 @pytest.mark.parametrize("profiled", [False, True])
 def test_a_resnet20_training_step_stays_under_its_memory_bound(profiled):
-    """A training conv2d keeps no patch matrix for its backward pass: one
+    """A training step holds only what its backward pass reads: one
     ResNet-20 step at batch 32 on 8x8 images peaked at 20.4 MiB traced when
     every conv closure kept its (C*kh*kw, N*out_h*out_w) float64 patches,
-    and peaks at 9.4 MiB (profiler off or on) now that backward gathers them
-    again.  The bound leaves a ~50 % margin over the latter and sits well
-    under the former."""
+    at 9.4 MiB when the graph kept every op's output alive until backward,
+    and peaks at 5.0 MiB (profiler off or on) now that a conv output, a
+    BatchNorm output or a residual sum dies with its last Python reference.
+    The bound leaves a ~50 % margin over the latter and sits under the
+    others."""
     training_peak_bytes(1, profiled)  # fills conv2d's index-plan cache
     peak = training_peak_bytes(1, profiled)
-    assert peak <= 14 * 2**20, peak / 2**20
+    assert peak <= 7.5 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("profiled", [False, True])
+def test_a_resnet56_training_step_stays_under_its_memory_bound(profiled):
+    """The server's model in the paper's family, trained by Eq. 13's
+    distillation: one ResNet-56 step at batch 32 on 8x8 images peaked at
+    24.0 MiB traced when the graph kept every op's output alive until
+    backward, and peaks at 13.0 MiB (profiler off or on) now."""
+    training_peak_bytes(1, profiled, "resnet56")  # fills the plan cache
+    peak = training_peak_bytes(1, profiled, "resnet56")
+    assert peak <= 16 * 2**20, peak / 2**20
 
 
 def test_a_resnet56_inference_pass_stays_under_its_memory_bound():

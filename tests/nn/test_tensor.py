@@ -225,26 +225,6 @@ class TestGradients:
         x[idx].sum().backward()
         np.testing.assert_allclose(x.grad, [0.0, 2.0, 1.0, 0.0])
 
-    def test_pad2d_grad(self):
-        x = Tensor(np.random.default_rng(15).normal(size=(1, 1, 3, 3)), requires_grad=True)
-        out = x.pad2d(1)
-        assert out.shape == (1, 1, 5, 5)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((1, 1, 3, 3)))
-
-    def test_pad2d_zero_is_identity(self):
-        x = Tensor(np.ones((1, 1, 2, 2)))
-        assert x.pad2d(0) is x
-
-    def test_concatenate_grad(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones((3, 2)), requires_grad=True)
-        out = Tensor.concatenate([a, b], axis=0)
-        assert out.shape == (5, 2)
-        (out * 2).sum().backward()
-        np.testing.assert_allclose(a.grad, np.full((2, 2), 2.0))
-        np.testing.assert_allclose(b.grad, np.full((3, 2), 2.0))
-
     def test_transpose_grad(self):
         x = Tensor(np.random.default_rng(16).normal(size=(2, 3, 4)), requires_grad=True)
         y = x.transpose((2, 0, 1))

@@ -6,26 +6,6 @@ import pytest
 from repro.nn import Tensor
 
 
-class TestConcatenateAxes:
-    def test_axis_one(self):
-        a = Tensor(np.ones((2, 3)), requires_grad=True)
-        b = Tensor(np.ones((2, 2)), requires_grad=True)
-        out = Tensor.concatenate([a, b], axis=1)
-        assert out.shape == (2, 5)
-        (out * np.arange(5.0)).sum().backward()
-        np.testing.assert_allclose(a.grad, np.tile([0, 1, 2], (2, 1)))
-        np.testing.assert_allclose(b.grad, np.tile([3, 4], (2, 1)))
-
-    def test_no_grad_inputs(self):
-        out = Tensor.concatenate([Tensor(np.ones(2)), Tensor(np.zeros(3))])
-        assert not out.requires_grad
-        assert out.shape == (5,)
-
-    def test_accepts_raw_arrays(self):
-        out = Tensor.concatenate([np.ones(2), np.zeros(2)])
-        np.testing.assert_allclose(out.data, [1, 1, 0, 0])
-
-
 class TestDivision:
     def test_rtruediv(self):
         x = Tensor(np.array([2.0, 4.0]), requires_grad=True)
