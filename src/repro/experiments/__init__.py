@@ -1,7 +1,8 @@
 """Experiment runners regenerating every figure and table of the paper.
 
 ``harness`` holds the shared pieces (scales, settings, ``run_algorithm``,
-``compare_algorithms`` over arms, table formatting, ``save_results``);
+``run_jobs`` (the one fan-out for whole runs), ``compare_algorithms`` over
+arms, table formatting, ``save_results``);
 ``figures.FIGURES`` declares each figure/table once, keyed by its
 ``python -m repro experiment`` name, with ``run(scale=..., seed=...,
 **options) -> dict`` and ``table(results) -> str``.  The ``benchmarks/``
@@ -15,6 +16,7 @@ from .harness import (
     SCALES,
     Arm,
     ExperimentSetting,
+    Job,
     ScaleConfig,
     compare_algorithms,
     federation_for,
@@ -22,6 +24,7 @@ from .harness import (
     make_bundle,
     model_roles,
     run_algorithm,
+    run_jobs,
     save_results,
 )
 
@@ -36,6 +39,8 @@ __all__ = [
     "run_algorithm",
     "Arm",
     "compare_algorithms",
+    "Job",
+    "run_jobs",
     "format_table",
     "save_results",
     "Figure",

@@ -10,8 +10,8 @@ A grid figure (Figs. 1, 5–10, Table I) declares the cells the CLI runs
 (dataset → partitions), its arms and a ``reduce`` from
 ``{dataset: {partition: {label: RunHistory}}}`` to its result shape.  One
 runner calls :func:`~repro.experiments.harness.compare_algorithms` once per
-cell, so every cell's arms share one bundle and fan out over the worker
-pool.  Its options narrow the declaration: ``datasets``, ``partitions``
+cell, so every cell's arms run on the same data and fan out over the
+worker pool.  Its options narrow the declaration: ``datasets``, ``partitions``
 (per dataset), ``arms`` (declared labels, algorithm names or ``Arm``
 values) and ``rounds``; any other keyword goes to ``reduce`` (Table I's
 ``target_fraction``).  Figs. 2 and 3 do not

@@ -9,11 +9,13 @@ a minutes-long trend check (``small``), or the full paper configuration
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from dataclasses import dataclass, field, replace
 from typing import (
-    Dict, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple, Union,
 )
 
 import numpy as np
@@ -36,6 +38,8 @@ __all__ = [
     "run_algorithm",
     "Arm",
     "compare_algorithms",
+    "Job",
+    "run_jobs",
     "format_table",
     "save_results",
     "PARTITIONS",
@@ -302,66 +306,103 @@ def compare_algorithms(
     rounds: Optional[int] = None,
     eval_every: int = 1,
 ) -> Dict[Hashable, RunHistory]:
-    """Run several arms on the *same* data bundle for fair comparison.
+    """Run several arms on the same setting (so the same data) for a fair
+    comparison.
 
     An arm is an algorithm name or an :class:`Arm` (label, algorithm,
     config overrides); the result maps each label to its history.  The
-    runs are independent, so they fan out over a
-    :class:`~repro.runtime.pool.WorkerPool` with one worker per usable core
-    (at most one per arm); histories come back in input order and equal
-    those of sequential :func:`run_algorithm` calls.  They run inline with
-    one usable core, one arm, or ``executor="parallel"`` (whose client pool
-    already owns the cores).  Each arm writes its own artifacts: ``.<label>``
-    goes before the first dot of every ``*_path`` basename
-    (``fig5.trace.jsonl`` -> ``fig5.fedavg.trace.jsonl``), with characters
-    other than letters, digits, ``_``, ``.`` and ``-`` mapped to ``_``
-    (``w/o Pro`` -> ``w_o_Pro``).  Labels that coincide after that mapping
-    raise ``ValueError`` before any run starts.  An arm's exception
-    propagates with its type; a run whose worker process dies raises a
-    ``RuntimeError`` naming the arm.
+    arms are independent jobs for :func:`run_jobs`, with one worker per
+    usable core (at most one per arm); each builds its own data bundle,
+    and histories come back in input order and equal those of sequential
+    :func:`run_algorithm` calls.  They run inline with one usable core,
+    one arm, or ``executor="parallel"`` (whose client pool already owns the
+    cores).  Each arm writes its own artifacts: ``.<label>`` goes before
+    the first dot of every ``*_path`` basename (``fig5.trace.jsonl`` ->
+    ``fig5.fedavg.trace.jsonl``), with characters other than letters,
+    digits, ``_``, ``.`` and ``-`` mapped to ``_`` (``w/o Pro`` ->
+    ``w_o_Pro``).  Labels that coincide after that mapping raise
+    ``ValueError`` before any run starts.  Once every arm has run, the
+    first failed arm raises: its own exception with its type, or a
+    ``RuntimeError`` naming the arm if its worker process died.
     """
     arms = [Arm.of(item) for item in arms]
     infixes = [_file_safe(arm.label) for arm in arms]
     clashes = sorted({name for name in infixes if infixes.count(name) > 1})
     if clashes:
         raise ValueError(f"compare_algorithms: arm labels clash: {clashes}")
-    payloads = [
-        (_own_artifacts(setting, infix), arm.algorithm, rounds, eval_every,
-         dict(arm.overrides))
+    jobs = [
+        Job(_own_artifacts(setting, infix), arm.algorithm, rounds, eval_every,
+            dict(arm.overrides))
         for arm, infix in zip(arms, infixes)
     ]
-    bundle = make_bundle(setting)
-    workers = 1 if setting.executor == "parallel" else usable_cores(len(payloads))
+    workers = 1 if setting.executor == "parallel" else usable_cores(len(jobs))
+    outcomes = run_jobs(jobs, workers)
+    for arm, outcome in zip(arms, outcomes):
+        if isinstance(outcome, Exhausted):
+            raise RuntimeError(
+                f"compare_algorithms: {arm.label} did not finish "
+                f"({outcome.cause} after {outcome.attempts} attempt(s))"
+            )
+        if isinstance(outcome, Exception):
+            raise outcome
+    return {arm.label: history for arm, history in zip(arms, outcomes)}
+
+
+class Job(NamedTuple):
+    """One whole run for :func:`run_jobs`: plain data, so it pickles to a
+    worker (never a function object)."""
+
+    setting: ExperimentSetting
+    algorithm: str
+    rounds: Optional[int] = None
+    eval_every: int = 1
+    overrides: Mapping[str, object] = {}
+    resume: bool = False
+
+
+def run_jobs(
+    jobs: Sequence[Job],
+    workers: int = 1,
+    timeout_s: Optional[float] = None,
+    retries: int = 0,
+    on_wait: Optional[Callable[[List[int]], None]] = None,
+) -> List[Union[RunHistory, Exception, Exhausted]]:
+    """Run whole jobs, one outcome each, in input order: the job's
+    :class:`~repro.fl.metrics.RunHistory`, or the exception the run raised,
+    returned rather than raised so one failed run cannot stop its siblings.
+
+    With ``workers == 1`` the jobs run inline, one after another.
+    Otherwise they fan out over one
+    :class:`~repro.runtime.pool.WorkerPool` of ``workers`` processes under
+    its fault contract (``timeout_s``, ``retries``, ``on_wait``), and a
+    job that used up its attempts comes back as
+    :class:`~repro.runtime.pool.Exhausted` for the caller to name.  Every
+    job builds its own data bundle.
+    """
     if workers == 1:
-        histories = [_run_one(payload, bundle) for payload in payloads]
-    else:
-        with WorkerPool(workers, initializer=_hold_bundle, initargs=(bundle,)) as pool:
-            histories = pool.run(_run_one, payloads)
-        for arm, outcome in zip(arms, histories):
-            if isinstance(outcome, Exhausted):
-                raise RuntimeError(
-                    f"compare_algorithms: {arm.label} did not finish "
-                    f"({outcome.cause} after {outcome.attempts} attempt(s))"
-                )
-    return {arm.label: history for arm, history in zip(arms, histories)}
+        return [_run_job(job) for job in jobs]
+    with WorkerPool(workers) as pool:
+        return pool.run(_run_job, jobs, timeout_s, retries, on_wait)
 
 
-#: the bundle inside a compare_algorithms worker, installed by the pool's
-#: initializer (fork hands it over once, not pickled per run)
-_WORKER_BUNDLE: Optional[FederatedDataBundle] = None
-
-
-def _hold_bundle(bundle: FederatedDataBundle) -> None:
-    global _WORKER_BUNDLE
-    _WORKER_BUNDLE = bundle
-
-
-def _run_one(payload: tuple, bundle: Optional[FederatedDataBundle] = None) -> RunHistory:
-    setting, algorithm, rounds, eval_every, overrides = payload
-    return run_algorithm(
-        setting, algorithm, bundle=_WORKER_BUNDLE if bundle is None else bundle,
-        rounds=rounds, eval_every=eval_every, **overrides,
-    )
+def _run_job(job: Job) -> Union[RunHistory, Exception]:
+    # run_algorithm is looked up here, when the job runs, so a rebinding of
+    # the module attribute (a test's monkeypatch, a profiler's wrapper)
+    # reaches inline runs and forked workers alike
+    try:
+        return run_algorithm(
+            job.setting, job.algorithm, bundle=None, rounds=job.rounds,
+            eval_every=job.eval_every, resume=job.resume, **job.overrides,
+        )
+    except Exception as exc:  # noqa: BLE001 - a run's failure is its outcome
+        return exc
+    finally:
+        # a finished run's algorithm and federation sit in reference cycles
+        # (algorithm <-> round engine, federation <-> executor), so only the
+        # cycle collector frees them and the job's bundle: collect now, or a
+        # process running several jobs holds one bundle per job until the
+        # collector's oldest generation next runs
+        gc.collect()
 
 
 def _file_safe(label: Hashable) -> str:

@@ -116,13 +116,6 @@ class CommChannel:
         """Total bytes this client sent plus received."""
         return self._uplink.get(client_id, 0) + self._downlink.get(client_id, 0)
 
-    def client_mb(self, client_id: int) -> float:
-        return self.client_bytes(client_id) / _MB
-
-    def per_client_mb(self) -> Dict[int, float]:
-        ids = set(self._uplink) | set(self._downlink)
-        return {cid: self.client_mb(cid) for cid in sorted(ids)}
-
     @property
     def round_marks(self) -> List[ChannelSnapshot]:
         return list(self._round_marks)

@@ -150,8 +150,8 @@ class DropoutLog:
         self.events: List[RuntimeDropout] = []
         self._metrics = metrics
         # per-round index of distinct client ids in first-seen order, so
-        # long chaos runs answer clients_for_round/count_for_round in O(1)
-        # instead of rescanning the whole event list per query
+        # long chaos runs answer count_for_round in O(1) instead of
+        # rescanning the whole event list per query
         self._by_round: Dict[int, List[int]] = {}
 
     def attach_metrics(self, metrics) -> None:
@@ -170,10 +170,6 @@ class DropoutLog:
         self._index(event)
         if self._metrics is not None and self._metrics.enabled:
             self._metrics.counter("runtime/dropouts").inc()
-
-    def clients_for_round(self, round_index: int) -> List[int]:
-        """Distinct clients that dropped during ``round_index``."""
-        return list(self._by_round.get(round_index, ()))
 
     def count_for_round(self, round_index: int) -> int:
         return len(self._by_round.get(round_index, ()))

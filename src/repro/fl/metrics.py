@@ -10,7 +10,6 @@ Three metrics from Sec. V-A:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
@@ -185,9 +184,6 @@ class RunHistory:
             "records": [asdict(r) for r in self.records],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_dict(cls, payload: dict) -> "RunHistory":
         """Inverse of :meth:`to_dict`.  The wall-clock readings older
@@ -205,8 +201,3 @@ class RunHistory:
                 }
             history.append(RoundRecord(**raw))
         return history
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunHistory":
-        """Inverse of :meth:`to_json` (NaN accuracies round-trip intact)."""
-        return cls.from_dict(json.loads(text))

@@ -71,24 +71,24 @@ def train_with_loss(
     optimizer = make_optimizer(model, config)
     x, extras = arrays[0], tuple(arrays[1:])
     last_epoch_losses: list = []
+    # the optimiser holds model.parameters() in the same order; going
+    # through it skips two reflective module-tree walks a step.  Gradients
+    # are dropped as soon as step() has read them, so no forward runs
+    # beside a parameter-sized set of them and a trained model holds its
+    # weights only
+    optimizer.zero_grad()
     for epoch in range(config.epochs):
         last_epoch_losses = []
         for batch in batch_iterator(
             x, None, config.batch_size, rng=rng, extras=extras
         ):
             loss = loss_builder(model, batch)
-            # the optimiser holds model.parameters() in the same order;
-            # going through it skips two reflective module-tree walks a step
-            optimizer.zero_grad()
             loss.backward()
             if config.max_grad_norm is not None:
                 clip_grad_norm(optimizer.params, config.max_grad_norm)
             optimizer.step()
+            optimizer.zero_grad()
             last_epoch_losses.append(loss.item())
-    # every step zeroes before backward, so the last step's gradients are
-    # read by nobody; dropping them stops a trained model holding a
-    # second copy of its weights
-    optimizer.zero_grad()
     if prof is not None:
         total = time.perf_counter() - start
         inner = prof.total_seconds() - before

@@ -1,11 +1,12 @@
 """One supervised process pool for every fan-out in the repo.
 
-Client stages (:class:`~repro.runtime.executor.ParallelExecutor`), sweep
-runs (:class:`~repro.sweep.scheduler.SweepScheduler`) and the algorithms of
-one comparison (:func:`~repro.experiments.harness.compare_algorithms`) all
-call :meth:`WorkerPool.run`, which returns one outcome per payload, in input
-order: the function's return value, or :class:`Exhausted` once the item
-used its ``retries + 1`` attempts.  ``run`` waits on the oldest unfinished
+Its two callers are client stages
+(:class:`~repro.runtime.executor.ParallelExecutor`) and whole runs
+(:func:`~repro.experiments.harness.run_jobs`, under the sweep scheduler
+and ``compare_algorithms``).  Both call :meth:`WorkerPool.run`, which
+returns one outcome per payload, in input order: the function's return
+value, or :class:`Exhausted` once the item used its ``retries + 1``
+attempts.  ``run`` waits on the oldest unfinished
 item; its attempt times out ``timeout_s`` after that wait began.  A timeout
 or a worker death banks every result that already arrived, kills the
 workers and resubmits the rest to new ones.  A death breaks every

@@ -24,7 +24,7 @@ See ``docs/SWEEP.md`` for the spec format and cache semantics.
 from .cache import ResultCache
 from .progress import SweepProgress, rounds_completed
 from .registry import RegistryError, RunRegistry, parse_where
-from .scheduler import RunOutcome, SweepResult, SweepScheduler, execute_run
+from .scheduler import RunOutcome, SweepResult, SweepScheduler
 from .spec import RUN_KEY_VERSION, RunSpec, SweepSpec, SweepSpecError
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "SweepScheduler",
     "SweepResult",
     "RunOutcome",
-    "execute_run",
     "SweepProgress",
     "rounds_completed",
 ]

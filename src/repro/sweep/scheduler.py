@@ -5,18 +5,19 @@ Execution model
 :meth:`SweepScheduler.run` expands the spec into its deterministic queue,
 skips every run whose history is already in the :class:`ResultCache`
 (**cache hit** — zero training work), resumes runs that left an
-exact-resume checkpoint behind, and executes the rest either inline
-(``run_workers=1``, the deterministic default) or across the runtime's
-:class:`~repro.runtime.pool.WorkerPool` (``run_workers>1``): a per-run
-timeout with bounded retries for infrastructure failures (worker death,
-hung run), while a deterministic exception inside a run is recorded as a
+exact-resume checkpoint behind, and executes the rest through
+:func:`repro.experiments.harness.run_jobs`, the one fan-out for whole runs
+(``compare_algorithms`` uses it too): inline (``run_workers=1``, the
+deterministic default) or across the runtime's
+:class:`~repro.runtime.pool.WorkerPool` (``run_workers>1``), with a per-run
+timeout and bounded retries for infrastructure failures (worker death,
+hung run).  A deterministic exception inside a run is recorded as a
 **failed** run — its siblings complete and the sweep goes on.
 
-Each run executes through the ordinary
-:func:`repro.experiments.harness.run_algorithm` path with checkpoint
-autosave pointed into the cache, so a run launched by the scheduler is
-bit-identical to the same configuration launched via ``repro run``; the
-per-run client stages themselves go through whatever
+Each job is an ordinary :func:`repro.experiments.harness.run_algorithm`
+call with checkpoint autosave pointed into the cache, so a run launched
+by the scheduler is bit-identical to the same configuration launched via
+``repro run``; the per-run client stages themselves go through whatever
 :mod:`repro.runtime` executor the run's setting asks for.
 
 The driver process is the only writer of the cache and the registry, so
@@ -25,19 +26,19 @@ sweep-level parallelism never races on artifacts.
 
 from __future__ import annotations
 
-import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, List, Optional
 
+from ..experiments.harness import Job, run_jobs
 from ..fl.metrics import RunHistory
-from ..runtime.pool import TIMEOUT, Exhausted, WorkerPool
+from ..runtime.pool import TIMEOUT, Exhausted
 from .cache import ResultCache
 from .progress import SweepProgress, rounds_completed
 from .registry import RunRegistry
 from .spec import RunSpec, SweepSpec
 
-__all__ = ["RunOutcome", "SweepResult", "SweepScheduler", "execute_run"]
+__all__ = ["RunOutcome", "SweepResult", "SweepScheduler"]
 
 
 def _finite(value: Optional[float]) -> Optional[float]:
@@ -45,50 +46,6 @@ def _finite(value: Optional[float]) -> Optional[float]:
     if value is None or value != value:
         return None
     return float(value)
-
-
-# ----------------------------------------------------------------------
-# run execution (driver-side inline, or inside a pool worker)
-# ----------------------------------------------------------------------
-def execute_run(payload: Dict[str, Any]) -> RunHistory:
-    """Execute one queued run and return its history.
-
-    ``payload`` carries the :class:`RunSpec` fields plus the artifact
-    paths the cache assigned.  If the checkpoint file already exists the
-    run *resumes* — only the remaining rounds train, and the finished
-    history is bit-identical to an uninterrupted run.
-    """
-    import os
-
-    from ..experiments.harness import run_algorithm
-
-    run = RunSpec(**payload["run"])
-    setting = run.to_setting(**payload["artifacts"])
-    resume = bool(setting.checkpoint_path) and os.path.exists(
-        setting.resolve_artifact(setting.checkpoint_path)
-    )
-    return run_algorithm(
-        setting,
-        run.algorithm,
-        rounds=run.rounds,
-        eval_every=run.eval_every,
-        resume=resume,
-        **run.overrides,
-    )
-
-
-def _pool_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool-side wrapper: deterministic run exceptions become data, not
-    pool crashes, so failure isolation survives the process boundary."""
-    try:
-        history = execute_run(payload)
-        return {"ok": True, "history": history.to_dict()}
-    except Exception as exc:  # noqa: BLE001 - isolation is the point
-        return {
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -230,19 +187,13 @@ class SweepScheduler:
             else:
                 pending.append(i)
 
-        if pending:
-            payloads = [self._payload(runs[i], keys[i]) for i in pending]
-            if self.run_workers == 1:
-                executed = self._run_inline(
-                    [runs[i] for i in pending], [keys[i] for i in pending],
-                    payloads, progress,
-                )
-            else:
-                executed = self._run_parallel(
-                    [runs[i] for i in pending], [keys[i] for i in pending],
-                    payloads, progress,
-                )
-            for i, outcome in zip(pending, executed):
+        # inline, each run is a batch of its own, so its `running` line
+        # comes right before it starts; a pool takes every pending run at once
+        batches = [[i] for i in pending] if self.run_workers == 1 else [pending]
+        for batch in batches:
+            for i, outcome in zip(batch, self._execute(
+                [runs[i] for i in batch], [keys[i] for i in batch], progress
+            )):
                 outcomes[i] = outcome
 
         result.outcomes = [o for o in outcomes if o is not None]
@@ -251,61 +202,34 @@ class SweepScheduler:
         return result
 
     # ------------------------------------------------------------------
-    # payloads and artifacts
+    # execution (inline, or sharded over the runtime's worker pool)
     # ------------------------------------------------------------------
-    def _payload(self, run: RunSpec, key: str) -> Dict[str, Any]:
-        self.cache.store_config(key, run)
-        spec_fields = asdict(run)
-        spec_fields["runtime_fields"] = dict(
-            spec_fields["runtime_fields"], **self.runtime_overrides
-        )
-        artifacts: Dict[str, Any] = {
-            "checkpoint_every": self.checkpoint_every,
-            "checkpoint_path": self.cache.checkpoint_path(key),
-        }
-        if self.trace:
-            artifacts["trace_path"] = self.cache.trace_path(key)
-            artifacts["metrics_path"] = self.cache.metrics_path(key)
-        return {"run": spec_fields, "artifacts": artifacts}
-
-    def _resumable(self, key: str) -> bool:
-        return self.cache.has_checkpoint(key)
-
-    # ------------------------------------------------------------------
-    # inline execution (deterministic queue order)
-    # ------------------------------------------------------------------
-    def _run_inline(self, runs, keys, payloads, progress) -> List[RunOutcome]:
-        executed: List[RunOutcome] = []
-        for run, key, payload in zip(runs, keys, payloads):
-            resumed = self._resumable(key)
+    def _execute(self, runs, keys, progress) -> List[RunOutcome]:
+        resumed_flags = [self.cache.has_checkpoint(key) for key in keys]
+        answers: List[Any] = []
+        for run, key in zip(runs, keys):
+            self.cache.store_config(key, run)
             progress.transition(key, run.label(), "running")
-            try:
-                history = execute_run(payload)
-            except Exception as exc:  # noqa: BLE001 - failure isolation
-                executed.append(
-                    self._fail(run, key, f"{type(exc).__name__}: {exc}", progress)
-                )
-                continue
-            executed.append(self._finish(run, key, history, resumed, progress))
-        return executed
-
-    # ------------------------------------------------------------------
-    # pool execution (sharded runs under the runtime's fault contract)
-    # ------------------------------------------------------------------
-    def _run_parallel(self, runs, keys, payloads, progress) -> List[RunOutcome]:
-        resumed_flags = [self._resumable(key) for key in keys]
-        for key, run in zip(keys, runs):
-            progress.transition(key, run.label(), "running")
+            answers.append(self._job(run, key))
+        todo = [j for j, job in enumerate(answers) if isinstance(job, Job)]
         on_wait = None
         if self.trace:  # live per-run round counts while runs are in flight
-            on_wait = partial(self._poll_traces, runs, keys, progress)
-        with WorkerPool(self.run_workers) as pool:
-            answers = pool.run(
-                _pool_worker, payloads, self.run_timeout_s, self.run_retries, on_wait
+            on_wait = partial(
+                self._poll_traces, [runs[j] for j in todo], [keys[j] for j in todo],
+                progress,
             )
+        ran = run_jobs(
+            [answers[j] for j in todo], self.run_workers, self.run_timeout_s,
+            self.run_retries, on_wait,
+        )
+        for j, answer in zip(todo, ran):
+            answers[j] = answer
 
         executed: List[RunOutcome] = []
         for run, key, resumed, answer in zip(runs, keys, resumed_flags, answers):
+            if isinstance(answer, RunHistory):
+                executed.append(self._finish(run, key, answer, resumed, progress))
+                continue
             if isinstance(answer, Exhausted):
                 cause = (
                     f"timeout: no result within {self.run_timeout_s}s"
@@ -313,13 +237,32 @@ class SweepScheduler:
                     else "worker death: the run kept crashing its worker process"
                 )
                 error = f"{cause} after {answer.attempts} attempt(s)"
-                executed.append(self._fail(run, key, error, progress))
-            elif not answer["ok"]:
-                executed.append(self._fail(run, key, answer["error"], progress))
             else:
-                history = RunHistory.from_dict(answer["history"])
-                executed.append(self._finish(run, key, history, resumed, progress))
+                error = f"{type(answer).__name__}: {answer}"
+            executed.append(self._fail(run, key, error, progress))
         return executed
+
+    def _job(self, run: RunSpec, key: str) -> Any:
+        """The run as a :class:`Job` whose setting points the checkpoint
+        (and, with ``trace``, the trace and metrics) into the cache and
+        resumes from that checkpoint when one is there; or the exception
+        the setting raised, which fails this run only."""
+        artifacts: Dict[str, Any] = {
+            **self.runtime_overrides,
+            "checkpoint_every": self.checkpoint_every,
+            "checkpoint_path": self.cache.checkpoint_path(key),
+        }
+        if self.trace:
+            artifacts["trace_path"] = self.cache.trace_path(key)
+            artifacts["metrics_path"] = self.cache.metrics_path(key)
+        try:
+            setting = run.to_setting(**artifacts)
+        except Exception as exc:  # noqa: BLE001 - failure isolation
+            return exc
+        return Job(
+            setting, run.algorithm, run.rounds, run.eval_every, run.overrides,
+            resume=True,
+        )
 
     def _poll_traces(self, runs, keys, progress, pending) -> None:
         for j in pending:

@@ -7,16 +7,21 @@ worker or an algorithm's own error surfaces as a named exception instead
 of a hang.
 """
 
+import gc
 import json
 import os
 import signal
+import weakref
 from contextlib import contextmanager
 
 import pytest
 
 from repro.algorithms import ALGORITHMS as REGISTRY
-from repro.experiments import Arm, ExperimentSetting, compare_algorithms, run_algorithm
+from repro.experiments import (
+    Arm, ExperimentSetting, Job, compare_algorithms, run_algorithm, run_jobs,
+)
 from repro.experiments import harness
+from repro.fl.metrics import RunHistory
 from repro.obs.schema import validate_trace_file
 from repro.obs.trace_analysis import load_trace
 
@@ -183,7 +188,9 @@ def test_every_algorithm_keeps_its_own_artifacts(tmp_path, monkeypatch, pool):
     assert not (tmp_path / "fig5_cifar10.trace.jsonl").exists()
 
 
-def test_an_algorithms_own_error_keeps_its_type(two_cores):
+@pytest.mark.parametrize("cores", [2, 1], ids=["pool", "inline"])
+def test_an_algorithms_own_error_keeps_its_type(monkeypatch, cores):
+    monkeypatch.setattr(harness, "usable_cores", lambda n: min(n, cores))
     # FedAvg averages weights, so it rejects heterogeneous client models
     setting = ExperimentSetting(heterogeneous=True, **FAST)
     with pytest.raises(ValueError, match="fedavg does not support heterogeneous"):
@@ -206,3 +213,25 @@ def test_a_lost_worker_raises_a_named_error(two_cores, monkeypatch):
     setting = ExperimentSetting(**FAST)
     with _time_limit(120), pytest.raises(RuntimeError, match="fedproto.*worker death"):
         compare_algorithms(setting, ["fedavg", "fedproto", "fedpkd"])
+
+
+def test_a_finished_job_leaves_no_bundle_behind(monkeypatch):
+    """Each job builds its own bundle; a process that runs several jobs
+    must not hold one per job after they finish."""
+    bundles = []
+    make = harness.make_bundle
+
+    def recording(setting):
+        bundle = make(setting)
+        bundles.append(weakref.ref(bundle))
+        return bundle
+
+    monkeypatch.setattr(harness, "make_bundle", recording)
+    gc.disable()  # the fan-out, not a collection that happens to run, frees them
+    try:
+        outcomes = run_jobs([Job(ExperimentSetting(**FAST), "fedavg")] * 2)
+    finally:
+        gc.enable()
+    assert all(isinstance(outcome, RunHistory) for outcome in outcomes)
+    assert len(bundles) == 2
+    assert all(ref() is None for ref in bundles)

@@ -73,9 +73,10 @@ class TestChannel:
         assert ch.total_bytes == 0
         assert ch.round_marks == []
 
-    def test_per_client_mb_map(self):
+    def test_client_bytes_counts_both_directions(self):
         ch = CommChannel()
         ch.upload(2, np.zeros(10))
         ch.download(1, np.zeros(10))
-        mb = ch.per_client_mb()
-        assert set(mb) == {1, 2}
+        ch.download(2, np.zeros(5))
+        assert ch.client_bytes(1) == 40
+        assert ch.client_bytes(2) == 60

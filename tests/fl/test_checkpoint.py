@@ -113,7 +113,10 @@ class TestCheckpoint:
         assert fresh.channel.total_bytes == 0
         load_checkpoint(fresh, path)
         assert fresh.channel.total_bytes == algo.channel.total_bytes > 0
-        assert fresh.channel.per_client_mb() == algo.channel.per_client_mb()
+        clients = range(len(algo.clients))
+        assert [fresh.channel.client_bytes(c) for c in clients] == [
+            algo.channel.client_bytes(c) for c in clients
+        ]
         assert [
             (s.uplink, s.downlink) for s in fresh.channel.round_marks
         ] == [(s.uplink, s.downlink) for s in algo.channel.round_marks]

@@ -194,10 +194,9 @@ class TestDropoutLogIndex:
         log.record(1, 0, "uplink", "timeout")  # same client, same round
         log.record(1, 2, "local_train", "worker_death")
         log.record(3, 1, "async_work", "injected_crash")
-        assert log.clients_for_round(1) == [0, 2]
         assert log.count_for_round(1) == 2
         assert log.count_for_round(2) == 0
-        assert log.clients_for_round(3) == [1]
+        assert log.count_for_round(3) == 1
         assert len(log) == 4
 
     def test_index_survives_state_round_trip(self):
@@ -207,7 +206,7 @@ class TestDropoutLogIndex:
         clone = DropoutLog()
         clone.load_state_dict(log.state_dict())
         assert clone.state_dict() == log.state_dict()
-        assert clone.clients_for_round(1) == [0]
+        assert clone.count_for_round(1) == 1
         assert clone.count_for_round(2) == 1
 
 

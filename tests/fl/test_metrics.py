@@ -1,5 +1,6 @@
 """Tests for RoundRecord / RunHistory metrics."""
 
+import json
 import math
 
 import pytest
@@ -82,11 +83,17 @@ class TestRunHistory:
         assert restored.best_server_acc == 0.5
 
     def test_json_serialises(self):
-        payload = self.make_history().to_json()
+        payload = json.dumps(self.make_history().to_dict())
         assert '"algorithm": "algo"' in payload
 
     def test_iteration(self):
         assert [r.round_index for r in self.make_history()] == [1, 2, 3]
+
+
+def _json_roundtrip(history):
+    """Through JSON text as every writer and reader does it:
+    ``json.dump(to_dict())`` then ``from_dict(json.load())``."""
+    return RunHistory.from_dict(json.loads(json.dumps(history.to_dict())))
 
 
 class TestPersistence:
@@ -120,7 +127,7 @@ class TestPersistence:
 
     def test_json_roundtrip_with_extras_and_nan(self):
         h = self.make_history()
-        restored = RunHistory.from_json(h.to_json())
+        restored = _json_roundtrip(h)
         assert restored.algorithm == "fedpkd"
         assert restored.dataset == "cifar10"
         assert len(restored) == 2
@@ -135,7 +142,7 @@ class TestPersistence:
         assert restored.to_dict() == h.to_dict()
 
     def test_queries_on_restored_object(self):
-        restored = RunHistory.from_json(self.make_history().to_json())
+        restored = _json_roundtrip(self.make_history())
         assert restored.rounds_to_reach(0.5, metric="server") == 2
         assert restored.comm_to_reach(0.5, metric="server") == pytest.approx(3.0)
         assert restored.comm_to_reach(0.15, metric="client") == pytest.approx(1.5)
@@ -143,7 +150,7 @@ class TestPersistence:
         assert restored.rounds_to_reach(0.99) is None
 
     def test_restored_history_keeps_appending(self):
-        restored = RunHistory.from_json(self.make_history().to_json())
+        restored = _json_roundtrip(self.make_history())
         restored.append(
             RoundRecord(
                 round_index=3,

@@ -177,6 +177,27 @@ class TestTrainWithLoss:
         )
         assert np.isfinite(out)
 
+    def test_no_gradient_is_held_through_a_forward(self):
+        model = fresh_model()
+        x, y = toy_data()
+        # a stale gradient on entry is dropped before the first forward too
+        for p in model.parameters():
+            p.grad = np.ones_like(p.data)
+        held = []
+
+        def builder(m, batch):
+            held.append([i for i, p in enumerate(m.parameters()) if p.grad is not None])
+            xb, yb = batch
+            return losses.cross_entropy(m(Tensor(xb)), yb)
+
+        train_with_loss(
+            model, (x, y), builder, TrainingConfig(epochs=2, batch_size=8),
+            np.random.default_rng(0),
+        )
+        assert len(held) > 2
+        assert held == [[]] * len(held)
+        assert all(p.grad is None for p in model.parameters())
+
     def test_grad_clipping_applies(self):
         model = fresh_model()
         x, y = toy_data()

@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-import repro.sweep.scheduler as scheduler_mod
 from repro.baselines.fedavg import FedAvg
+from repro.experiments import harness
 from repro.experiments.harness import ExperimentSetting, run_algorithm
 from repro.sweep import SweepScheduler, SweepSpec
 
@@ -16,13 +16,14 @@ FAST_OVERRIDES = {
 }
 
 
-def make_spec(algorithms=("fedavg",), seeds=(0,), rounds=1, name="t"):
+def make_spec(algorithms=("fedavg",), seeds=(0,), rounds=1, name="t", **base):
     return SweepSpec.from_dict({
         "name": name,
         "base": {
             "scale": "tiny",
             "scale_overrides": FAST_OVERRIDES,
             "rounds": rounds,
+            **base,
         },
         "axes": {"algorithm": list(algorithms), "seed": list(seeds)},
     })
@@ -99,17 +100,46 @@ class TestFailureIsolation:
         assert failed["status"] == "failed"
         assert "nan loss" in failed["error"]
 
+    @pytest.mark.parametrize("run_workers", [1, 2], ids=["inline", "pool"])
+    def test_a_runs_own_error_is_recorded_in_either_mode(self, tmp_path, run_workers):
+        # FedAvg averages weights, so it rejects heterogeneous client models;
+        # FedMD takes them, and must complete beside the failed run
+        spec = make_spec(algorithms=("fedavg", "fedmd"), heterogeneous=True)
+        scheduler = make_scheduler(spec, tmp_path, run_workers=run_workers)
+        result = scheduler.run()
+
+        by_algo = {o.spec.algorithm: o for o in result.outcomes}
+        error = "ValueError: fedavg does not support heterogeneous client models"
+        assert by_algo["fedavg"].status == "failed"
+        assert by_algo["fedavg"].error == error
+        assert scheduler.registry.get(by_algo["fedavg"].run_key)["error"] == error
+        assert by_algo["fedmd"].status == "completed"
+        assert by_algo["fedmd"].rounds_done == 1
+
+    @pytest.mark.parametrize("run_workers", [1, 2], ids=["inline", "pool"])
+    def test_an_invalid_runtime_setting_fails_its_runs_only(
+        self, tmp_path, run_workers
+    ):
+        spec = make_spec(algorithms=("fedavg", "fedmd"))
+        result = make_scheduler(
+            spec, tmp_path, run_workers=run_workers,
+            runtime_overrides={"max_workers": 0},
+        ).run()
+        assert [o.status for o in result.outcomes] == ["failed", "failed"]
+        assert {o.error for o in result.outcomes} == {
+            "ValueError: max_workers must be >= 1, got 0"
+        }
+
     def test_failed_run_succeeds_on_clean_resubmission(self, tmp_path, monkeypatch):
         calls = {"n": 0}
-        original = scheduler_mod.execute_run
 
-        def flaky(payload):
+        def flaky(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("transient")
-            return original(payload)
+            return run_algorithm(*args, **kwargs)
 
-        monkeypatch.setattr(scheduler_mod, "execute_run", flaky)
+        monkeypatch.setattr(harness, "run_algorithm", flaky)
         spec = make_spec()
         assert not make_scheduler(spec, tmp_path).run().ok
 
@@ -130,8 +160,8 @@ class TestResultCaching:
 
         # any training attempt on resubmission is a bug
         monkeypatch.setattr(
-            scheduler_mod, "execute_run",
-            lambda payload: pytest.fail("cache hit must not execute"),
+            harness, "run_algorithm",
+            lambda *args, **kwargs: pytest.fail("cache hit must not execute"),
         )
         rerun = make_scheduler(spec, tmp_path)
         result = rerun.run()
@@ -214,19 +244,18 @@ class TestPoolExecution:
 
         log = tmp_path / "executions.log"
 
-        def fake_execute(payload):
-            run = payload["run"]
-            seed = run["setting_fields"]["seed"]
+        def fake_run(setting, algorithm, **kwargs):
+            seed = setting.seed
             with open(log, "a", encoding="utf-8") as f:
                 f.write(f"{seed}\n")
             if seed == 3:
                 time.sleep(6.0)  # the run that times out
-            history = RunHistory(run["algorithm"])
+            history = RunHistory(algorithm)
             history.append(RoundRecord(1, 0.5, [0.5], 1, 1))
             return history
 
         # the pool forks after this, so its workers run the fake
-        monkeypatch.setattr(scheduler_mod, "execute_run", fake_execute)
+        monkeypatch.setattr(harness, "run_algorithm", fake_run)
         spec = make_spec(seeds=(0, 1, 2, 3, 4, 5))
         result = make_scheduler(
             spec, tmp_path, run_workers=2, run_timeout_s=1.5, run_retries=0
@@ -250,19 +279,18 @@ class TestPoolExecution:
 
         log = tmp_path / "executions.log"
 
-        def fake_execute(payload):
-            run = payload["run"]
-            seed = run["setting_fields"]["seed"]
+        def fake_run(setting, algorithm, **kwargs):
+            seed = setting.seed
             with open(log, "a", encoding="utf-8") as f:
                 f.write(f"{seed}\n")
             if seed == 1:
                 os._exit(1)
             time.sleep(1.0)
-            history = RunHistory(run["algorithm"])
+            history = RunHistory(algorithm)
             history.append(RoundRecord(1, 0.5, [0.5], 1, 1))
             return history
 
-        monkeypatch.setattr(scheduler_mod, "execute_run", fake_execute)
+        monkeypatch.setattr(harness, "run_algorithm", fake_run)
         spec = make_spec(seeds=(0, 1, 2, 3))
         scheduler = make_scheduler(spec, tmp_path, run_workers=2)
         result = scheduler.run()
